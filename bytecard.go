@@ -18,8 +18,6 @@ import (
 	"expvar"
 	"fmt"
 	"os"
-	"strconv"
-	"sync"
 
 	"bytecard/internal/cardinal"
 	"bytecard/internal/core"
@@ -83,29 +81,23 @@ type Options struct {
 	// worker count.
 	TrainWorkers int
 	// PlanCacheBytes bounds the template-keyed plan cache's resident
-	// bytes. Zero defers to BYTECARD_PLAN_CACHE_BYTES, then the engine
-	// default (4 MiB); negative disables plan caching. The cache is
-	// registered with the inference registry, so model retrains and
-	// refreshes invalidate affected templates automatically.
+	// bytes. Zero takes the engine default (4 MiB); negative disables plan
+	// caching. The cache is registered with the inference registry, so
+	// model retrains and refreshes invalidate affected templates
+	// automatically.
 	PlanCacheBytes int64
-	// BatchThreshold is the minimum join-order DP rank size handed to the
-	// batched estimator path as one batch. Zero defers to
-	// BYTECARD_BATCH_THRESHOLD, then the engine default (2); negative
-	// disables batching.
-	BatchThreshold int
 	// Pushdown controls the pushdown scan contract (zone-map block
 	// skipping, predicate/projection/limit pushdown, late
-	// materialization). Zero defers to the BYTECARD_PUSHDOWN environment
-	// variable, then the engine default (on); negative disables pushdown,
-	// restoring the pre-contract scan path byte for byte.
+	// materialization). Zero or positive is on (the default); negative
+	// disables pushdown, restoring the pre-contract scan path byte for
+	// byte.
 	Pushdown int
 	// ResidualCorrection enables the online residual corrector: executed
 	// queries feed (estimate, truth) pairs into a per-template
 	// multiplicative correction applied on top of BN/FactorJoin estimates
 	// (see internal/residual), with Monitor-triggered refits on q-error
-	// drift. False defers to the BYTECARD_RESIDUAL environment variable
-	// ("1"/"true"/"on"). Off by default — and with it off, every estimate
-	// is byte-identical to a build without the corrector.
+	// drift. Off by default — and with it off, every estimate is
+	// byte-identical to a build without the corrector.
 	ResidualCorrection bool
 	// Residual tunes the corrector (zero values take the defaults); only
 	// consulted when ResidualCorrection is on.
@@ -134,20 +126,7 @@ func (o *Options) fill() {
 	if o.Estimator == "" {
 		o.Estimator = "bytecard"
 	}
-	if !o.ResidualCorrection && envResidual() {
-		o.ResidualCorrection = true
-	}
 }
-
-// envResidual reads BYTECARD_RESIDUAL once (the deployment flag for the
-// online residual corrector).
-var envResidual = sync.OnceValue(func() bool {
-	switch os.Getenv("BYTECARD_RESIDUAL") {
-	case "1", "true", "on":
-		return true
-	}
-	return false
-})
 
 // System is a fully wired ByteCard deployment over one dataset.
 type System struct {
@@ -176,7 +155,7 @@ type System struct {
 	// Featurizer builds feature vectors for the estimation API.
 	Featurizer *core.Featurizer
 	// Residual is the online residual corrector (nil unless
-	// Options.ResidualCorrection / BYTECARD_RESIDUAL enabled it).
+	// Options.ResidualCorrection enabled it).
 	Residual *residual.Corrector
 	// TrainReport records the initial training run (nil with
 	// SkipTraining).
@@ -251,11 +230,10 @@ func OpenDataset(ds *datagen.Dataset, opts Options) (*System, error) {
 	}
 	sys.Engine = engine.New(ds.DB, ds.Schema, est)
 	sys.Engine.Parallelism = opts.Parallelism
-	sys.Engine.BatchThreshold = opts.BatchThreshold
 	sys.Engine.Pushdown = opts.Pushdown
 	sys.Engine.Obs = obs.NewEngineMetrics()
-	if b := planCacheBudget(opts.PlanCacheBytes); b >= 0 {
-		pc := engine.NewPlanCache(b)
+	if opts.PlanCacheBytes >= 0 {
+		pc := engine.NewPlanCache(opts.PlanCacheBytes)
 		sys.Engine.PlanCache = pc
 		// Registered with the inference registry so model churn (retrain,
 		// refresh, enable/disable) invalidates cached templates.
@@ -288,27 +266,6 @@ func OpenDataset(ds *datagen.Dataset, opts Options) (*System, error) {
 		},
 	}
 	return sys, nil
-}
-
-// envPlanCacheBytes reads BYTECARD_PLAN_CACHE_BYTES once (negative
-// disables plan caching system-wide).
-var envPlanCacheBytes = sync.OnceValue(func() int64 {
-	if s := os.Getenv("BYTECARD_PLAN_CACHE_BYTES"); s != "" {
-		if v, err := strconv.ParseInt(s, 10, 64); err == nil && v != 0 {
-			return v
-		}
-	}
-	return 0
-})
-
-// planCacheBudget resolves the plan-cache byte budget: the option wins,
-// then the environment, then the engine default (returned as 0 — the
-// NewPlanCache sentinel). Negative means disabled.
-func planCacheBudget(opt int64) int64 {
-	if opt != 0 {
-		return opt
-	}
-	return envPlanCacheBytes()
 }
 
 func (s *System) estimatorByName(name string) (engine.CardEstimator, error) {

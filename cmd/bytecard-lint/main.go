@@ -1,8 +1,8 @@
-// Command bytecard-lint is ByteCard's static-analysis multichecker: twelve
+// Command bytecard-lint is ByteCard's static-analysis multichecker: eleven
 // project-specific analyzers enforcing the determinism, guard-discipline,
-// pool-hygiene, clamping, crash-safe-write, cache-publication, lock,
-// atomic-consistency, context-propagation, and goroutine-provenance
-// conventions the estimation stack depends on.
+// pool-hygiene, clamping, crash-safe-write, lock, atomic-consistency,
+// context-propagation, and goroutine-provenance conventions the estimation
+// stack depends on.
 //
 // Standalone:
 //
@@ -18,8 +18,8 @@
 //	go vet -vettool=/tmp/bytecard-lint ./...
 //
 // Findings are suppressed per site with //bytecard:<key>-ok <reason>
-// annotations (keys: atomic, atomicwrite, cacheput, clamp, ctx, directcall,
-// goroutine, lock, pool, rand, rawscan, unordered); the reason is mandatory.
+// annotations (keys: atomic, atomicwrite, clamp, ctx, directcall, goroutine,
+// lock, pool, rand, rawscan, unordered); the reason is mandatory.
 package main
 
 import "bytecard/internal/lint"

@@ -22,27 +22,19 @@ import (
 
 func main() {
 	var (
-		dataset     = flag.String("dataset", "toy", "dataset: imdb, stats, aeolus, toy")
+		dataset     = flag.String("dataset", "toy", "dataset: imdb, stats, aeolus, timeseries, toy")
 		scale       = flag.Float64("scale", 0.05, "dataset scale factor")
 		seed        = flag.Int64("seed", 1, "generator seed")
 		estimator   = flag.String("estimator", "bytecard", "optimizer estimator: bytecard, sketch, sample, heuristic")
 		parallelism = flag.Int("parallelism", 0, "executor worker count (0 = BYTECARD_PARALLELISM env, then GOMAXPROCS; 1 = sequential)")
-		residualFl  = flag.Bool("residual", false, "enable the online residual corrector (executed truth feeds back into estimates; also BYTECARD_RESIDUAL=1)")
-		pushdown    = flag.Bool("pushdown", true, "enable the pushdown scan contract: zone-map block skipping, predicate/projection/limit pushdown (also BYTECARD_PUSHDOWN)")
+		residualFl  = flag.Bool("residual", false, "enable the online residual corrector (executed truth feeds back into estimates)")
+		pushdown    = flag.Bool("pushdown", true, "enable the pushdown scan contract: zone-map block skipping, predicate/projection/limit pushdown")
 	)
 	flag.Parse()
-	// The pushdown knob is tri-state at the Options level: 0 defers to
-	// BYTECARD_PUSHDOWN, so only an explicit -pushdown flag pins it.
 	pd := 0
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "pushdown" {
-			if *pushdown {
-				pd = 1
-			} else {
-				pd = -1
-			}
-		}
-	})
+	if !*pushdown {
+		pd = -1 // Options.Pushdown: negative disables, zero is the default (on)
+	}
 	if err := run(*dataset, *scale, *seed, *estimator, *parallelism, *residualFl, pd); err != nil {
 		fmt.Fprintln(os.Stderr, "bytehouse-cli:", err)
 		os.Exit(1)

@@ -56,8 +56,11 @@ type tableModels struct {
 // InferenceEngine is the central hub for deployed inference algorithms: it
 // loads and validates models, builds their immutable inference contexts
 // (initContext), enforces size limits with LRU retention, and serves
-// lock-free estimation to concurrent query threads (contexts are immutable;
-// the registry itself takes only a read lock per lookup).
+// concurrent query threads: the contexts it hands out are immutable, so
+// estimation itself runs without any registry lock. Lookups do lock —
+// BNContexts takes the exclusive lock briefly, because it moves the table
+// to the front of the retention LRU; the whole-warehouse model getters
+// (FactorJoin, RBX, ...) take the read lock.
 type InferenceEngine struct {
 	opts Options
 

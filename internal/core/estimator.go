@@ -54,7 +54,7 @@ type Estimator struct {
 	// vec memoizes the optimizer's per (table instance, key column)
 	// filtered bucket vectors so join planning stays O(tables) BN
 	// inferences instead of O(2^tables).
-	vec *vecCache
+	vec vecCache
 	// trace, when non-nil, collects per-call spans (see WithTrace).
 	trace *obs.Trace
 }
@@ -66,15 +66,15 @@ type vecKey struct {
 
 // NewEstimator wires an estimator to a loaded inference engine.
 func NewEstimator(infer *InferenceEngine, fallback engine.CardEstimator) *Estimator {
-	m := obs.NewEstimatorMetrics()
 	est := &Estimator{
 		Infer:    infer,
 		Fallback: fallback,
 		Guard:    NewGuard(GuardConfig{}),
 		Samples:  map[string]*sample.Frame{},
-		Metrics:  m,
-		vec:      newVecCache(vecCacheLimit, m),
+		Metrics:  obs.NewEstimatorMetrics(),
+		vec:      newVecCache(vecCacheLimit),
 	}
+	est.Metrics.JoinVec = est.vec.Metrics()
 	// The vector/subset cache derives everything from loaded model state,
 	// so the registry invalidates it on every model load/enable/disable.
 	infer.RegisterCache("joinvec", est.vec)
@@ -190,7 +190,7 @@ func (e *Estimator) Calls() int64 { return e.Metrics.Calls.Load() }
 func (e *Estimator) Fallbacks() int64 { return e.Metrics.Fallbacks.Load() }
 
 // CacheLen returns the resident join-vector cache size.
-func (e *Estimator) CacheLen() int { return e.vec.len() }
+func (e *Estimator) CacheLen() int { return e.vec.Len() }
 
 func encoderFor(t *engine.QueryTable) expr.Encoder {
 	return func(col string, d types.Datum) (float64, bool) {

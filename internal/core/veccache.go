@@ -1,11 +1,6 @@
 package core
 
-import (
-	"container/list"
-	"sync"
-
-	"bytecard/internal/obs"
-)
+import "bytecard/internal/lru"
 
 // vecCacheLimit bounds the join-vector cache: the optimizer's dynamic
 // programming re-requests the same (table instance, key column) vector
@@ -23,171 +18,49 @@ const vecEntryOverhead = 96
 // with vecKey entries in the shared map.
 type subsetKey string
 
+// vecValue is a bucket vector (vecKey entries) or a sanitized estimate
+// (subsetKey entries).
+type vecValue struct {
+	vec    []float64
+	scalar float64
+}
+
 // vecCache memoizes two kinds of derived inference state under one
-// bounded LRU: BN-conditioned FactorJoin bucket vectors keyed by (table
-// instance, key column), and whole sanitized join-size estimates keyed by
-// canonical subset identity (JoinBatchItem.Key — this is what lets the
-// batched planner skip FactorJoin entirely for subsets it has sized
-// before, across ranks and across Plan calls). When full, the least
-// recently touched entry is dropped — hot entries of the query being
-// planned stay resident instead of the whole map being discarded. Shared
-// by every view of one Estimator.
+// entry-bounded LRU: BN-conditioned FactorJoin bucket vectors keyed by
+// (table instance, key column), and whole sanitized join-size estimates
+// keyed by canonical subset identity (JoinBatchItem.Key — this is what lets
+// the batched planner skip FactorJoin entirely for subsets it has sized
+// before, across ranks and across Plan calls). Shared by every view of one
+// Estimator.
 //
-// Everything in here is derived from loaded model state, so the cache
-// implements the registry's DerivedCache contract and is flushed on model
-// load/enable/disable (registered as "joinvec" by NewEstimator).
+// Everything in here is derived from loaded model state, so the cache is
+// registered as DerivedCache "joinvec" by NewEstimator. Entries carry no
+// table list — vector entries key on *engine.QueryTable instances
+// (per-query, not per-physical-table) and subset keys are opaque strings —
+// so any table invalidation conservatively drops them all; vectors
+// re-derive from the freshly loaded models on the next plan.
 type vecCache struct {
-	mu      sync.Mutex
-	limit   int
-	entries map[any]*list.Element
-	lru     *list.List // of *vecEntry; front = most recent
-	bytes   int64
-	metrics *obs.EstimatorMetrics
-	cm      obs.CacheMetrics
+	*lru.Cache[any, vecValue]
 }
 
-type vecEntry struct {
-	key    any
-	vec    []float64 // bucket vector (vecKey entries)
-	scalar float64   // sanitized estimate (subsetKey entries)
-	size   int64
+func newVecCache(limit int) vecCache {
+	return vecCache{lru.NewEntries[any, vecValue](limit)}
 }
 
-func newVecCache(limit int, metrics *obs.EstimatorMetrics) *vecCache {
-	if limit <= 0 {
-		limit = vecCacheLimit
-	}
-	return &vecCache{
-		limit:   limit,
-		entries: map[any]*list.Element{},
-		lru:     list.New(),
-		metrics: metrics,
-	}
+func (c vecCache) get(key vecKey) ([]float64, bool) {
+	v, ok := c.Get(key)
+	return v.vec, ok
 }
 
-// entrySize approximates an entry's resident footprint.
-func entrySize(key any, vec []float64) int64 {
-	size := int64(vecEntryOverhead) + int64(8*len(vec))
-	if s, ok := key.(subsetKey); ok {
-		size += int64(len(s))
-	}
-	return size
+func (c vecCache) put(key vecKey, vec []float64) {
+	c.Put(key, vecValue{vec: vec}, vecEntryOverhead+int64(8*len(vec)), nil)
 }
 
-// get returns the cached vector and marks it recently used.
-func (c *vecCache) get(key vecKey) ([]float64, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	elem, ok := c.entries[key]
-	if !ok {
-		c.miss()
-		return nil, false
-	}
-	c.lru.MoveToFront(elem)
-	c.hit()
-	return elem.Value.(*vecEntry).vec, true
+func (c vecCache) getSubset(key string) (float64, bool) {
+	v, ok := c.Get(subsetKey(key))
+	return v.scalar, ok
 }
 
-// put inserts a vector, evicting from the cold end past the limit.
-func (c *vecCache) put(key vecKey, vec []float64) {
-	c.insert(key, vec, 0)
-}
-
-// getSubset returns the memoized sanitized estimate for a canonical
-// subset key and marks it recently used.
-func (c *vecCache) getSubset(key string) (float64, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	elem, ok := c.entries[subsetKey(key)]
-	if !ok {
-		c.miss()
-		return 0, false
-	}
-	c.lru.MoveToFront(elem)
-	c.hit()
-	return elem.Value.(*vecEntry).scalar, true
-}
-
-// putSubset memoizes a sanitized join-size estimate under its canonical
-// subset key.
-func (c *vecCache) putSubset(key string, v float64) {
-	c.insert(subsetKey(key), nil, v)
-}
-
-func (c *vecCache) insert(key any, vec []float64, scalar float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	size := entrySize(key, vec)
-	if elem, ok := c.entries[key]; ok {
-		e := elem.Value.(*vecEntry)
-		c.bytes += size - e.size
-		c.cm.Bytes.Add(size - e.size)
-		e.vec, e.scalar, e.size = vec, scalar, size
-		c.lru.MoveToFront(elem)
-		return
-	}
-	c.entries[key] = c.lru.PushFront(&vecEntry{key: key, vec: vec, scalar: scalar, size: size})
-	c.bytes += size
-	c.cm.Bytes.Add(size)
-	c.cm.Entries.Add(1)
-	for len(c.entries) > c.limit {
-		back := c.lru.Back()
-		c.removeLocked(back)
-		c.metrics.CacheEvictions.Add(1)
-		c.cm.Evictions.Add(1)
-	}
-}
-
-// removeLocked unlinks one entry and settles the gauges (c.mu held).
-func (c *vecCache) removeLocked(elem *list.Element) {
-	e := elem.Value.(*vecEntry)
-	delete(c.entries, e.key)
-	c.lru.Remove(elem)
-	c.bytes -= e.size
-	c.cm.Bytes.Add(-e.size)
-	c.cm.Entries.Add(-1)
-}
-
-func (c *vecCache) hit() {
-	c.metrics.CacheHits.Add(1)
-	c.cm.Hits.Add(1)
-}
-
-func (c *vecCache) miss() {
-	c.metrics.CacheMisses.Add(1)
-	c.cm.Misses.Add(1)
-}
-
-// len returns the resident entry count.
-func (c *vecCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// Flush drops every entry (model state changed), returning how many were
-// resident.
-func (c *vecCache) Flush() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := len(c.entries)
-	for elem := c.lru.Front(); elem != nil; elem = c.lru.Front() {
-		c.removeLocked(elem)
-	}
-	c.cm.Invalidations.Add(int64(n))
-	return n
-}
-
-// InvalidateTables drops every entry — conservatively: vector entries key
-// on *engine.QueryTable instances (per-query, not per-physical-table) and
-// subset keys are opaque strings, so table-scoped invalidation cannot be
-// proven safe from the key alone. Vectors re-derive from the freshly
-// loaded models on the next plan.
-func (c *vecCache) InvalidateTables(tables ...string) int {
-	return c.Flush()
-}
-
-// Stats returns the cache's uniform counter snapshot.
-func (c *vecCache) Stats() obs.CacheSnapshot {
-	return c.cm.Snapshot()
+func (c vecCache) putSubset(key string, v float64) {
+	c.Put(subsetKey(key), vecValue{scalar: v}, vecEntryOverhead+int64(len(key)), nil)
 }

@@ -31,7 +31,9 @@ const (
 	DefaultColOrderEarlyStop = 0.5
 	// MaxIntermediateRows aborts runaway joins.
 	MaxIntermediateRows = 50_000_000
-	// DefaultBatchThreshold is the smallest DP rank worth batching: a
+	// DefaultBatchThreshold is the minimum join-order DP rank size (newly
+	// reachable subsets) the planner hands to a BatchCardEstimator as one
+	// batch; smaller ranks go through sequential EstimateJoin calls. A
 	// one-subset rank amortizes nothing, so the floor is 2. Estimators do
 	// their own fan-out break-even below this gate (see
 	// core.Estimator.fanOutWorkers), which keeps the planner-side constant
@@ -64,19 +66,12 @@ type Engine struct {
 	// environment variable if set, else runtime.GOMAXPROCS(0); 1 forces the
 	// sequential path.
 	Parallelism int
-	// BatchThreshold is the minimum join-order DP rank size (newly
-	// reachable subsets) for which the planner hands the rank to a
-	// BatchCardEstimator as one batch; smaller ranks go through sequential
-	// EstimateJoin calls, whose per-call overhead is below the batch
-	// machinery's. Zero takes BYTECARD_BATCH_THRESHOLD if set, else
-	// DefaultBatchThreshold; negative disables batching entirely.
-	BatchThreshold int
 	// Pushdown selects the pushed-down scan path (zone-map block skipping,
 	// vectorized predicate evaluation, projection/limit pushdown). Zero
-	// takes BYTECARD_PUSHDOWN if set, else on; positive forces on;
-	// negative forces off (the legacy readers, byte-identical to pre-
-	// pushdown behavior). ForceReader pins the legacy readers regardless,
-	// so strategy-ablation comparisons stay meaningful.
+	// or positive is on; negative forces off (the legacy readers,
+	// byte-identical to pre-pushdown behavior). ForceReader pins the
+	// legacy readers regardless, so strategy-ablation comparisons stay
+	// meaningful.
 	Pushdown int
 	// Obs, when set, accumulates query volume, planning/execution latency,
 	// and the q-error of each plan's final cardinality estimate against
@@ -127,50 +122,6 @@ var envParallelism = sync.OnceValue(func() int {
 	}
 	return 0
 })
-
-// envBatchThreshold reads BYTECARD_BATCH_THRESHOLD once (any integer;
-// negative disables batching, the knob for machines where even large
-// ranks plan faster sequentially).
-var envBatchThreshold = sync.OnceValue(func() (v int) {
-	if s := os.Getenv("BYTECARD_BATCH_THRESHOLD"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n != 0 {
-			return n
-		}
-	}
-	return 0
-})
-
-// envPushdown reads BYTECARD_PUSHDOWN once: "0"/"false"/"off" disables,
-// "1"/"true"/"on" enables, anything else (or unset) leaves the default.
-var envPushdown = sync.OnceValue(func() int {
-	switch os.Getenv("BYTECARD_PUSHDOWN") {
-	case "0", "false", "off":
-		return -1
-	case "1", "true", "on":
-		return 1
-	}
-	return 0
-})
-
-// pushdownOn resolves whether scans take the pushed-down path (default on).
-func (e *Engine) pushdownOn() bool {
-	v := e.Pushdown
-	if v == 0 {
-		v = envPushdown()
-	}
-	return v >= 0
-}
-
-// batchThreshold resolves the minimum batched rank size.
-func (e *Engine) batchThreshold() int {
-	if e.BatchThreshold != 0 {
-		return e.BatchThreshold
-	}
-	if v := envBatchThreshold(); v != 0 {
-		return v
-	}
-	return DefaultBatchThreshold
-}
 
 // workers resolves the executor worker count for one query.
 func (e *Engine) workers() int {

@@ -69,7 +69,7 @@ func (e *Engine) Plan(q *Query) (*Plan, error) {
 			// (conjunctive filter); the engine-local knob and ForceReader
 			// ablation re-gate it so a knob flip never replays a stale
 			// routing decision.
-			if e.ForceReader != "" || !e.pushdownOn() {
+			if e.ForceReader != "" || e.Pushdown < 0 {
 				for _, sp := range p.Scans {
 					sp.Pushdown = false
 				}
@@ -127,7 +127,7 @@ func (e *Engine) planScan(q *Query, idx int) *ScanPlan {
 			sp.ColOrder = predCols
 		}
 	}
-	sp.Pushdown = isConj && e.ForceReader == "" && e.pushdownOn()
+	sp.Pushdown = isConj && e.ForceReader == "" && e.Pushdown >= 0
 	return sp
 }
 
@@ -260,7 +260,6 @@ func (e *Engine) planJoinOrder(p *Plan) error {
 		return tabs, conds
 	}
 	batchEst, batching := e.Est.(BatchCardEstimator)
-	threshold := e.batchThreshold()
 	// Sequential scratch, reused across estimates (the CardEstimator
 	// contract forbids retaining the slices).
 	tabs := make([]*QueryTable, 0, n)
@@ -307,7 +306,7 @@ func (e *Engine) planJoinOrder(p *Plan) error {
 	}
 	// estimateAll fills card for every listed mask (all absent from card).
 	estimateAll := func(masks []uint32) {
-		if batching && threshold > 0 && len(masks) >= threshold {
+		if batching && len(masks) >= DefaultBatchThreshold {
 			items := make([]JoinBatchItem, len(masks))
 			for k, mask := range masks {
 				items[k].Tables, items[k].Conds = fillSubset(mask, nil, nil)

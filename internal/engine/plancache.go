@@ -1,9 +1,7 @@
 package engine
 
 import (
-	"container/list"
-	"sync"
-
+	"bytecard/internal/lru"
 	"bytecard/internal/obs"
 )
 
@@ -118,17 +116,7 @@ func (d *planDecisions) apply(q *Query) *Plan {
 // replays decisions estimated by a replaced model. Safe for concurrent
 // use.
 type PlanCache struct {
-	mu      sync.Mutex
-	limit   int64
-	entries map[string]*list.Element
-	lru     *list.List // of *planCacheEntry; front = most recent
-	bytes   int64
-	cm      obs.CacheMetrics
-}
-
-type planCacheEntry struct {
-	key string
-	d   *planDecisions
+	c *lru.Cache[string, *planDecisions]
 }
 
 // NewPlanCache creates a plan cache bounded to limit resident bytes
@@ -137,116 +125,29 @@ func NewPlanCache(limit int64) *PlanCache {
 	if limit <= 0 {
 		limit = DefaultPlanCacheBytes
 	}
-	return &PlanCache{
-		limit:   limit,
-		entries: map[string]*list.Element{},
-		lru:     list.New(),
-	}
+	return &PlanCache{c: lru.NewBytes[string, *planDecisions](limit)}
 }
 
 // Get returns the cached decisions for a template key and marks the entry
 // recently used.
-func (c *PlanCache) Get(key string) (*planDecisions, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	elem, ok := c.entries[key]
-	if !ok {
-		c.cm.Misses.Add(1)
-		return nil, false
-	}
-	c.lru.MoveToFront(elem)
-	c.cm.Hits.Add(1)
-	return elem.Value.(*planCacheEntry).d, true
-}
+func (c *PlanCache) Get(key string) (*planDecisions, bool) { return c.c.Get(key) }
 
-// Put publishes one template's decisions, evicting from the cold end past
-// the byte budget. Put is the cache's only publication path — entries
-// enter carrying their invalidation table list, which is what keeps every
-// resident plan reachable by InvalidateTables (enforced by the cacheput
-// lint check).
+// Put publishes one template's decisions under their invalidation table
+// list. A template larger than the whole budget is refused.
 func (c *PlanCache) Put(key string, d *planDecisions) {
-	size := d.size + int64(len(key))
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if size > c.limit {
-		return // a single oversized template must not wipe the cache
-	}
-	if elem, ok := c.entries[key]; ok {
-		prev := elem.Value.(*planCacheEntry)
-		c.bytes += size - (prev.d.size + int64(len(key)))
-		c.cm.Bytes.Add(size - (prev.d.size + int64(len(key))))
-		prev.d = d
-		c.lru.MoveToFront(elem)
-		return
-	}
-	c.entries[key] = c.lru.PushFront(&planCacheEntry{key: key, d: d})
-	c.bytes += size
-	c.cm.Bytes.Add(size)
-	c.cm.Entries.Add(1)
-	for c.bytes > c.limit && c.lru.Len() > 0 {
-		c.removeLocked(c.lru.Back())
-		c.cm.Evictions.Add(1)
-	}
-}
-
-// removeLocked unlinks one entry and settles the gauges (c.mu held).
-func (c *PlanCache) removeLocked(elem *list.Element) {
-	e := elem.Value.(*planCacheEntry)
-	delete(c.entries, e.key)
-	c.lru.Remove(elem)
-	size := e.d.size + int64(len(e.key))
-	c.bytes -= size
-	c.cm.Bytes.Add(-size)
-	c.cm.Entries.Add(-1)
+	c.c.Put(key, d, d.size+int64(len(key)), d.tables)
 }
 
 // Len returns the resident template count.
-func (c *PlanCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
+func (c *PlanCache) Len() int { return c.c.Len() }
 
 // InvalidateTables drops every template whose decisions were estimated
 // against any of the named physical tables, returning how many were
-// dropped. The scan is linear in resident templates — invalidation is
-// model-churn-rate, not query-rate.
-func (c *PlanCache) InvalidateTables(tables ...string) int {
-	victim := map[string]bool{}
-	for _, t := range tables {
-		victim[t] = true
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	var next *list.Element
-	for elem := c.lru.Front(); elem != nil; elem = next {
-		next = elem.Next()
-		for _, t := range elem.Value.(*planCacheEntry).d.tables {
-			if victim[t] {
-				c.removeLocked(elem)
-				n++
-				break
-			}
-		}
-	}
-	c.cm.Invalidations.Add(int64(n))
-	return n
-}
+// dropped.
+func (c *PlanCache) InvalidateTables(tables ...string) int { return c.c.InvalidateTables(tables...) }
 
 // Flush drops every template, returning how many were resident.
-func (c *PlanCache) Flush() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := len(c.entries)
-	for elem := c.lru.Front(); elem != nil; elem = c.lru.Front() {
-		c.removeLocked(elem)
-	}
-	c.cm.Invalidations.Add(int64(n))
-	return n
-}
+func (c *PlanCache) Flush() int { return c.c.Flush() }
 
 // Stats returns the cache's uniform counter snapshot.
-func (c *PlanCache) Stats() obs.CacheSnapshot {
-	return c.cm.Snapshot()
-}
+func (c *PlanCache) Stats() obs.CacheSnapshot { return c.c.Stats() }

@@ -110,7 +110,6 @@ func TestAnalyzerFixtures(t *testing.T) {
 	}{
 		{MapIter, []string{"mapiter_flag", "mapiter_other"}},
 		{AtomicWrite, []string{"atomicwrite_flag", "atomicwrite_other"}},
-		{CachePut, []string{"cacheput_flag", "cacheput_residual"}},
 		{GuardCall, []string{"guardcall_flag", "guardcall_core"}},
 		{RandSource, []string{"randsource_flag"}},
 		{PoolHygiene, []string{"poolhygiene_flag"}},
@@ -282,7 +281,7 @@ func TestSelectAnalyzers(t *testing.T) {
 	if got := run("-mapiter", "-randsource"); got != "mapiter,randsource" {
 		t.Errorf("two positive flags: got %q", got)
 	}
-	if got := run("-mapiter=false"); got != "atomicfield,atomicwrite,cacheput,ctxflow,estclamp,goroutinesrc,guardcall,locksafe,poolhygiene,randsource,scanread" {
+	if got := run("-mapiter=false"); got != "atomicfield,atomicwrite,ctxflow,estclamp,goroutinesrc,guardcall,locksafe,poolhygiene,randsource,scanread" {
 		t.Errorf("-mapiter=false: got %q", got)
 	}
 }

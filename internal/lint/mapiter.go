@@ -12,7 +12,7 @@ import (
 // regression diffing, the model-staleness monitor, and A/B accounting all
 // break. Go randomizes map iteration order on purpose, so any map range in a
 // package on the determinism-critical list (bn, factorjoin, modelforge,
-// engine, modelstore) is suspect unless either
+// engine, modelstore, workload) is suspect unless either
 //
 //   - the loop body is provably order-insensitive (pure collection into a
 //     slice that is sorted elsewhere, commutative integer accumulation,
@@ -37,6 +37,7 @@ var mapiterPackages = map[string]bool{
 	"modelforge": true,
 	"engine":     true,
 	"modelstore": true,
+	"workload":   true,
 }
 
 func runMapIter(pass *Pass) error {

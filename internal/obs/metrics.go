@@ -10,8 +10,11 @@ type EstimatorMetrics struct {
 	// ModelCalls counts guarded model invocations (several per request);
 	// ModelFailures counts the ones the guard or breaker rejected.
 	ModelCalls, ModelFailures Counter
-	// CacheHits/CacheMisses/CacheEvictions cover the join-vector cache.
-	CacheHits, CacheMisses, CacheEvictions Counter
+	// JoinVec is the join-vector cache's own counter block (nil on views
+	// with private request counters); Snapshot reads the CacheHits,
+	// CacheMisses and CacheEvictions digest fields from it, so each probe
+	// is counted once.
+	JoinVec *CacheMetrics
 	// ModelLatency is the guarded model-call latency in nanoseconds.
 	ModelLatency Histogram
 	// QError holds observed q-errors wherever ground truth is available
@@ -44,14 +47,15 @@ func (m *EstimatorMetrics) Snapshot() EstimatorSnapshot {
 	if m == nil {
 		return EstimatorSnapshot{Sources: map[string]int64{}}
 	}
+	jv := m.JoinVec.Snapshot()
 	return EstimatorSnapshot{
 		Calls:          m.Calls.Load(),
 		Fallbacks:      m.Fallbacks.Load(),
 		ModelCalls:     m.ModelCalls.Load(),
 		ModelFailures:  m.ModelFailures.Load(),
-		CacheHits:      m.CacheHits.Load(),
-		CacheMisses:    m.CacheMisses.Load(),
-		CacheEvictions: m.CacheEvictions.Load(),
+		CacheHits:      jv.Hits,
+		CacheMisses:    jv.Misses,
+		CacheEvictions: jv.Evictions,
 		ModelLatencyNs: m.ModelLatency.Snapshot(),
 		QError:         m.QError.Snapshot(),
 		Sources:        m.Sources.Snapshot(),
@@ -59,13 +63,12 @@ func (m *EstimatorMetrics) Snapshot() EstimatorSnapshot {
 }
 
 // CacheMetrics is the uniform counter block for ByteCard's derived
-// caches — the template-keyed plan cache and the join-vector cache. Both
-// hold values derived from loaded model state, so alongside the usual
+// caches (every internal/lru.Cache carries one). They all hold values
+// derived from loaded model state, so alongside the usual
 // hit/miss/eviction counters they count Invalidations: entries dropped
 // because a model retrain/ingest made them stale, the event that
 // distinguishes "cache too small" (evictions) from "models churning"
-// (invalidations). Bytes and Entries are gauges tracking residency
-// against the byte bound.
+// (invalidations). Bytes and Entries are gauges tracking residency.
 type CacheMetrics struct {
 	// Hits and Misses count lookups by outcome.
 	Hits, Misses Counter

@@ -24,13 +24,13 @@
 package residual
 
 import (
-	"container/list"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
 	"sync"
 
+	"bytecard/internal/lru"
 	"bytecard/internal/obs"
 )
 
@@ -106,21 +106,21 @@ type bucket struct {
 	// logRatio is the EWMA of log(truth / raw_estimate).
 	logRatio float64
 	// n counts absorbed observations (halved by Refit).
-	n    int64
-	size int64
+	n int64
 }
 
 // Corrector is the online residual model. Safe for concurrent use; all
 // updates are deterministic given the observation order.
 type Corrector struct {
-	mu      sync.Mutex
-	cfg     Config
-	entries map[string]*list.Element
-	lru     *list.List // of *bucket; front = most recent
+	// mu guards bucket contents, the pairing map, and the drift tracker;
+	// it is taken before the bucket table's own lock, never after.
+	mu  sync.Mutex
+	cfg Config
+	// buckets is the LRU bucket table, bounded to cfg.MaxEntries.
+	buckets *lru.Cache[string, *bucket]
 	// lastApp maps a template key to the log correction last applied to
 	// one of its estimates, letting Observe reconstruct the raw estimate.
 	lastApp map[string]float64
-	cm      obs.CacheMetrics
 	rm      *obs.ResidualMetrics
 
 	// Rolling drift tracker over the post-correction absolute log q-error:
@@ -135,10 +135,10 @@ func New(cfg Config, rm *obs.ResidualMetrics) *Corrector {
 	if rm == nil {
 		rm = obs.NewResidualMetrics()
 	}
+	cfg = cfg.fill()
 	return &Corrector{
-		cfg:     cfg.fill(),
-		entries: map[string]*list.Element{},
-		lru:     list.New(),
+		cfg:     cfg,
+		buckets: lru.NewEntries[string, *bucket](cfg.MaxEntries),
 		lastApp: map[string]float64{},
 		rm:      rm,
 	}
@@ -188,20 +188,13 @@ func (c *Corrector) Correct(key string, est float64) (float64, float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	applied := 0.0
-	if elem, ok := c.entries[bucketKey(key, magBucket(est))]; ok {
-		b := elem.Value.(*bucket)
-		c.lru.MoveToFront(elem)
-		c.cm.Hits.Add(1)
-		if b.n >= c.cfg.MinObservations {
-			applied = b.logRatio
-			if lim := math.Log(c.cfg.MaxFactor); applied > lim {
-				applied = lim
-			} else if applied < -lim {
-				applied = -lim
-			}
+	if b, ok := c.buckets.Get(bucketKey(key, magBucket(est))); ok && b.n >= c.cfg.MinObservations {
+		applied = b.logRatio
+		if lim := math.Log(c.cfg.MaxFactor); applied > lim {
+			applied = lim
+		} else if applied < -lim {
+			applied = -lim
 		}
-	} else {
-		c.cm.Misses.Add(1)
 	}
 	c.noteAppliedLocked(key, applied)
 	if applied == 0 {
@@ -245,12 +238,11 @@ func (c *Corrector) Observe(key string, tables []string, est float64, truth floa
 	}
 	t := math.Log(truth / raw)
 	bk := bucketKey(key, magBucket(raw))
-	elem, ok := c.entries[bk]
+	b, ok := c.buckets.Peek(bk)
 	if !ok {
-		elem = c.insertLocked(bk, tables)
+		b = &bucket{key: bk, tables: append([]string(nil), tables...)}
 	}
-	b := elem.Value.(*bucket)
-	c.lru.MoveToFront(elem)
+	c.publishLocked(b)
 	alpha := math.Max(c.cfg.Alpha, 1/float64(b.n+1))
 	b.logRatio += alpha * (t - b.logRatio)
 	b.n++
@@ -261,28 +253,10 @@ func (c *Corrector) Observe(key string, tables []string, est float64, truth floa
 	c.trackDriftLocked(math.Abs(math.Log(est / truth)))
 }
 
-// insertLocked publishes a fresh bucket, evicting from the cold end past
-// the entry bound (c.mu held).
-func (c *Corrector) insertLocked(bk string, tables []string) *list.Element {
-	b := &bucket{key: bk, tables: append([]string(nil), tables...), size: bucketSize(bk, tables)}
-	elem := c.lru.PushFront(b)
-	c.entries[bk] = elem
-	c.cm.Bytes.Add(b.size)
-	c.cm.Entries.Add(1)
-	for len(c.entries) > c.cfg.MaxEntries {
-		c.removeLocked(c.lru.Back())
-		c.cm.Evictions.Add(1)
-	}
-	return elem
-}
-
-// removeLocked unlinks one bucket and settles the gauges (c.mu held).
-func (c *Corrector) removeLocked(elem *list.Element) {
-	b := elem.Value.(*bucket)
-	delete(c.entries, b.key)
-	c.lru.Remove(elem)
-	c.cm.Bytes.Add(-b.size)
-	c.cm.Entries.Add(-1)
+// publishLocked makes b the most recent bucket, inserting it (and evicting
+// the coldest bucket past the entry bound) when it is new (c.mu held).
+func (c *Corrector) publishLocked(b *bucket) {
+	c.buckets.Put(b.key, b, bucketSize(b.key, b.tables), b.tables)
 }
 
 // trackDriftLocked folds one post-correction absolute log q-error into the
@@ -319,21 +293,14 @@ func (c *Corrector) Drifted() bool {
 func (c *Corrector) Refit() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for elem := c.lru.Front(); elem != nil; elem = elem.Next() {
-		b := elem.Value.(*bucket)
-		b.n /= 2
-	}
+	c.buckets.Range(func(_ string, b *bucket) { b.n /= 2 })
 	c.recentErr, c.baselineErr, c.driftObs = 0, 0, 0
 	c.rm.Refits.Add(1)
-	return len(c.entries)
+	return c.buckets.Len()
 }
 
 // Len returns the resident bucket count.
-func (c *Corrector) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
+func (c *Corrector) Len() int { return c.buckets.Len() }
 
 // Flush implements core.DerivedCache: every bucket, the pairing map, and
 // the drift tracker are dropped (whole-model churn), returning how many
@@ -341,14 +308,9 @@ func (c *Corrector) Len() int {
 func (c *Corrector) Flush() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := len(c.entries)
-	for elem := c.lru.Front(); elem != nil; elem = c.lru.Front() {
-		c.removeLocked(elem)
-	}
 	clear(c.lastApp)
 	c.recentErr, c.baselineErr, c.driftObs = 0, 0, 0
-	c.cm.Invalidations.Add(int64(n))
-	return n
+	return c.buckets.Flush()
 }
 
 // InvalidateTables implements core.DerivedCache: buckets whose template
@@ -356,33 +318,16 @@ func (c *Corrector) Flush() int {
 // measured a model that no longer serves the estimate. The pairing map and
 // drift tracker reset too (cheap, and their state spans templates).
 func (c *Corrector) InvalidateTables(tables ...string) int {
-	victim := map[string]bool{}
-	for _, t := range tables {
-		victim[t] = true
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := 0
-	var next *list.Element
-	for elem := c.lru.Front(); elem != nil; elem = next {
-		next = elem.Next()
-		for _, t := range elem.Value.(*bucket).tables {
-			if victim[t] {
-				c.removeLocked(elem)
-				n++
-				break
-			}
-		}
-	}
 	clear(c.lastApp)
 	c.recentErr, c.baselineErr, c.driftObs = 0, 0, 0
-	c.cm.Invalidations.Add(int64(n))
-	return n
+	return c.buckets.InvalidateTables(tables...)
 }
 
 // Stats implements core.DerivedCache.
 func (c *Corrector) Stats() obs.CacheSnapshot {
-	return c.cm.Snapshot()
+	return c.buckets.Stats()
 }
 
 // Serialization: a fixed magic/version header, then buckets sorted by key
@@ -399,15 +344,12 @@ const (
 func (c *Corrector) Encode() []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	keys := make([]string, 0, len(c.entries))
-	for elem := c.lru.Front(); elem != nil; elem = elem.Next() {
-		keys = append(keys, elem.Value.(*bucket).key)
-	}
-	sort.Strings(keys)
+	var sorted []*bucket
+	c.buckets.Range(func(_ string, b *bucket) { sorted = append(sorted, b) })
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].key < sorted[j].key })
 	buf := append([]byte(encodeMagic), encodeVersion)
-	buf = binary.AppendUvarint(buf, uint64(len(keys)))
-	for _, k := range keys {
-		b := c.entries[k].Value.(*bucket)
+	buf = binary.AppendUvarint(buf, uint64(len(sorted)))
+	for _, b := range sorted {
 		buf = appendString(buf, b.key)
 		buf = binary.AppendUvarint(buf, uint64(len(b.tables)))
 		for _, t := range b.tables {
@@ -419,8 +361,9 @@ func (c *Corrector) Encode() []byte {
 	return buf
 }
 
-// Decode replaces the corrector's buckets with a previously encoded set.
-// The LRU order after decoding is the (sorted) encoding order.
+// Decode replaces the corrector's buckets with a previously encoded set
+// (the replaced buckets count as invalidations). The LRU order after
+// decoding is the (sorted) encoding order.
 func (c *Corrector) Decode(data []byte) error {
 	if len(data) < len(encodeMagic)+1 || string(data[:len(encodeMagic)]) != encodeMagic {
 		return fmt.Errorf("residual: bad magic")
@@ -433,15 +376,9 @@ func (c *Corrector) Decode(data []byte) error {
 	if err != nil {
 		return err
 	}
-	type decoded struct {
-		key      string
-		tables   []string
-		logRatio float64
-		n        int64
-	}
-	out := make([]decoded, 0, count)
+	var out []*bucket
 	for i := uint64(0); i < count; i++ {
-		var d decoded
+		d := &bucket{}
 		if d.key, r, err = readString(r); err != nil {
 			return err
 		}
@@ -469,15 +406,11 @@ func (c *Corrector) Decode(data []byte) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for elem := c.lru.Front(); elem != nil; elem = c.lru.Front() {
-		c.removeLocked(elem)
-	}
+	c.buckets.Flush()
 	clear(c.lastApp)
 	c.recentErr, c.baselineErr, c.driftObs = 0, 0, 0
-	for _, d := range out {
-		elem := c.insertLocked(d.key, d.tables)
-		b := elem.Value.(*bucket)
-		b.logRatio, b.n = d.logRatio, d.n
+	for _, b := range out {
+		c.publishLocked(b)
 	}
 	return nil
 }

@@ -159,7 +159,7 @@ func (g *generator) randomSubtree(size int) ([]string, []joinEdge, bool) {
 	for len(order) < size {
 		// Candidate edges extending the set by exactly one table.
 		var candidates []joinEdge
-		for t := range inSet {
+		for _, t := range order {
 			for _, e := range g.adj[t] {
 				other := e.b
 				if e.b == t {

@@ -104,13 +104,27 @@ func TestHybridQueriesExecuteOnIMDB(t *testing.T) {
 	}
 }
 
+// TestDeterministicGeneration checks one seed yields one query list. Wide
+// joins matter: the table set grows from candidate edges of every table
+// already chosen, so only sets of three or more tables expose an unordered
+// walk over them.
 func TestDeterministicGeneration(t *testing.T) {
-	ds := datagen.Toy(datagen.Config{Scale: 1, Seed: 6})
-	a, _ := Generate(ds, GenConfig{Name: "x", NumQueries: 10, MinTables: 1, MaxTables: 2, AggFraction: 0.5, MaxGroupKeys: 1, Seed: 9})
-	b, _ := Generate(ds, GenConfig{Name: "x", NumQueries: 10, MinTables: 1, MaxTables: 2, AggFraction: 0.5, MaxGroupKeys: 1, Seed: 9})
+	ds := datagen.STATS(datagen.Config{Scale: 0.01, Seed: 6})
+	cfg := GenConfig{Name: "x", NumQueries: 100, MinTables: 2, MaxTables: 8, AggFraction: 0.3, MaxGroupKeys: 2, Seed: 9}
+	a, err := Generate(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Generate(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Queries) != cfg.NumQueries || len(b.Queries) != cfg.NumQueries {
+		t.Fatalf("generated %d and %d queries, want %d", len(a.Queries), len(b.Queries), cfg.NumQueries)
+	}
 	for i := range a.Queries {
 		if a.Queries[i].SQL != b.Queries[i].SQL {
-			t.Fatalf("generation not deterministic at %d", i)
+			t.Fatalf("generation not deterministic at %d:\n%s\n%s", i, a.Queries[i].SQL, b.Queries[i].SQL)
 		}
 	}
 }
