@@ -145,9 +145,9 @@ func TestRandomQueriesMatchNaive(t *testing.T) {
 	e := toyEngine(t)
 	rng := rand.New(rand.NewSource(99))
 	ops := []string{"=", "<", "<=", ">", ">=", "<>"}
-	for trial := 0; trial < 40; trial++ {
+	for trial := 0; trial < 50; trial++ {
 		var sql string
-		switch trial % 4 {
+		switch trial % 5 {
 		case 0: // single table, conjunctive
 			sql = fmt.Sprintf("SELECT COUNT(*) FROM fact WHERE val %s %d AND flag = %d",
 				ops[rng.Intn(len(ops))], rng.Intn(100), rng.Intn(2))
@@ -160,6 +160,9 @@ func TestRandomQueriesMatchNaive(t *testing.T) {
 		case 3: // grouped join
 			sql = fmt.Sprintf("SELECT d.cat, COUNT(*), COUNT(DISTINCT f.flag) FROM fact f, dim d WHERE f.dim_id = d.id AND f.val < %d GROUP BY d.cat",
 				10+rng.Intn(90))
+		case 4: // grouped join aggregating columns of both sides
+			sql = fmt.Sprintf("SELECT d.cat, SUM(f.val), MIN(f.val), MAX(d.id), COUNT(DISTINCT f.dim_id) FROM fact f, dim d WHERE f.dim_id = d.id AND f.val %s %d GROUP BY d.cat",
+				ops[rng.Intn(len(ops))], rng.Intn(100))
 		}
 		fast, err := e.Run(sql)
 		if err != nil {

@@ -333,83 +333,71 @@ func allRows(n int) []int32 {
 	return rows
 }
 
-// intermediate is a joined relation: tuples of row ids, one per table,
-// each carrying a multiplicity count. Compression merges tuples that agree
-// on every column the rest of the plan can still observe (remaining join
-// keys, group keys, aggregate inputs), summing their multiplicities — the
-// groupjoin-style optimization that keeps COUNT-heavy star joins bounded
-// even when their logical cardinality reaches the paper's 10^12 range.
-type intermediate struct {
-	// tabs lists query-table indices; pos inverts it.
-	tabs []int
-	pos  map[int]int
-	// tuples[i][k] is the row id in table tabs[k].
-	tuples [][]int32
-	// counts[i] is the logical multiplicity of tuple i.
-	counts []int64
-}
-
-// executeJoins folds the scans together in the planned left-deep order.
+// executeJoins folds the scans together in the planned left-deep order. It
+// stops at the first empty relation: no later table can add a tuple, so
+// none of them is scanned.
 func (e *Engine) executeJoins(q *Query, p *Plan, states []*scanState, m *Metrics, ex *execCtx) (*intermediate, error) {
 	first := p.JoinOrder[0]
-	inter := &intermediate{tabs: []int{first}, pos: map[int]int{first: 0}}
-	inter.tuples = make([][]int32, len(states[first].rows))
-	inter.counts = make([]int64, len(states[first].rows))
-	for i, r := range states[first].rows {
-		inter.tuples[i] = []int32{r}
-		inter.counts[i] = 1
-	}
+	inter := scanIntermediate(first, states[first].rows)
 	bindingIdx := map[string]int{}
 	for i, t := range q.Tables {
 		bindingIdx[t.Binding] = i
 	}
-	inter = compress(q, inter, states, p.JoinOrder[1:])
+	inter = compress(q, bindingIdx, inter, states, p.JoinOrder[1:])
 	for step, next := range p.JoinOrder[1:] {
-		var conds []JoinCond
-		for _, j := range q.Joins {
-			l, r := bindingIdx[j.LeftTab], bindingIdx[j.RightTab]
-			if _, in := inter.pos[l]; in && r == next {
-				conds = append(conds, j)
-			} else if _, in := inter.pos[r]; in && l == next {
-				// Normalize so Left references the intermediate side.
-				conds = append(conds, JoinCond{LeftTab: j.RightTab, LeftCol: j.RightCol, RightTab: j.LeftTab, RightCol: j.LeftCol})
-			}
-		}
-		if len(conds) == 0 {
-			return nil, fmt.Errorf("engine: table %s joins nothing in the current prefix", q.Tables[next].Binding)
-		}
-		// Sideways information passing: the intermediate's key set prunes
-		// the next table's scan before its predicate columns are read.
-		var sip map[uint64]bool
-		if !e.DisableSIP {
-			sip = make(map[uint64]bool, len(inter.tuples))
-			key := make([]types.Datum, len(conds))
-			for _, tuple := range inter.tuples {
-				for k, c := range conds {
-					lt := bindingIdx[c.LeftTab]
-					key[k] = states[lt].value(c.LeftCol, tuple[inter.pos[lt]])
-				}
-				sip[hashKey(key)] = true
-			}
+		if inter.len() == 0 {
+			return inter, nil
 		}
 		stepStart := time.Now()
-		if err := e.scanForJoin(q, p, states, next, conds, sip, m, ex); err != nil {
-			return nil, err
-		}
-		out, err := hashJoin(q, inter, states, next, conds, bindingIdx, m, ex)
+		var err error
+		inter, err = e.joinNext(q, p, states, inter, next, p.JoinOrder[2+step:], bindingIdx, m, ex)
 		if err != nil {
 			return nil, err
 		}
-		inter = compress(q, out, states, p.JoinOrder[2+step:])
 		if ex.tr.Active() {
 			var prefix []string
 			for _, ti := range inter.tabs {
 				prefix = append(prefix, q.Tables[ti].Binding)
 			}
-			ex.span(obs.OpExecJoin, prefix, ex.workers, int64(len(inter.tuples)), time.Since(stepStart))
+			ex.span(obs.OpExecJoin, prefix, ex.workers, int64(inter.len()), time.Since(stepStart))
 		}
 	}
 	return inter, nil
+}
+
+// joinNext is one step of the left-deep order: it scans table next (pruned
+// by the intermediate's key set) and joins it to inter. remaining lists the
+// tables still to be joined afterwards.
+func (e *Engine) joinNext(q *Query, p *Plan, states []*scanState, inter *intermediate, next int, remaining []int, bindingIdx map[string]int, m *Metrics, ex *execCtx) (*intermediate, error) {
+	var conds []JoinCond
+	for _, j := range q.Joins {
+		l, r := bindingIdx[j.LeftTab], bindingIdx[j.RightTab]
+		if inter.pos(l) >= 0 && r == next {
+			conds = append(conds, j)
+		} else if inter.pos(r) >= 0 && l == next {
+			// Normalize so Left references the intermediate side.
+			conds = append(conds, JoinCond{LeftTab: j.RightTab, LeftCol: j.RightCol, RightTab: j.LeftTab, RightCol: j.LeftCol})
+		}
+	}
+	if len(conds) == 0 {
+		return nil, fmt.Errorf("engine: table %s joins nothing in the current prefix", q.Tables[next].Binding)
+	}
+	js, ok := bindJoinStep(q, inter, states, next, conds, bindingIdx)
+	if !ok {
+		return &intermediate{tabs: append(inter.tabs, next)}, nil
+	}
+	js.internKeys()
+	// Sideways information passing: the intermediate's key set prunes the
+	// next table's scan before its predicate columns are read.
+	sip := js
+	if e.DisableSIP {
+		sip = nil
+	}
+	if err := e.scanForJoin(q, p, states, next, sip, m, ex); err != nil {
+		return nil, err
+	}
+	js.groupRight()
+	return js.probe(remaining, m, ex)
 }
 
 // sipFirstFraction bounds when SIP runs before the table filter: a key set
@@ -422,11 +410,11 @@ const sipFirstFraction = 0.25
 // the table's predicate columns read for the survivors — so a join order
 // that keeps intermediates small (good estimates) directly reduces block
 // I/O.
-func (e *Engine) scanForJoin(q *Query, p *Plan, states []*scanState, next int, conds []JoinCond, sip map[uint64]bool, m *Metrics, ex *execCtx) error {
+func (e *Engine) scanForJoin(q *Query, p *Plan, states []*scanState, next int, sip *joinStep, m *Metrics, ex *execCtx) error {
 	sp := p.Scans[next]
 	t := q.Tables[next]
 	n := t.Table.NumRows()
-	sipFirst := sip != nil && float64(len(sip)) < sipFirstFraction*float64(n)
+	sipFirst := sip != nil && float64(sip.keys.len()) < sipFirstFraction*float64(n)
 	if !sipFirst {
 		st, err := e.executeScan(q, sp, m, ex, 0)
 		if err != nil {
@@ -444,22 +432,9 @@ func (e *Engine) scanForJoin(q *Query, p *Plan, states []*scanState, next int, c
 	// parallel when the table is large enough.
 	var candidates []int32
 	if ex.parallelFor(n, morselRows) {
-		candidates = parallelSIPProbe(st, conds, sip, n, ex.workers)
+		candidates = parallelSIPProbe(st, sip, n, ex.workers)
 	} else {
-		keyReaders := make([]*storage.Reader, len(conds))
-		for k, c := range conds {
-			keyReaders[k] = st.reader(c.RightCol)
-		}
-		key := make([]types.Datum, len(conds))
-		candidates = make([]int32, 0, len(sip))
-		for i := 0; i < n; i++ {
-			for k := range conds {
-				key[k] = keyReaders[k].Value(i)
-			}
-			if sip[hashKey(key)] {
-				candidates = append(candidates, int32(i))
-			}
-		}
+		candidates = sip.filterRange(sip.rightKeyCols(st.reader), 0, n, make([]int32, 0, sip.keys.len()))
 	}
 	m.SIPPruned += int64(n - len(candidates))
 
@@ -506,167 +481,6 @@ func (e *Engine) scanForJoin(q *Query, p *Plan, states []*scanState, next int, c
 	return nil
 }
 
-// liveColumns lists, per joined table, the columns later plan stages can
-// still observe: keys of join conditions involving tables outside the
-// current set, group keys, and aggregate inputs.
-func liveColumns(q *Query, inter *intermediate, remaining []int) map[int][]string {
-	bindingIdx := map[string]int{}
-	for i, t := range q.Tables {
-		bindingIdx[t.Binding] = i
-	}
-	pending := map[int]bool{}
-	for _, idx := range remaining {
-		pending[idx] = true
-	}
-	live := map[int]map[string]bool{}
-	add := func(binding, col string) {
-		i := bindingIdx[binding]
-		if _, in := inter.pos[i]; !in {
-			return
-		}
-		if live[i] == nil {
-			live[i] = map[string]bool{}
-		}
-		live[i][col] = true
-	}
-	for _, j := range q.Joins {
-		l, r := bindingIdx[j.LeftTab], bindingIdx[j.RightTab]
-		if pending[l] || pending[r] {
-			add(j.LeftTab, j.LeftCol)
-			add(j.RightTab, j.RightCol)
-		}
-	}
-	for _, g := range q.GroupBy {
-		add(g.Tab, g.Col)
-	}
-	for _, a := range q.Aggs {
-		for _, c := range a.Cols {
-			add(c.Tab, c.Col)
-		}
-	}
-	out := map[int][]string{}
-	//bytecard:unordered-ok keyed transform: each out[i] is built from its own cols set and sorted before use
-	for i, cols := range live {
-		for c := range cols {
-			out[i] = append(out[i], c)
-		}
-		sort.Strings(out[i])
-	}
-	return out
-}
-
-// compressThreshold skips compression for small intermediates.
-const compressThreshold = 1024
-
-// compress merges tuples that agree on every live column, summing their
-// multiplicities. Projection queries are exempt: merging reorders tuples,
-// and their output is defined by scan/join row order.
-func compress(q *Query, inter *intermediate, states []*scanState, remaining []int) *intermediate {
-	if len(q.Select) > 0 || len(inter.tuples) < compressThreshold {
-		return inter
-	}
-	live := liveColumns(q, inter, remaining)
-	var width int
-	for _, cols := range live {
-		width += len(cols)
-	}
-	type slot struct {
-		sig []types.Datum
-		idx int
-	}
-	merged := make(map[uint64][]slot, len(inter.tuples)/4)
-	out := &intermediate{tabs: inter.tabs, pos: inter.pos}
-	sig := make([]types.Datum, 0, width)
-	for ti, tuple := range inter.tuples {
-		sig = sig[:0]
-		for _, tabIdx := range inter.tabs {
-			for _, col := range live[tabIdx] {
-				sig = append(sig, states[tabIdx].value(col, tuple[inter.pos[tabIdx]]))
-			}
-		}
-		h := hashKey(sig)
-		found := false
-		for _, s := range merged[h] {
-			if keysEqual(s.sig, sig) {
-				out.counts[s.idx] += inter.counts[ti]
-				found = true
-				break
-			}
-		}
-		if !found {
-			cp := make([]types.Datum, len(sig))
-			copy(cp, sig)
-			merged[h] = append(merged[h], slot{sig: cp, idx: len(out.tuples)})
-			out.tuples = append(out.tuples, tuple)
-			out.counts = append(out.counts, inter.counts[ti])
-		}
-	}
-	return out
-}
-
-// joinEntry is one build-side row of a hash join; it keeps the key datums
-// for exact matching so hash collisions never join unequal keys.
-type joinEntry struct {
-	key []types.Datum
-	row int32
-}
-
-// hashJoin joins the intermediate with one new table over the given
-// conditions (Left side = intermediate, Right side = new table). The build
-// side is constructed sequentially; the probe runs over tuple chunks in
-// parallel, with per-chunk output partitions concatenated in chunk order —
-// byte-identical to the sequential probe.
-func hashJoin(q *Query, inter *intermediate, states []*scanState, next int, conds []JoinCond, bindingIdx map[string]int, m *Metrics, ex *execCtx) (*intermediate, error) {
-	st := states[next]
-
-	build := make(map[uint64][]joinEntry, len(st.rows))
-	for _, row := range st.rows {
-		key := make([]types.Datum, len(conds))
-		for k, c := range conds {
-			key[k] = st.value(c.RightCol, row)
-		}
-		h := hashKey(key)
-		build[h] = append(build[h], joinEntry{key: key, row: row})
-	}
-
-	out := &intermediate{tabs: append(append([]int(nil), inter.tabs...), next), pos: map[int]int{}}
-	for i, t := range out.tabs {
-		out.pos[t] = i
-	}
-	if ex.parallelFor(len(inter.tuples), tupleChunk) {
-		tuples, counts, ok := parallelProbe(inter, states, build, conds, bindingIdx, ex.workers)
-		if !ok {
-			return nil, fmt.Errorf("engine: join intermediate exceeds %d rows", int64(MaxIntermediateRows))
-		}
-		out.tuples, out.counts = tuples, counts
-		m.RowsMaterialized += int64(len(out.tuples))
-		return out, nil
-	}
-	probeKey := make([]types.Datum, len(conds))
-	for ti, tuple := range inter.tuples {
-		for k, c := range conds {
-			lt := bindingIdx[c.LeftTab]
-			probeKey[k] = states[lt].value(c.LeftCol, tuple[inter.pos[lt]])
-		}
-		h := hashKey(probeKey)
-		for _, ent := range build[h] {
-			if !keysEqual(ent.key, probeKey) {
-				continue
-			}
-			combined := make([]int32, len(tuple)+1)
-			copy(combined, tuple)
-			combined[len(tuple)] = ent.row
-			out.tuples = append(out.tuples, combined)
-			out.counts = append(out.counts, inter.counts[ti])
-			if int64(len(out.tuples)) > MaxIntermediateRows {
-				return nil, fmt.Errorf("engine: join intermediate exceeds %d rows", int64(MaxIntermediateRows))
-			}
-		}
-	}
-	m.RowsMaterialized += int64(len(out.tuples))
-	return out, nil
-}
-
 func hashKey(key []types.Datum) uint64 {
 	var h uint64 = 1469598103934665603
 	for _, d := range key {
@@ -693,6 +507,72 @@ func keysEqual(a, b []types.Datum) bool {
 	return true
 }
 
+// boundCol is a ColRef resolved against an intermediate: the column's
+// reader and the intermediate's row-id column of its table, bound once per
+// phase so no name is looked up per tuple.
+type boundCol struct {
+	r    *storage.Reader
+	rows []int32
+}
+
+func (b boundCol) value(ti int) types.Datum { return b.r.Value(int(b.rows[ti])) }
+
+// bindCol resolves ref against inter. reader supplies the table's readers:
+// scanState.reader sequentially, scanState.sibling for a parallel worker.
+func bindCol(q *Query, states []*scanState, inter *intermediate, ref ColRef, reader func(*scanState, string) *storage.Reader) boundCol {
+	for k, ti := range inter.tabs {
+		if q.Tables[ti].Binding == ref.Tab {
+			return boundCol{r: reader(states[ti], ref.Col), rows: inter.cols[k]}
+		}
+	}
+	panic("engine: unresolved column " + ref.String())
+}
+
+// aggInputs is a query's group keys and aggregate inputs bound to an
+// intermediate: group[i] serves q.GroupBy[i], aggs[a][c] serves
+// q.Aggs[a].Cols[c].
+type aggInputs struct {
+	group []boundCol
+	aggs  [][]boundCol
+}
+
+func bindAggInputs(q *Query, states []*scanState, inter *intermediate, reader func(*scanState, string) *storage.Reader) aggInputs {
+	in := aggInputs{group: make([]boundCol, len(q.GroupBy)), aggs: make([][]boundCol, len(q.Aggs))}
+	for i, g := range q.GroupBy {
+		in.group[i] = bindCol(q, states, inter, g, reader)
+	}
+	for a, spec := range q.Aggs {
+		in.aggs[a] = make([]boundCol, len(spec.Cols))
+		for c, ref := range spec.Cols {
+			in.aggs[a][c] = bindCol(q, states, inter, ref, reader)
+		}
+	}
+	return in
+}
+
+// accumulate folds tuples [lo, hi) into accs (no GROUP BY).
+func (in *aggInputs) accumulate(accs []aggAcc, aggs []AggSpec, counts []int64, lo, hi int) {
+	ti := lo
+	fetch := func(a, c int) types.Datum { return in.aggs[a][c].value(ti) }
+	for ; ti < hi; ti++ {
+		updateAccs(accs, aggs, fetch, counts[ti])
+	}
+}
+
+// accumulateGroups folds tuples [lo, hi) into table by group key.
+func (in *aggInputs) accumulateGroups(table *aggTable, aggs []AggSpec, counts []int64, lo, hi int) {
+	ti := lo
+	fetch := func(a, c int) types.Datum { return in.aggs[a][c].value(ti) }
+	key := make([]types.Datum, len(in.group))
+	for ; ti < hi; ti++ {
+		for i, g := range in.group {
+			key[i] = g.value(ti)
+		}
+		accs := table.lookup(key, func() []aggAcc { return newAccs(aggs) })
+		updateAccs(accs, aggs, fetch, counts[ti])
+	}
+}
+
 // executeAggregation folds the joined relation through the aggregation
 // hash table (or a single accumulator when there is no GROUP BY). When the
 // executor runs parallel, workers accumulate into per-worker tables sized
@@ -702,47 +582,40 @@ func (e *Engine) executeAggregation(q *Query, p *Plan, states []*scanState, inte
 	for _, item := range q.Stmt.Items {
 		res.Columns = append(res.Columns, item.String())
 	}
-
-	fetch := func(ref ColRef, tuple []int32) types.Datum {
-		for k, ti := range inter.tabs {
-			if q.Tables[ti].Binding == ref.Tab {
-				return states[ti].value(ref.Col, tuple[k])
-			}
-		}
-		panic("engine: unresolved column " + ref.String())
-	}
+	n := inter.len()
 
 	if len(q.GroupBy) == 0 {
 		m.InitialAggCapacity = 0
 		var accs []aggAcc
-		if ex.parallelFor(len(inter.tuples), tupleChunk) {
-			accs = parallelGlobalAgg(q, states, inter, ex.workers)
-		} else {
+		switch {
+		case n == 0:
+			// The join stopped early; its later tables were never scanned,
+			// so there is nothing to bind.
 			accs = newAccs(q.Aggs)
-			for ti, tuple := range inter.tuples {
-				updateAccs(accs, q.Aggs, fetch, tuple, inter.counts[ti])
-			}
+		case ex.parallelFor(n, tupleChunk):
+			accs = parallelGlobalAgg(q, states, inter, ex.workers)
+		default:
+			accs = newAccs(q.Aggs)
+			in := bindAggInputs(q, states, inter, (*scanState).reader)
+			in.accumulate(accs, q.Aggs, inter.counts, 0, n)
 		}
 		res.Rows = [][]types.Datum{buildOutputRow(q, nil, accs)}
 		return res, nil
 	}
 
 	m.InitialAggCapacity = p.AggCapacity
+	if n == 0 {
+		return res, nil
+	}
 	var table *aggTable
-	if ex.parallelFor(len(inter.tuples), tupleChunk) {
+	if ex.parallelFor(n, tupleChunk) {
 		var resizes int64
 		table, resizes = parallelGroupedAgg(q, p, states, inter, ex.workers)
 		m.HashResizes += resizes
 	} else {
 		table = newAggTable(p.AggCapacity)
-		key := make([]types.Datum, len(q.GroupBy))
-		for ti, tuple := range inter.tuples {
-			for i, g := range q.GroupBy {
-				key[i] = fetch(g, tuple)
-			}
-			accs := table.lookup(key, func() []aggAcc { return newAccs(q.Aggs) })
-			updateAccs(accs, q.Aggs, fetch, tuple, inter.counts[ti])
-		}
+		in := bindAggInputs(q, states, inter, (*scanState).reader)
+		in.accumulateGroups(table, q.Aggs, inter.counts, 0, n)
 		m.HashResizes += int64(table.resizes)
 	}
 
@@ -761,32 +634,25 @@ func (e *Engine) executeAggregation(q *Query, p *Plan, states []*scanState, inte
 // executeProjection materializes the projected columns of the surviving
 // tuples — the late-materialization endpoint: selection vectors become
 // output rows only here. Rows come back in scan/join order (scans emit
-// ascending row ids; join partitions concatenate in chunk order), which is
-// deterministic at any worker count, so no sort runs; LIMIT truncates.
+// ascending row ids; joins emit in probe order), which is deterministic at
+// any worker count, so no sort runs; LIMIT truncates.
 func (e *Engine) executeProjection(q *Query, states []*scanState, inter *intermediate) *Result {
 	res := &Result{}
 	for _, item := range q.Stmt.Items {
 		res.Columns = append(res.Columns, item.String())
 	}
+	if inter.len() == 0 {
+		return res
+	}
 	bound := make([]boundCol, len(q.Select))
 	for i, ref := range q.Select {
-		found := false
-		for k, tabIdx := range inter.tabs {
-			if q.Tables[tabIdx].Binding == ref.Tab {
-				bound[i] = boundCol{pos: k, tab: tabIdx, col: ref.Col}
-				found = true
-				break
-			}
-		}
-		if !found {
-			panic("engine: unresolved column " + ref.String())
-		}
+		bound[i] = bindCol(q, states, inter, ref, (*scanState).reader)
 	}
-	for ti, tuple := range inter.tuples {
-		for c := inter.counts[ti]; c > 0; c-- {
+	for ti, count := range inter.counts {
+		for c := count; c > 0; c-- {
 			row := make([]types.Datum, len(bound))
 			for i, bc := range bound {
-				row[i] = states[bc.tab].value(bc.col, tuple[bc.pos])
+				row[i] = bc.value(ti)
 			}
 			res.Rows = append(res.Rows, row)
 			if q.Limit > 0 && len(res.Rows) >= q.Limit {
@@ -882,7 +748,9 @@ func newAccs(aggs []AggSpec) []aggAcc {
 	return accs
 }
 
-func updateAccs(accs []aggAcc, aggs []AggSpec, fetch func(ColRef, []int32) types.Datum, tuple []int32, mult int64) {
+// updateAccs folds one tuple of multiplicity mult into accs; fetch(a, c)
+// returns the tuple's value of aggs[a].Cols[c].
+func updateAccs(accs []aggAcc, aggs []AggSpec, fetch func(a, c int) types.Datum, mult int64) {
 	for i := range aggs {
 		acc := &accs[i]
 		switch aggs[i].Kind {
@@ -891,17 +759,17 @@ func updateAccs(accs []aggAcc, aggs []AggSpec, fetch func(ColRef, []int32) types
 		case AggCountDistinct:
 			key := make([]types.Datum, len(aggs[i].Cols))
 			var h uint64 = 1469598103934665603
-			for k, c := range aggs[i].Cols {
-				key[k] = fetch(c, tuple)
+			for k := range aggs[i].Cols {
+				key[k] = fetch(i, k)
 				h = h*1099511628211 ^ key[k].Hash64()
 			}
 			acc.distinct.add(h, key)
 		case AggSum, AggAvg:
-			v := fetch(aggs[i].Cols[0], tuple)
+			v := fetch(i, 0)
 			acc.sum += v.AsFloat() * float64(mult)
 			acc.count += mult
 		case AggMin, AggMax:
-			v := fetch(aggs[i].Cols[0], tuple)
+			v := fetch(i, 0)
 			if !acc.seen {
 				acc.min, acc.max, acc.seen = v, v, true
 			} else {

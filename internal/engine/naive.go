@@ -74,18 +74,20 @@ func (e *Engine) RunNaive(sql string) (*Result, error) {
 	rec(0, nil)
 
 	// Aggregate with plain maps.
-	fetch := func(ref ColRef, tuple []int32) types.Datum {
+	at := func(ref ColRef, tuple []int32) types.Datum {
 		i := bindingIndex(q, ref.Tab)
 		return valueAt(q, i, tuple[i], ref.Col)
 	}
+	var tuple []int32
+	fetch := func(a, c int) types.Datum { return at(q.Aggs[a].Cols[c], tuple) }
 	res := &Result{}
 	for _, item := range q.Stmt.Items {
 		res.Columns = append(res.Columns, item.String())
 	}
 	if len(q.GroupBy) == 0 {
 		accs := newAccs(q.Aggs)
-		for _, tuple := range match {
-			updateAccs(accs, q.Aggs, fetch, tuple, 1)
+		for _, tuple = range match {
+			updateAccs(accs, q.Aggs, fetch, 1)
 		}
 		res.Rows = [][]types.Datum{buildOutputRow(q, nil, accs)}
 		return res, nil
@@ -95,10 +97,10 @@ func (e *Engine) RunNaive(sql string) (*Result, error) {
 		accs []aggAcc
 	}
 	groups := map[uint64]*group{}
-	for _, tuple := range match {
+	for _, tuple = range match {
 		key := make([]types.Datum, len(q.GroupBy))
 		for i, g := range q.GroupBy {
-			key[i] = fetch(g, tuple)
+			key[i] = at(g, tuple)
 		}
 		h := hashKey(key)
 		g, ok := groups[h]
@@ -106,7 +108,7 @@ func (e *Engine) RunNaive(sql string) (*Result, error) {
 			g = &group{key: key, accs: newAccs(q.Aggs)}
 			groups[h] = g
 		}
-		updateAccs(g.accs, q.Aggs, fetch, tuple, 1)
+		updateAccs(g.accs, q.Aggs, fetch, 1)
 	}
 	for _, g := range groups {
 		res.Rows = append(res.Rows, buildOutputRow(q, g.key, g.accs))

@@ -1,14 +1,14 @@
 // Morsel-driven parallel execution: each scan's row space is split into
-// block-aligned morsels dispatched to a worker pool, hash-join probes run
-// over tuple chunks with per-chunk output partitions concatenated in chunk
-// order, and aggregation accumulates into per-worker hash tables merged in
-// worker order. Workers read through sibling storage.Readers that share an
-// atomic block-charge set, so IOStats.BlocksRead is identical to the
-// sequential path; chunk-indexed outputs make Result rows byte-identical.
+// block-aligned morsels dispatched to a worker pool, the fused join
+// probe/compress runs over tuple chunks into per-chunk merge tables absorbed
+// in chunk order (joinStep.parallelMerge), and aggregation accumulates into
+// per-worker hash tables merged in worker order. Workers read through
+// sibling storage.Readers that share an atomic block-charge set, so
+// IOStats.BlocksRead is identical to the sequential path; chunk-indexed
+// outputs make Result rows byte-identical.
 package engine
 
 import (
-	"sync/atomic"
 	"time"
 
 	"bytecard/internal/expr"
@@ -109,26 +109,6 @@ func (w *workerView) value(col string, row int32) types.Datum {
 	return w.reader(col).Value(int(row))
 }
 
-// multiView is one worker's window across every scanned table — the probe
-// and aggregation phases read several tables per tuple.
-type multiView struct {
-	states []*scanState
-	views  []*workerView
-}
-
-func newMultiView(states []*scanState) *multiView {
-	return &multiView{states: states, views: make([]*workerView, len(states))}
-}
-
-func (v *multiView) value(tab int, col string, row int32) types.Datum {
-	w := v.views[tab]
-	if w == nil {
-		w = newWorkerView(v.states[tab])
-		v.views[tab] = w
-	}
-	return w.value(col, row)
-}
-
 // stageFilter applies the staged (multi-stage reader) constraint order to
 // rows, filtering in place and touching each column's blocks only where
 // candidates remain. reader supplies the column readers — the canonical
@@ -224,29 +204,14 @@ func parallelPushdownScan(st *scanState, opts storage.ScanOptions, cols []string
 }
 
 // parallelSIPProbe is the morsel-parallel key-membership stage of a
-// SIP-first scan: workers probe the shared read-only key set over their
+// SIP-first scan: workers probe the shared read-only key table over their
 // morsels and emit surviving candidates in row order.
-func parallelSIPProbe(st *scanState, conds []JoinCond, sip map[uint64]bool, n, workers int) []int32 {
+func parallelSIPProbe(st *scanState, sip *joinStep, n, workers int) []int32 {
 	chunks := numChunks(n, morselRows)
 	parts := make([][]int32, chunks)
 	par.Chunks(workers, chunks, func(_, c int) {
 		lo, hi := chunkBounds(n, morselRows, c)
-		view := newWorkerView(st)
-		keyReaders := make([]*storage.Reader, len(conds))
-		for k, cond := range conds {
-			keyReaders[k] = view.reader(cond.RightCol)
-		}
-		key := make([]types.Datum, len(conds))
-		var rows []int32
-		for i := lo; i < hi; i++ {
-			for k := range conds {
-				key[k] = keyReaders[k].Value(i)
-			}
-			if sip[hashKey(key)] {
-				rows = append(rows, int32(i))
-			}
-		}
-		parts[c] = rows
+		parts[c] = sip.filterRange(sip.rightKeyCols(newWorkerView(st).reader), lo, hi, nil)
 	})
 	return concatRows(parts)
 }
@@ -287,72 +252,6 @@ func parallelEvalFilterRows(st *scanState, filter *expr.Node, candidates []int32
 	return concatRows(parts)
 }
 
-// probePart is one chunk's hash-join output partition.
-type probePart struct {
-	tuples [][]int32
-	counts []int64
-}
-
-// parallelProbe probes the shared read-only build table over chunks of the
-// intermediate's tuples. Per-chunk partitions concatenated in chunk order
-// reproduce exactly the sequential probe's output order (the build side is
-// built sequentially, so per-key match order is identical too).
-func parallelProbe(inter *intermediate, states []*scanState, build map[uint64][]joinEntry, conds []JoinCond, bindingIdx map[string]int, workers int) ([][]int32, []int64, bool) {
-	n := len(inter.tuples)
-	chunks := numChunks(n, tupleChunk)
-	parts := make([]probePart, chunks)
-	var total atomic.Int64
-	var overflow atomic.Bool
-	par.Chunks(workers, chunks, func(_, c int) {
-		if overflow.Load() {
-			return
-		}
-		lo, hi := chunkBounds(n, tupleChunk, c)
-		view := newMultiView(states)
-		probeKey := make([]types.Datum, len(conds))
-		var part probePart
-		for ti := lo; ti < hi; ti++ {
-			tuple := inter.tuples[ti]
-			for k, cond := range conds {
-				lt := bindingIdx[cond.LeftTab]
-				probeKey[k] = view.value(lt, cond.LeftCol, tuple[inter.pos[lt]])
-			}
-			h := hashKey(probeKey)
-			matched := int64(0)
-			for _, ent := range build[h] {
-				if !keysEqual(ent.key, probeKey) {
-					continue
-				}
-				combined := make([]int32, len(tuple)+1)
-				copy(combined, tuple)
-				combined[len(tuple)] = ent.row
-				part.tuples = append(part.tuples, combined)
-				part.counts = append(part.counts, inter.counts[ti])
-				matched++
-			}
-			if matched > 0 && total.Add(matched) > MaxIntermediateRows {
-				overflow.Store(true)
-				return
-			}
-		}
-		parts[c] = part
-	})
-	if overflow.Load() {
-		return nil, nil, false
-	}
-	outN := 0
-	for i := range parts {
-		outN += len(parts[i].tuples)
-	}
-	tuples := make([][]int32, 0, outN)
-	counts := make([]int64, 0, outN)
-	for i := range parts {
-		tuples = append(tuples, parts[i].tuples...)
-		counts = append(counts, parts[i].counts...)
-	}
-	return tuples, counts, true
-}
-
 // parallelGroupedAgg accumulates the joined relation into per-worker
 // aggregation tables — each presized to the NDV estimate divided by the
 // worker count — then merges them in worker order. The per-table resize
@@ -360,36 +259,21 @@ func parallelProbe(inter *intermediate, states []*scanState, build map[uint64][]
 // Metrics.HashResizes, keeping the presizing experiment meaningful under
 // parallelism.
 func parallelGroupedAgg(q *Query, p *Plan, states []*scanState, inter *intermediate, workers int) (*aggTable, int64) {
-	n := len(inter.tuples)
+	n := inter.len()
 	chunks := numChunks(n, tupleChunk)
 	if workers > chunks {
 		workers = chunks
 	}
 	perWorkerCap := p.AggCapacity / workers
-	bound := bindColumns(q, inter)
 	tables := make([]*aggTable, workers)
-	views := make([]*multiView, workers)
-	keys := make([][]types.Datum, workers)
+	inputs := make([]aggInputs, workers)
 	par.Strided(workers, chunks, func(w, c int) {
 		if tables[w] == nil {
 			tables[w] = newAggTable(perWorkerCap)
-			views[w] = newMultiView(states)
-			keys[w] = make([]types.Datum, len(q.GroupBy))
-		}
-		table, view, key := tables[w], views[w], keys[w]
-		fetch := func(ref ColRef, tuple []int32) types.Datum {
-			bc := bound[ref]
-			return view.value(bc.tab, bc.col, tuple[bc.pos])
+			inputs[w] = bindAggInputs(q, states, inter, (*scanState).sibling)
 		}
 		lo, hi := chunkBounds(n, tupleChunk, c)
-		for ti := lo; ti < hi; ti++ {
-			tuple := inter.tuples[ti]
-			for i, g := range q.GroupBy {
-				key[i] = fetch(g, tuple)
-			}
-			accs := table.lookup(key, func() []aggAcc { return newAccs(q.Aggs) })
-			updateAccs(accs, q.Aggs, fetch, tuple, inter.counts[ti])
-		}
+		inputs[w].accumulateGroups(tables[w], q.Aggs, inter.counts, lo, hi)
 	})
 	var final *aggTable
 	var resizes int64
@@ -413,28 +297,20 @@ func parallelGroupedAgg(q *Query, p *Plan, states []*scanState, inter *intermedi
 // parallelGlobalAgg accumulates the no-GROUP-BY aggregates into per-worker
 // accumulator blocks merged in worker order.
 func parallelGlobalAgg(q *Query, states []*scanState, inter *intermediate, workers int) []aggAcc {
-	n := len(inter.tuples)
+	n := inter.len()
 	chunks := numChunks(n, tupleChunk)
 	if workers > chunks {
 		workers = chunks
 	}
-	bound := bindColumns(q, inter)
 	blocks := make([][]aggAcc, workers)
-	views := make([]*multiView, workers)
+	inputs := make([]aggInputs, workers)
 	par.Strided(workers, chunks, func(w, c int) {
 		if blocks[w] == nil {
 			blocks[w] = newAccs(q.Aggs)
-			views[w] = newMultiView(states)
-		}
-		accs, view := blocks[w], views[w]
-		fetch := func(ref ColRef, tuple []int32) types.Datum {
-			bc := bound[ref]
-			return view.value(bc.tab, bc.col, tuple[bc.pos])
+			inputs[w] = bindAggInputs(q, states, inter, (*scanState).sibling)
 		}
 		lo, hi := chunkBounds(n, tupleChunk, c)
-		for ti := lo; ti < hi; ti++ {
-			updateAccs(accs, q.Aggs, fetch, inter.tuples[ti], inter.counts[ti])
-		}
+		inputs[w].accumulate(blocks[w], q.Aggs, inter.counts, lo, hi)
 	})
 	out := newAccs(q.Aggs)
 	for _, accs := range blocks {
@@ -443,40 +319,4 @@ func parallelGlobalAgg(q *Query, states []*scanState, inter *intermediate, worke
 		}
 	}
 	return out
-}
-
-// boundCol is a ColRef resolved against an intermediate: which tuple
-// position and table index to read, so parallel workers skip the per-row
-// binding search.
-type boundCol struct {
-	pos int
-	tab int
-	col string
-}
-
-// bindColumns resolves every group key and aggregate input against the
-// intermediate's tuple layout.
-func bindColumns(q *Query, inter *intermediate) map[ColRef]boundCol {
-	bound := map[ColRef]boundCol{}
-	resolve := func(ref ColRef) {
-		if _, ok := bound[ref]; ok {
-			return
-		}
-		for k, ti := range inter.tabs {
-			if q.Tables[ti].Binding == ref.Tab {
-				bound[ref] = boundCol{pos: k, tab: ti, col: ref.Col}
-				return
-			}
-		}
-		panic("engine: unresolved column " + ref.String())
-	}
-	for _, g := range q.GroupBy {
-		resolve(g)
-	}
-	for _, a := range q.Aggs {
-		for _, c := range a.Cols {
-			resolve(c)
-		}
-	}
-	return bound
 }

@@ -247,7 +247,7 @@ func TestPlanCacheReplaysPushdown(t *testing.T) {
 	}
 }
 
-func analyze(t *testing.T, e *Engine, sql string) *Query {
+func analyze(t testing.TB, e *Engine, sql string) *Query {
 	t.Helper()
 	stmt, err := sqlparse.Parse(sql)
 	if err != nil {

@@ -124,7 +124,12 @@ type Metrics struct {
 	IO *storage.IOStats
 	// HashResizes counts aggregation hash-table growth events.
 	HashResizes int64
-	// RowsMaterialized counts tuples constructed across operators.
+	// RowsMaterialized counts the rows operators produce: every scan's
+	// surviving rows plus every join step's matches (left tuple, right
+	// row pairs — the number the MaxIntermediateRows guard bounds). A join
+	// step whose probe is fused with compression never builds that
+	// exploded relation, but its matches are counted all the same, so the
+	// figure stays a measure of join-order quality, not of memory used.
 	RowsMaterialized int64
 	// SIPPruned counts rows dropped by sideways information passing
 	// before their predicate columns were read.

@@ -167,6 +167,33 @@ func (c *Column) EncodeDatum(d types.Datum) (float64, bool) {
 // DictSize returns the dictionary length (0 for non-string columns).
 func (c *Column) DictSize() int { return len(c.dict) }
 
+// MergeDicts relates the dictionary codes of two dictionary-encoded
+// columns: ra[code of a] and rb[code of b] are ranks in the sorted union of
+// the two dictionaries, so two rows hold the same string exactly when their
+// remapped codes are equal. Dictionaries are metadata (sorted at Build
+// time): the merge charges nothing and costs one pass over both.
+func MergeDicts(a, b *Column) (ra, rb []int32) {
+	ra = make([]int32, len(a.dict))
+	rb = make([]int32, len(b.dict))
+	i, j, rank := 0, 0, int32(0)
+	for i < len(a.dict) || j < len(b.dict) {
+		switch {
+		case j == len(b.dict) || (i < len(a.dict) && a.dict[i] < b.dict[j]):
+			ra[i] = rank
+			i++
+		case i == len(a.dict) || b.dict[j] < a.dict[i]:
+			rb[j] = rank
+			j++
+		default:
+			ra[i], rb[j] = rank, rank
+			i++
+			j++
+		}
+		rank++
+	}
+	return ra, rb
+}
+
 // buildZones computes the per-block zone maps. Called once from Build,
 // after string dictionaries are sorted and codes remapped.
 func (c *Column) buildZones() {
@@ -307,6 +334,30 @@ func (r *Reader) Numeric(i int) float64 {
 func (r *Reader) Value(i int) types.Datum {
 	r.touch(i)
 	return r.col.Value(i)
+}
+
+// Int returns the raw value at row i of an INT64 column, accounting the
+// block read. Int, Float and Code are the typed forms of Value for
+// operators that work on machine words instead of datums; calling one on a
+// column of another kind is a bug and panics on the nil backing slice.
+func (r *Reader) Int(i int) int64 {
+	r.touch(i)
+	return r.col.ints[i]
+}
+
+// Float returns the raw value at row i of a FLOAT64 column, accounting the
+// block read.
+func (r *Reader) Float(i int) float64 {
+	r.touch(i)
+	return r.col.floats[i]
+}
+
+// Code returns the dictionary code at row i of a dictionary-encoded
+// (string, array, map) column, accounting the block read. Codes are
+// comparable only within one column; MergeDicts relates two columns' codes.
+func (r *Reader) Code(i int) int32 {
+	r.touch(i)
+	return r.col.codes[i]
 }
 
 // LoadAll touches every block (the single-stage reader's behaviour).

@@ -287,3 +287,72 @@ func TestBlockOf(t *testing.T) {
 		t.Error("BlockOf broken")
 	}
 }
+
+// TestTypedAccessorsChargeLikeValue: Int, Float and Code return the stored
+// value and charge exactly the blocks Value charges for the same rows.
+func TestTypedAccessorsChargeLikeValue(t *testing.T) {
+	tab := buildTestTable(t, 3*BlockSize+5)
+	rows := []int{0, 7, BlockSize + 1, 3*BlockSize + 4, 8}
+	var boxed, typed IOStats
+	for _, name := range []string{"id", "score", "tag"} {
+		col := tab.ColByName(name)
+		rv, rt := col.NewReader(&boxed), col.NewReader(&typed)
+		for _, i := range rows {
+			want := rv.Value(i)
+			switch col.Kind() {
+			case types.KindInt64:
+				if got := rt.Int(i); got != want.I {
+					t.Errorf("%s[%d]: Int = %d, Value = %v", name, i, got, want)
+				}
+			case types.KindFloat64:
+				if got := rt.Float(i); got != want.F {
+					t.Errorf("%s[%d]: Float = %g, Value = %v", name, i, got, want)
+				}
+			default:
+				if got := col.dict[rt.Code(i)]; got != want.S {
+					t.Errorf("%s[%d]: Code → %q, Value = %v", name, i, got, want)
+				}
+			}
+		}
+	}
+	if boxed.BlocksRead() != typed.BlocksRead() || boxed.BytesRead() != typed.BytesRead() {
+		t.Errorf("typed reads charged %d blocks / %d bytes, Value reads %d / %d",
+			typed.BlocksRead(), typed.BytesRead(), boxed.BlocksRead(), boxed.BytesRead())
+	}
+}
+
+// TestMergeDicts: remapped codes are equal exactly for equal strings, keep
+// each side's order, and cover dictionaries that are disjoint, nested,
+// empty, or the same.
+func TestMergeDicts(t *testing.T) {
+	col := func(vals ...string) *Column {
+		b := NewBuilder("t", []ColumnSpec{{Name: "s", Kind: types.KindString}})
+		for _, v := range vals {
+			b.Append([]types.Datum{types.Str(v)})
+		}
+		return b.Build().ColByName("s")
+	}
+	cases := [][2]*Column{
+		{col("b", "d", "a", "c"), col("c", "e", "b", "")},
+		{col("x", "y"), col("a", "b")},
+		{col("a", "b", "c"), col("b")},
+		{col(), col("a")},
+		{col("q", "p"), col("p", "q")},
+	}
+	for ci, c := range cases {
+		ra, rb := MergeDicts(c[0], c[1])
+		if len(ra) != c[0].DictSize() || len(rb) != c[1].DictSize() {
+			t.Fatalf("case %d: remap sizes %d/%d for dictionaries %d/%d", ci, len(ra), len(rb), c[0].DictSize(), c[1].DictSize())
+		}
+		for i, sa := range c[0].dict {
+			if i > 0 && ra[i] <= ra[i-1] {
+				t.Errorf("case %d: left remap not increasing at %d", ci, i)
+			}
+			for j, sb := range c[1].dict {
+				if (ra[i] == rb[j]) != (sa == sb) {
+					t.Errorf("case %d: %q→%d vs %q→%d", ci, sa, ra[i], sb, rb[j])
+				}
+			}
+		}
+	}
+}

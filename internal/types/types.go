@@ -6,7 +6,6 @@ package types
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strconv"
 	"strings"
@@ -195,30 +194,38 @@ func (d Datum) Less(o Datum) bool { return d.Compare(o) < 0 }
 // aggregation tables, and HyperLogLog registration. Int64 and float64
 // datums holding the same integral value hash identically.
 func (d Datum) Hash64() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
+	// FNV-1a, inlined: no hash.Hash64 interface value and no []byte(d.S)
+	// conversion on what is a per-row path (HLL registration, aggregation
+	// keys).
 	switch d.K {
 	case KindString, KindArray, KindMap:
-		buf[0] = 's'
-		h.Write(buf[:1])
-		h.Write([]byte(d.S))
-	default:
-		f := d.AsFloat()
-		if f == math.Trunc(f) && !math.IsInf(f, 0) {
-			// Normalize integral values so Int(3) and Float(3.0)
-			// land in the same hash bucket.
-			buf[0] = 'i'
-			h.Write(buf[:1])
-			putUint64(&buf, uint64(int64(f)))
-		} else {
-			buf[0] = 'f'
-			h.Write(buf[:1])
-			putUint64(&buf, math.Float64bits(f))
+		h := uint64(fnvOffset64)
+		h = (h ^ 's') * fnvPrime64
+		for i := 0; i < len(d.S); i++ {
+			h = (h ^ uint64(d.S[i])) * fnvPrime64
 		}
-		h.Write(buf[:])
+		return fmix64(h)
 	}
-	return fmix64(h.Sum64())
+	f := d.AsFloat()
+	tag, v := uint64('f'), math.Float64bits(f)
+	if f == math.Trunc(f) && !math.IsInf(f, 0) {
+		// Normalize integral values so Int(3) and Float(3.0) land in the
+		// same hash bucket.
+		tag, v = 'i', uint64(int64(f))
+	}
+	h := uint64(fnvOffset64)
+	h = (h ^ tag) * fnvPrime64
+	for i := 0; i < 64; i += 8 {
+		h = (h ^ (v >> i & 0xff)) * fnvPrime64
+	}
+	return fmix64(h)
 }
+
+// FNV-1a 64-bit parameters (hash/fnv's, spelled out for the inlined loop).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
 
 // fmix64 is the murmur3 finalizer; FNV-1a alone mixes high bits poorly on
 // short sequential inputs, which skews HyperLogLog register selection.
@@ -229,12 +236,6 @@ func fmix64(v uint64) uint64 {
 	v *= 0xc4ceb9fe1a85ec53
 	v ^= v >> 33
 	return v
-}
-
-func putUint64(buf *[8]byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(v >> (8 * i))
-	}
 }
 
 // String renders the datum as a SQL literal.

@@ -188,3 +188,41 @@ func TestQuickStringOrder(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestHash64Golden pins Hash64 bit for bit: HLL sketches, sample hashes and
+// persisted models were built with these values, so the function may get
+// faster but never different. The table was produced by the hash/fnv-based
+// implementation this one replaced.
+func TestHash64Golden(t *testing.T) {
+	cases := []struct {
+		d    Datum
+		want uint64
+	}{
+		{Int(0), 0xf91e3bab850ef2ff},
+		{Int(1), 0x4c131ef12b4020e1},
+		{Int(-1), 0x16446363ed6064e5},
+		{Int(3), 0x23bdf63cde125cd9},
+		{Int(42), 0xe6c6085b016de4f4},
+		{Int(1 << 40), 0xc668bc90f250450b},
+		{Int(math.MinInt64), 0x945abbad40a5e44e},
+		{Float(3), 0x23bdf63cde125cd9},
+		{Float(-7), 0x29ed376646a17607},
+		{Float(0.5), 0xd5d226ad5f671c0c},
+		{Float(-2.25), 0x460a8a503073f72e},
+		{Float(0), 0xf91e3bab850ef2ff},
+		{Float(math.Copysign(0, -1)), 0xf91e3bab850ef2ff},
+		{Float(math.Inf(1)), 0xa10577887b2d4439},
+		{Float(math.Inf(-1)), 0x47740380e6291125},
+		{Str(""), 0xcc38350dbfbd2cea},
+		{Str("a"), 0xc9249dc50390899c},
+		{Str("hello world"), 0xa2cd37b7d5420eef},
+		{Str("héllo\x00\xff"), 0xb8c4360894891a24},
+		{Arr("[1,2]"), 0x77682f5b203eebd6},
+		{MapVal("{k:v}"), 0x2c27fb699c616f8a},
+	}
+	for _, c := range cases {
+		if got := c.d.Hash64(); got != c.want {
+			t.Errorf("%s %v: Hash64 = %#016x, want %#016x", c.d.K, c.d, got, c.want)
+		}
+	}
+}
