@@ -21,12 +21,17 @@ import (
 // inference engine, returning the wired estimator and execution engine.
 func pipeline(t *testing.T) (*core.InferenceEngine, *core.Estimator, *engine.Engine, *datagen.Dataset) {
 	t.Helper()
-	ds := datagen.Toy(datagen.Config{Scale: 3, Seed: 41})
+	return pipelineFor(t, "toy", datagen.Toy(datagen.Config{Scale: 3, Seed: 41}))
+}
+
+// pipelineFor is pipeline over any generated dataset.
+func pipelineFor(t *testing.T, name string, ds *datagen.Dataset) (*core.InferenceEngine, *core.Estimator, *engine.Engine, *datagen.Dataset) {
+	t.Helper()
 	store, err := modelstore.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	forge := modelforge.New("toy", ds.DB, ds.Schema, store, modelforge.Config{
+	forge := modelforge.New(name, ds.DB, ds.Schema, store, modelforge.Config{
 		SampleRows:  4000,
 		BucketCount: 40,
 		RBX:         rbx.TrainConfig{Columns: 150, Epochs: 8, MaxPop: 20000, Seed: 1},

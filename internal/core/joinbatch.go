@@ -1,0 +1,461 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"math/bits"
+	"strings"
+	"time"
+
+	"bytecard/internal/engine"
+	"bytecard/internal/factorjoin"
+	"bytecard/internal/obs"
+	"bytecard/internal/par"
+)
+
+// joinUniverse is the table instances and join conditions batch items
+// select from: those of the widest item — for the planner's batch, the
+// query's tables and joins in query order. Items become bitmask pairs over it, the subset-memo keys are
+// assembled from per-table tokens rendered once, and every item that has
+// to be computed shares one compiled factorjoin.Graph (bucket vectors and
+// subtree messages computed once per universe).
+type joinUniverse struct {
+	tables []*engine.QueryTable
+	conds  []engine.JoinCond
+	// tokens[i] is tables[i]'s part of a subset key: binding, physical
+	// name and full filter text (constants included, so only byte-identical
+	// filters share a key). Rendered on the first key.
+	tokens []string
+	// graph is compiled on the first item that misses the memo; err is why
+	// it could not be.
+	graph *factorjoin.Graph
+	err   error
+}
+
+// place returns the masks selecting the item's tables and conditions from
+// u. ok is false when the item is not a selection from u in u's order: ref
+// order decides float accumulation order, so an item listing the same
+// tables or conditions in another order is estimated in a universe of its
+// own, as is one naming other instances.
+func (u *joinUniverse) place(it *engine.JoinBatchItem) (tables, conds uint64, ok bool) {
+	i := 0
+	for _, t := range it.Tables {
+		for i < len(u.tables) && u.tables[i] != t {
+			i++
+		}
+		if i == len(u.tables) {
+			return 0, 0, false
+		}
+		tables |= 1 << i
+		i++
+	}
+	i = 0
+	for _, c := range it.Conds {
+		for i < len(u.conds) && u.conds[i] != c {
+			i++
+		}
+		if i == len(u.conds) {
+			return 0, 0, false
+		}
+		conds |= 1 << i
+		i++
+	}
+	return tables, conds, true
+}
+
+// placeAll assigns every item its universe and masks. Universes are seeded
+// from the widest items first (for the planner's batch, the full join in
+// query order), so every narrower selection from the same tables finds its
+// universe already complete, wherever the query lists its hub: one query,
+// one universe, one compiled graph. An item that fits no universe and
+// cannot seed one gets an error.
+func placeAll(items []engine.JoinBatchItem, reqs []joinRequest) {
+	var universes []*joinUniverse
+	widest := 0
+	for k := range items {
+		widest = max(widest, len(items[k].Tables))
+	}
+	for w := widest; w >= 0; w-- {
+		for k := range items {
+			it := &items[k]
+			if len(it.Tables) != w {
+				continue
+			}
+			r := &reqs[k]
+			for _, u := range universes {
+				if tm, cm, ok := u.place(it); ok {
+					*r = joinRequest{u: u, tables: tm, conds: cm}
+					break
+				}
+			}
+			if r.u == nil {
+				if r.err = seedable(it); r.err != nil {
+					continue
+				}
+				// Copied: a model call the latency guard abandoned may
+				// outlive the caller's slices.
+				u := &joinUniverse{
+					tables: append([]*engine.QueryTable(nil), it.Tables...),
+					conds:  append([]engine.JoinCond(nil), it.Conds...),
+				}
+				universes = append(universes, u)
+				tm, cm, _ := u.place(it)
+				*r = joinRequest{u: u, tables: tm, conds: cm}
+			}
+		}
+	}
+}
+
+// seedable reports why an item cannot define a universe: it is too wide to
+// mask, or it names one binding twice — the graph resolves a binding to one
+// table, so narrower items sharing the universe would be misread.
+func seedable(it *engine.JoinBatchItem) error {
+	if len(it.Tables) > factorjoin.MaxGraph || len(it.Conds) > factorjoin.MaxGraph {
+		return fmt.Errorf("core: join of %d tables and %d conditions cannot be compiled", len(it.Tables), len(it.Conds))
+	}
+	for i, t := range it.Tables {
+		for _, o := range it.Tables[:i] {
+			if o.Binding == t.Binding {
+				return fmt.Errorf("core: join lists binding %s twice", t.Binding)
+			}
+		}
+	}
+	return nil
+}
+
+// key is the canonical identity of a subset of u: its tables' tokens, then
+// its conditions, both in u's order. Two items anywhere — across batches,
+// across queries — get the same key only if their tables, filters and
+// join conditions are textually identical and listed in the same order,
+// so the memoized estimate of one is exactly what the model would return
+// for the other.
+func (u *joinUniverse) key(tables, conds uint64) string {
+	for len(u.tokens) < len(u.tables) {
+		t := u.tables[len(u.tokens)]
+		filter := ""
+		if t.Filter != nil {
+			filter = t.Filter.String()
+		}
+		u.tokens = append(u.tokens, t.Binding+"\x1f"+t.Name+"\x1f"+filter+"\x1e")
+	}
+	size := 1
+	for m := tables; m != 0; m &= m - 1 {
+		size += len(u.tokens[bits.TrailingZeros64(m)])
+	}
+	for m := conds; m != 0; m &= m - 1 {
+		c := &u.conds[bits.TrailingZeros64(m)]
+		size += len(c.LeftTab) + len(c.LeftCol) + len(c.RightTab) + len(c.RightCol) + 4
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for m := tables; m != 0; m &= m - 1 {
+		b.WriteString(u.tokens[bits.TrailingZeros64(m)])
+	}
+	b.WriteByte('\x1d')
+	for m := conds; m != 0; m &= m - 1 {
+		c := &u.conds[bits.TrailingZeros64(m)]
+		b.WriteString(c.LeftTab)
+		b.WriteByte('\x1f')
+		b.WriteString(c.LeftCol)
+		b.WriteByte('\x1f')
+		b.WriteString(c.RightTab)
+		b.WriteByte('\x1f')
+		b.WriteString(c.RightCol)
+		b.WriteByte('\x1e')
+	}
+	return b.String()
+}
+
+// compileGraph builds u's factor graph against fj, fed by the tables'
+// Bayesian networks.
+func (e *Estimator) compileGraph(u *joinUniverse, fj *factorjoin.Model) {
+	tables := make([]factorjoin.QueryTable, len(u.tables))
+	for i, t := range u.tables {
+		tables[i] = factorjoin.QueryTable{Binding: t.Binding, Name: t.Name}
+	}
+	conds := make([]factorjoin.Cond, len(u.conds))
+	for i, j := range u.conds {
+		conds[i] = factorjoin.Cond{LBind: j.LeftTab, LCol: j.LeftCol, RBind: j.RightTab, RCol: j.RightCol}
+	}
+	src := func(binding, _, column string, bounds []float64) ([]float64, error) {
+		var t *engine.QueryTable
+		for _, c := range u.tables {
+			if c.Binding == binding {
+				t = c
+				break
+			}
+		}
+		var vecStart time.Time
+		if e.trace != nil {
+			vecStart = time.Now()
+		}
+		vec, err := e.jointVector(t, column, len(bounds)-1)
+		if err != nil {
+			return nil, err
+		}
+		if e.JoinMode == factorjoin.ModeEstimate {
+			// Sub-half-row bucket mass is smoothing noise, but a
+			// high-fanout bucket amplifies it by orders of magnitude;
+			// floor it (bound mode keeps every epsilon to stay sound).
+			for b, v := range vec {
+				if v < 0.5 {
+					vec[b] = 0
+				}
+			}
+		}
+		if e.trace != nil {
+			e.trace.Add(obs.Span{Op: obs.OpVector, Tables: []string{binding}, Key: "bn:" + t.Name, Source: "bn", Outcome: obs.OutcomeOK, Duration: time.Since(vecStart)})
+		}
+		return vec, nil
+	}
+	u.graph, u.err = fj.Compile(tables, conds, src, e.JoinMode)
+}
+
+// joinRequest is one batch item placed in its universe, and what became of
+// it.
+type joinRequest struct {
+	u             *joinUniverse
+	tables, conds uint64
+	key           string
+	// Filled by the model call.
+	err     error
+	clamped bool
+	dur     time.Duration
+}
+
+// cartesianUpper is the sanitizer's join-size upper bound: the Cartesian
+// product of the joined relations — an inner join can never exceed it.
+func cartesianUpper(tables []*engine.QueryTable) float64 {
+	upper := 1.0
+	for _, t := range tables {
+		upper *= math.Max(float64(t.Table.NumRows()), 1)
+	}
+	return upper
+}
+
+// fanOutWorkers decides how many workers a batch of n guarded model
+// calls is spread across: the requested parallelism clamped to the
+// machine's effective parallelism (a 4-worker fan-out on a 1-CPU box is
+// pure scheduling overhead — the regression the PR 4 bench caught), then
+// degraded to the serial loop when the measured fan-out cost cannot be
+// recovered: fanning out saves at most n·mean·(1−1/w) of model-call wall
+// time and costs one par.Overhead. Worker count never affects values —
+// items are independent and every result is deterministic — so this is a
+// pure wall-clock decision.
+func (e *Estimator) fanOutWorkers(n, requested int) int {
+	w := par.Effective(requested)
+	if w <= 1 || n <= 1 {
+		return 1
+	}
+	mean := e.Metrics.ModelLatency.Mean()
+	if mean <= 0 {
+		return w // no latency history yet: only the machine clamp gates
+	}
+	saved := float64(n) * mean * (1 - 1/float64(w))
+	if saved < float64(par.Overhead().Nanoseconds()) {
+		return 1
+	}
+	return w
+}
+
+// EstimateJoin implements engine.CardEstimator via FactorJoin inference
+// over BN-conditioned bucket counts: a batch of one, so a subset the
+// planner's batch (or an earlier call) already sized is answered from the
+// subset memo.
+func (e *Estimator) EstimateJoin(tables []*engine.QueryTable, joins []engine.JoinCond) float64 {
+	var out [1]float64
+	e.joinBatch(obs.OpJoin, []engine.JoinBatchItem{{Tables: tables, Conds: joins}}, 1, out[:])
+	//bytecard:clamp-ok joinBatch fills out from Guard.Sanitize into [1, cartesian product] (fresh or memoized) or from the fallback estimator
+	return out[0]
+}
+
+// EstimateJoinBatch implements engine.BatchCardEstimator: every join
+// subset of one join-order DP, estimated under a single breaker admission.
+// Items whose canonical identity is in the subset memo are answered
+// without touching the model (the memo persists across batches and across
+// queries); the rest share one compiled factor graph per universe, so each
+// table's bucket vectors and each subtree's message are computed once for
+// the whole DP, and are fanned across at most parallelism workers when the
+// measured break-even says fanning out pays (see fanOutWorkers). Each
+// computed item runs the same guard rungs as a lone EstimateJoin — panic
+// recovery, latency budget, sanitization into [1, cartesian-product] — and
+// items that fail take the traditional estimator's value, so the batch
+// result is element-wise identical to sequential calls. Fallback calls and
+// breaker accounting run serially after the fan-out: engine.CardEstimator
+// implementations are not promised to be concurrency-safe.
+func (e *Estimator) EstimateJoinBatch(items []engine.JoinBatchItem, parallelism int) []float64 {
+	out := make([]float64, len(items))
+	if len(items) > 0 {
+		e.joinBatch(obs.OpJoinBatch, items, parallelism, out)
+	}
+	return out
+}
+
+// joinBatch is the one join-size path. Traced views record one OpJoin span
+// per item (plus a fallback span where the traditional estimator
+// answered), and batches add an OpJoinBatch summary; op labels the
+// residual spans.
+func (e *Estimator) joinBatch(op string, items []engine.JoinBatchItem, parallelism int, out []float64) {
+	start := time.Now()
+	e.Metrics.Calls.Add(int64(len(items)))
+	traced := e.trace != nil
+	var sources []string
+	if traced && op == obs.OpJoinBatch {
+		sources = make([]string, len(items))
+	}
+	hits, answered := 0, int64(0)
+	// modelAnswered settles item k once out[k] holds its sanitized model
+	// estimate (computed or memoized): span, then residual correction.
+	modelAnswered := func(k int, outcome string, hit bool, dur time.Duration) {
+		answered++
+		if traced {
+			e.trace.Add(obs.Span{
+				Op: obs.OpJoin, Tables: e.traceBindings(items[k].Tables), Key: "factorjoin", Source: "factorjoin",
+				Outcome: outcome, CacheHit: hit, Value: out[k], Duration: dur,
+			})
+			if sources != nil {
+				sources[k] = "factorjoin"
+			}
+		}
+		if e.Residual != nil {
+			out[k] = e.correctFinal(op, items[k].Tables, items[k].Conds, out[k], 1, cartesianUpper(items[k].Tables))
+		}
+	}
+	// fellBack answers item k from the traditional estimator.
+	fellBack := func(k int, cause error) {
+		out[k] = e.Fallback.EstimateJoin(items[k].Tables, items[k].Conds)
+		e.fallbackSpan(obs.OpJoin, e.traceBindings(items[k].Tables), cause, out[k], start)
+		if sources != nil {
+			sources[k] = e.Fallback.Name()
+		}
+	}
+	summary := func(outcome, errMsg string) {
+		if answered > 0 {
+			e.Metrics.Sources.Add("factorjoin", answered)
+		}
+		if sources == nil {
+			return
+		}
+		e.trace.Add(obs.Span{
+			Op: obs.OpJoinBatch, Key: "factorjoin", Source: "factorjoin", Outcome: outcome,
+			CacheHit: hits == len(items), Workers: parallelism, Sources: sources,
+			Value: float64(len(items)), Err: errMsg, Duration: time.Since(start),
+		})
+	}
+	fallbackAll := func(cause *ModelError) {
+		e.Metrics.Fallbacks.Add(int64(len(items)))
+		for k := range items {
+			if cause.Outcome != obs.OutcomeMissing {
+				e.modelSpan(obs.OpJoin, e.traceBindings(items[k].Tables), "factorjoin", cause.Outcome, 0, cause, time.Since(start))
+			}
+			fellBack(k, cause)
+		}
+		summary(cause.Outcome, cause.Msg)
+	}
+	fj := e.Infer.FactorJoin()
+	if fj == nil {
+		fallbackAll(&ModelError{Key: "factorjoin", Outcome: obs.OutcomeMissing, Msg: "core: no FactorJoin model loaded"})
+		return
+	}
+	if !e.Infer.Allow("factorjoin") {
+		outcome := obs.OutcomeBreakerOpen
+		if e.Infer.Disabled("factorjoin") {
+			outcome = obs.OutcomeDisabled
+		}
+		e.Metrics.ModelCalls.Add(int64(len(items)))
+		e.Metrics.ModelFailures.Add(int64(len(items)))
+		fallbackAll(&ModelError{Key: "factorjoin", Outcome: outcome, Msg: "core: factorjoin unavailable (breaker open or disabled)"})
+		return
+	}
+	// Place every item in a universe and resolve it from the subset memo:
+	// the cached value is the sanitized estimate a fresh model call would
+	// return (determinism makes the replay byte-identical), so hits skip
+	// the guard and the model entirely. The memo holds uncorrected
+	// estimates, so hits and computed items apply the same residual
+	// correction.
+	reqs := make([]joinRequest, len(items))
+	placeAll(items, reqs)
+	need := make([]int, 0, len(items))
+	for k := range reqs {
+		r := &reqs[k]
+		if r.u == nil {
+			need = append(need, k)
+			continue
+		}
+		r.key = r.u.key(r.tables, r.conds)
+		if v, ok := e.vec.Get(r.key); ok {
+			out[k] = v
+			hits++
+			modelAnswered(k, obs.OutcomeOK, true, 0)
+			continue
+		}
+		need = append(need, k)
+	}
+	if len(need) == 0 {
+		summary(obs.OutcomeOK, "")
+		return
+	}
+	e.Metrics.ModelCalls.Add(int64(len(need)))
+	modelStart := time.Now()
+	for _, k := range need {
+		r := &reqs[k]
+		if r.u == nil {
+			continue
+		}
+		if r.u.graph == nil && r.u.err == nil {
+			e.compileGraph(r.u, fj)
+		}
+		r.err = r.u.err
+	}
+	par.Do(len(need), e.fanOutWorkers(len(need), parallelism), func(i int) {
+		k := need[i]
+		r := &reqs[k]
+		if r.err != nil {
+			return
+		}
+		var began time.Time
+		if traced {
+			began = time.Now()
+		}
+		raw, err := e.Guard.Do("factorjoin", func() (float64, error) { return r.u.graph.Estimate(r.tables, r.conds) })
+		if err == nil {
+			var v float64
+			if v, err = e.Guard.Sanitize("factorjoin", raw, 1, cartesianUpper(items[k].Tables)); err == nil {
+				out[k], r.clamped = v, v != raw
+			}
+		}
+		r.err = err
+		if traced {
+			r.dur = time.Since(began)
+		}
+	})
+	// Serial epilogue: breaker accounting, per-item fallbacks, metrics,
+	// and subset-memo publication for the successes.
+	outcome := obs.OutcomeOK
+	var failures int64
+	var errMsg string
+	for _, k := range need {
+		r := &reqs[k]
+		if r.err != nil {
+			e.Infer.RecordFailure("factorjoin")
+			if failures++; errMsg == "" {
+				errMsg = r.err.Error()
+			}
+			e.modelSpan(obs.OpJoin, e.traceBindings(items[k].Tables), "factorjoin", OutcomeOf(r.err), 0, r.err, r.dur)
+			fellBack(k, r.err)
+			continue
+		}
+		e.Infer.RecordSuccess("factorjoin")
+		itemOutcome := obs.OutcomeOK
+		if r.clamped {
+			itemOutcome, outcome = obs.OutcomeClamped, obs.OutcomeClamped
+		}
+		e.vec.put(r.key, out[k])
+		modelAnswered(k, itemOutcome, false, r.dur)
+	}
+	e.Metrics.ModelFailures.Add(failures)
+	e.Metrics.Fallbacks.Add(failures)
+	// Per model call, which is what fanOutWorkers multiplies back up.
+	e.Metrics.ModelLatency.Observe(float64(time.Since(modelStart).Nanoseconds()) / float64(len(need)))
+	summary(outcome, errMsg)
+}

@@ -31,14 +31,6 @@ const (
 	DefaultColOrderEarlyStop = 0.5
 	// MaxIntermediateRows aborts runaway joins.
 	MaxIntermediateRows = 50_000_000
-	// DefaultBatchThreshold is the minimum join-order DP rank size (newly
-	// reachable subsets) the planner hands to a BatchCardEstimator as one
-	// batch; smaller ranks go through sequential EstimateJoin calls. A
-	// one-subset rank amortizes nothing, so the floor is 2. Estimators do
-	// their own fan-out break-even below this gate (see
-	// core.Estimator.fanOutWorkers), which keeps the planner-side constant
-	// deterministic — plans never depend on a timing measurement.
-	DefaultBatchThreshold = 2
 )
 
 // Engine executes SQL over a storage database, taking every

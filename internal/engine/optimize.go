@@ -3,8 +3,8 @@ package engine
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
-	"strings"
 
 	"bytecard/internal/expr"
 	"bytecard/internal/sqlparse"
@@ -192,16 +192,19 @@ func (e *Engine) orderPredColumns(t *QueryTable, preds []expr.Pred, cols []strin
 // subsets, costing each plan by the sum of intermediate cardinalities
 // (C_out) from the estimator.
 //
-// The DP walks the reachable frontier rank by rank (subsets of k tables,
-// then k+1) instead of materializing and sorting all 2^n−1 masks, so a
-// 2-table join touches 3 subsets, not 4095. Each rank's newly reachable
-// subsets are estimated before any dp update: when the estimator implements
-// BatchCardEstimator they go out as one batch (fanned across
-// Engine.Parallelism workers by the estimator), otherwise as sequential
-// EstimateJoin calls over reused tabs/conds scratch. Because the card memo
-// is fully populated before the rank's cost comparisons run — and those
-// comparisons always process base masks in ascending numeric order — the
-// batched and sequential paths produce byte-identical plans.
+// Which subsets the DP visits never depends on an estimate, so the walk is
+// split in three. (1) Enumerate the reachable frontier rank by rank
+// (subsets of k tables, then k+1) instead of materializing all 2^n−1
+// masks, so a 2-table join touches 3 subsets, not 4095. (2) Size every
+// enumerated subset: when the estimator implements BatchCardEstimator the
+// whole DP goes out as one batch (the estimator shares per-table and
+// per-subtree work across all of it and may fan it across
+// Engine.Parallelism workers), otherwise as sequential EstimateJoin calls
+// over reused tabs/conds scratch, in the same order. (3) Run the cost
+// recurrence over the enumerated ranks. Because every cardinality is known
+// before the first comparison — and comparisons always process base masks
+// in ascending numeric order — the batched and sequential paths produce
+// byte-identical plans.
 func (e *Engine) planJoinOrder(p *Plan) error {
 	q := p.Query
 	n := len(q.Tables)
@@ -217,25 +220,55 @@ func (e *Engine) planJoinOrder(p *Plan) error {
 	for i, t := range q.Tables {
 		bindingIdx[t.Binding] = i
 	}
-	// connected[a] = bitmask of tables joined to a by some condition.
+	// connected[a] = bitmask of tables joined to a by some condition;
+	// ends[j] = the two tables condition j joins.
 	connected := make([]uint32, n)
-	for _, j := range q.Joins {
+	ends := make([]uint32, len(q.Joins))
+	for k, j := range q.Joins {
 		a, b := bindingIdx[j.LeftTab], bindingIdx[j.RightTab]
 		connected[a] |= 1 << b
 		connected[b] |= 1 << a
+		ends[k] = 1<<a | 1<<b
 	}
 	// extensions returns the tables joined to subset m but outside it.
 	extensions := func(m uint32) uint32 {
 		var reach uint32
-		for j := 0; j < n; j++ {
-			if m&(1<<j) != 0 {
-				reach |= connected[j]
-			}
+		for rest := m; rest != 0; rest &= rest - 1 {
+			reach |= connected[bits.TrailingZeros32(rest)]
 		}
 		return reach &^ m
 	}
 
-	card := make(map[uint32]float64) // estimated rows of each subset
+	// Enumerate: subsets holds every reachable connected subset, rank after
+	// rank, ascending within a rank; rankEnd[k] is where rank k+1 (k+1
+	// tables) ends. seen is a bitset over the 2^n masks.
+	full := uint32(1)<<n - 1
+	seen := make([]uint64, (int(full)>>6)+1)
+	subsets := make([]uint32, 0, 4*n)
+	for i := 0; i < n; i++ {
+		subsets = append(subsets, 1<<i)
+	}
+	rankEnd := make([]int, 1, n)
+	rankEnd[0] = n
+	for lo := 0; len(rankEnd) < n && lo < len(subsets); {
+		hi := len(subsets)
+		for _, m := range subsets[lo:hi] {
+			for ext := extensions(m); ext != 0; ext &= ext - 1 {
+				nm := m | ext&-ext
+				if seen[nm>>6]&(1<<(nm&63)) == 0 {
+					seen[nm>>6] |= 1 << (nm & 63)
+					subsets = append(subsets, nm)
+				}
+			}
+		}
+		next := subsets[hi:]
+		sort.Slice(next, func(a, b int) bool { return next[a] < next[b] })
+		rankEnd = append(rankEnd, len(subsets))
+		lo = hi
+	}
+
+	// Size: card[mask] is the estimated rows of each enumerated subset.
+	card := make([]float64, int(full)+1)
 	for i := range q.Tables {
 		card[1<<i] = p.Scans[i].EstRows
 	}
@@ -247,155 +280,85 @@ func (e *Engine) planJoinOrder(p *Plan) error {
 	}
 	// fillSubset appends the subset's tables and internal join conditions.
 	fillSubset := func(mask uint32, tabs []*QueryTable, conds []JoinCond) ([]*QueryTable, []JoinCond) {
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) != 0 {
-				tabs = append(tabs, q.Tables[i])
-			}
+		for rest := mask; rest != 0; rest &= rest - 1 {
+			tabs = append(tabs, q.Tables[bits.TrailingZeros32(rest)])
 		}
-		for _, j := range q.Joins {
-			if mask&(1<<bindingIdx[j.LeftTab]) != 0 && mask&(1<<bindingIdx[j.RightTab]) != 0 {
+		for k, j := range q.Joins {
+			if ends[k]&^mask == 0 {
 				conds = append(conds, j)
 			}
 		}
 		return tabs, conds
 	}
-	batchEst, batching := e.Est.(BatchCardEstimator)
-	// Sequential scratch, reused across estimates (the CardEstimator
-	// contract forbids retaining the slices).
-	tabs := make([]*QueryTable, 0, n)
-	conds := make([]JoinCond, 0, len(q.Joins))
-	// Canonical per-table and per-condition tokens for JoinBatchItem.Key,
-	// built lazily on the first batched rank: a subset's key is its table
-	// tokens (binding, physical name, and full filter text — constants
-	// included, so only byte-identical filters share a key) plus its
-	// internal join conditions, both in q's deterministic order. Two Plan
-	// calls over semantically identical subsets produce identical keys, so
-	// a memoizing estimator can reuse sizes across ranks and across
-	// queries.
-	var tabTokens, condTokens []string
-	subsetKey := func(mask uint32) string {
-		if tabTokens == nil {
-			tabTokens = make([]string, n)
-			for i, t := range q.Tables {
-				filter := ""
-				if t.Filter != nil {
-					filter = t.Filter.String()
+	joined := subsets[n:]
+	if batchEst, ok := e.Est.(BatchCardEstimator); ok && len(joined) > 0 {
+		// One backing array each for every item's tables and conditions.
+		var ntabs, nconds int
+		for _, mask := range joined {
+			ntabs += bits.OnesCount32(mask)
+			for _, end := range ends {
+				if end&^mask == 0 {
+					nconds++
 				}
-				tabTokens[i] = t.Binding + "\x1f" + t.Name + "\x1f" + filter
-			}
-			condTokens = make([]string, len(q.Joins))
-			for i, j := range q.Joins {
-				condTokens[i] = j.String()
 			}
 		}
-		var b strings.Builder
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) != 0 {
-				b.WriteString(tabTokens[i])
-				b.WriteByte('\x1e')
-			}
+		tabs := make([]*QueryTable, 0, ntabs)
+		conds := make([]JoinCond, 0, nconds)
+		items := make([]JoinBatchItem, len(joined))
+		for k, mask := range joined {
+			t0, c0 := len(tabs), len(conds)
+			tabs, conds = fillSubset(mask, tabs, conds)
+			items[k] = JoinBatchItem{Tables: tabs[t0:len(tabs):len(tabs)], Conds: conds[c0:len(conds):len(conds)]}
 		}
-		b.WriteByte('\x1d')
-		for i, j := range q.Joins {
-			if mask&(1<<bindingIdx[j.LeftTab]) != 0 && mask&(1<<bindingIdx[j.RightTab]) != 0 {
-				b.WriteString(condTokens[i])
-				b.WriteByte('\x1e')
-			}
+		for k, c := range batchEst.EstimateJoinBatch(items, e.workers()) {
+			card[joined[k]] = sanitize(c)
 		}
-		return b.String()
-	}
-	// estimateAll fills card for every listed mask (all absent from card).
-	estimateAll := func(masks []uint32) {
-		if batching && len(masks) >= DefaultBatchThreshold {
-			items := make([]JoinBatchItem, len(masks))
-			for k, mask := range masks {
-				items[k].Tables, items[k].Conds = fillSubset(mask, nil, nil)
-				items[k].Key = subsetKey(mask)
-			}
-			for k, c := range batchEst.EstimateJoinBatch(items, e.workers()) {
-				card[masks[k]] = sanitize(c)
-			}
-			return
-		}
-		for _, mask := range masks {
+	} else {
+		// Sequential scratch, reused across estimates (the CardEstimator
+		// contract forbids retaining the slices).
+		tabs := make([]*QueryTable, 0, n)
+		conds := make([]JoinCond, 0, len(q.Joins))
+		for _, mask := range joined {
 			tabs, conds = fillSubset(mask, tabs[:0], conds[:0])
 			card[mask] = sanitize(e.Est.EstimateJoin(tabs, conds))
 		}
 	}
-	subsetCard := func(mask uint32) float64 {
-		if c, ok := card[mask]; ok {
-			return c
-		}
-		tabs, conds = fillSubset(mask, tabs[:0], conds[:0])
-		c := sanitize(e.Est.EstimateJoin(tabs, conds))
-		card[mask] = c
-		return c
-	}
 
-	type dpEntry struct {
-		cost  float64
-		order []int
-	}
-	dp := map[uint32]dpEntry{}
-	frontier := make([]uint32, 0, n) // rank-k dp keys, ascending
-	for i := 0; i < n; i++ {
-		dp[1<<i] = dpEntry{cost: 0, order: []int{i}}
-		frontier = append(frontier, 1<<i)
-	}
-	full := uint32(1<<n) - 1
-	for rank := 1; rank < n && len(frontier) > 0; rank++ {
-		// Discover the next rank's reachable connected subsets and
-		// estimate the whole frontier before any cost comparison.
-		seen := map[uint32]bool{}
-		next := make([]uint32, 0, len(frontier))
-		for _, m := range frontier {
-			ext := extensions(m)
-			for i := 0; i < n; i++ {
-				if ext&(1<<i) == 0 {
-					continue
-				}
-				nm := m | 1<<i
-				if !seen[nm] {
-					seen[nm] = true
-					next = append(next, nm)
+	// Cost: per subset the best (cost, previous subset, table joined last);
+	// prev == 0 marks a subset no plan has reached yet. Base masks run in
+	// ascending order within a rank and strict < keeps the first
+	// (lowest-mask) winner on cost ties.
+	cost := make([]float64, int(full)+1)
+	prev := make([]uint32, int(full)+1)
+	last := make([]uint8, int(full)+1)
+	lo := 0
+	for _, hi := range rankEnd {
+		for _, m := range subsets[lo:hi] {
+			for ext := extensions(m); ext != 0; ext &= ext - 1 {
+				nm := m | ext&-ext
+				if c := cost[m] + card[nm]; prev[nm] == 0 || c < cost[nm] {
+					cost[nm], prev[nm], last[nm] = c, m, uint8(bits.TrailingZeros32(ext))
 				}
 			}
 		}
-		sort.Slice(next, func(a, b int) bool { return next[a] < next[b] })
-		estimateAll(next)
-		// Cost updates in deterministic ascending base-mask order; strict
-		// < keeps the first (lowest-mask) winner on cost ties.
-		for _, m := range frontier {
-			base := dp[m]
-			ext := extensions(m)
-			for i := 0; i < n; i++ {
-				if ext&(1<<i) == 0 {
-					continue
-				}
-				nm := m | 1<<i
-				cost := base.cost + card[nm]
-				if cur, ok := dp[nm]; !ok || cost < cur.cost {
-					order := append(append([]int(nil), base.order...), i)
-					dp[nm] = dpEntry{cost: cost, order: order}
-				}
-			}
-		}
-		frontier = next
+		lo = hi
 	}
-	best, ok := dp[full]
-	if !ok {
+	if prev[full] == 0 {
 		return fmt.Errorf("engine: join graph is not connected")
 	}
-	p.JoinOrder = best.order
-	// Record the estimated cardinality of each left-deep prefix (cached in
-	// the DP's card map, so this re-walks without re-estimating) — the
-	// per-node annotations EXPLAIN reports.
-	prefix := uint32(1) << best.order[0]
-	for _, idx := range best.order[1:] {
-		prefix |= 1 << idx
-		p.JoinEstRows = append(p.JoinEstRows, subsetCard(prefix))
+	// Rebuild the winning order back to front, with the estimated
+	// cardinality of each left-deep prefix (the per-node annotations
+	// EXPLAIN reports).
+	p.JoinOrder = make([]int, n)
+	p.JoinEstRows = make([]float64, n-1)
+	m := full
+	for i := n - 1; i > 0; i-- {
+		p.JoinOrder[i] = int(last[m])
+		p.JoinEstRows[i-1] = card[m]
+		m = prev[m]
 	}
-	p.EstFinalRows = subsetCard(full)
+	p.JoinOrder[0] = bits.TrailingZeros32(m)
+	p.EstFinalRows = card[full]
 	return nil
 }
 

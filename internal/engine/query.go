@@ -211,31 +211,29 @@ type CardEstimator interface {
 
 // JoinBatchItem is one join-size request within a batch: a connected table
 // subset with the join conditions internal to it (the same arguments one
-// EstimateJoin call would receive).
+// EstimateJoin call would receive). Items of one batch that share a table
+// share the *QueryTable, which is how an estimator recognizes the instance;
+// an estimator that memoizes across batches derives the subset's identity
+// itself (tables, filters with their constants, and conditions) — a
+// deterministic estimator returns the identical value either way, so
+// memoization preserves the byte-identity contract below.
 type JoinBatchItem struct {
 	Tables []*QueryTable
 	Conds  []JoinCond
-	// Key, when non-empty, is the caller's canonical identity for this
-	// subset: two items anywhere (across ranks, across Plan calls) carry
-	// the same Key only if their tables, filters (constants included),
-	// and join conditions are semantically identical, so the estimate of
-	// one is valid for the other. Estimators may memoize results by Key;
-	// a deterministic estimator returns the identical value either way,
-	// so memoization preserves the byte-identity contract below. An empty
-	// Key opts the item out of memoization.
-	Key string
 }
 
 // BatchCardEstimator is optionally implemented by estimators that can
 // answer many join-size requests in one call. The planner's join-order DP
-// hands over a whole frontier rank at once, letting the estimator amortize
-// per-call guard/trace overhead into one span and fan the independent items
-// across workers. Results align with items and every entry must be filled —
-// per-item failures take the same fallback value EstimateJoin would return.
-// Item results must not depend on batch composition or worker count: the
-// planner requires batched planning to be byte-identical to the sequential
-// path. The planner itself calls EstimateJoinBatch serially; whatever
-// concurrency the implementation uses internally is its own to make safe.
+// hands over every connected subset it will cost at once — one batch per
+// Plan — letting the estimator share per-table and per-subtree work across
+// the whole DP, amortize guard/trace overhead, and fan the independent
+// items across workers. Results align with items and every entry must be
+// filled — per-item failures take the same fallback value EstimateJoin
+// would return. Item results must not depend on batch composition or
+// worker count: the planner requires batched planning to be byte-identical
+// to the sequential path. The planner itself calls EstimateJoinBatch
+// serially; whatever concurrency the implementation uses internally is its
+// own to make safe.
 type BatchCardEstimator interface {
 	CardEstimator
 	// EstimateJoinBatch estimates every item, using at most parallelism

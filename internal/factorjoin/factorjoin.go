@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"time"
 
 	"bytecard/internal/catalog"
@@ -79,6 +80,11 @@ type Model struct {
 	PairJoint map[string][]float64
 	// BuildSeconds records construction time (FactorJoin's "training").
 	BuildSeconds float64
+
+	// conds holds the key-tree conditionals inference has asked for so far
+	// (see conditional); derived from the fields above, never serialized.
+	derivedMu sync.RWMutex
+	conds     map[condKey][]float64
 }
 
 func keyName(table, column string) string { return table + "." + column }
@@ -403,7 +409,7 @@ func Decode(data []byte) (*Model, error) {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
 		return nil, err
 	}
-	m := Model{
+	m := &Model{
 		BucketsByClass: make(map[string]*Buckets, len(w.Classes)),
 		Keys:           make(map[string]*KeyStats, len(w.Keys)),
 		PairJoint:      make(map[string][]float64, len(w.PairJoints)),
@@ -421,7 +427,7 @@ func Decode(data []byte) (*Model, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	return &m, nil
+	return m, nil
 }
 
 // Validate checks structural consistency (the Model Validator health hook).

@@ -1,8 +1,8 @@
 package factorjoin
 
 import (
-	"fmt"
 	"math"
+	"math/bits"
 
 	"bytecard/internal/cardinal"
 )
@@ -37,209 +37,90 @@ type Cond struct {
 // CountSource supplies the filtered per-bucket row counts of one table's
 // key column — in ByteCard this is the table's Bayesian network evaluated
 // jointly with the key bucket (P(filters ∧ key∈b)·|T|); tests supply exact
-// counts.
+// counts. Inference keeps the returned slice, read-only, for as long as
+// the compiled graph lives; the source must not modify it afterwards.
 type CountSource func(binding, table, column string, bounds []float64) ([]float64, error)
-
-// qvar is a join variable: an equivalence class of joined columns.
-type qvar struct {
-	id      int
-	class   string
-	buckets *Buckets
-	factors []*qfactor
-}
-
-// qfactor is a joined table with its variables.
-type qfactor struct {
-	binding, name string
-	vars          []*qvar
-	colOf         map[int]string // var id → column name
-}
 
 // Estimate runs factor-graph inference over the query's join structure.
 // The factor graph must be a tree (acyclic); cyclic graphs return an error
-// so the caller can fall back to a traditional estimator.
+// so the caller can fall back to a traditional estimator. It is Compile
+// followed by one Graph.Estimate over everything: callers sizing many
+// subsets of one query compile once and share the graph.
 func (m *Model) Estimate(tables []QueryTable, conds []Cond, src CountSource, mode Mode) (float64, error) {
-	return m.EstimateWithMemo(tables, conds, src, mode, nil)
-}
-
-// EstimateWithMemo is Estimate with an optional batch memo sharing leaf
-// messages, effective-NDV vectors, conditional matrices, and domain
-// vectors across calls (see Memo). A nil memo is the plain sequential
-// path; with a memo the returned value is bit-identical, only cheaper.
-func (m *Model) EstimateWithMemo(tables []QueryTable, conds []Cond, src CountSource, mode Mode, memo *Memo) (float64, error) {
-	if len(tables) < 2 || len(conds) == 0 {
-		return 0, fmt.Errorf("factorjoin: need at least two tables and one condition")
-	}
-	vars, _, err := m.buildGraph(tables, conds)
+	g, err := m.Compile(tables, conds, src, mode)
 	if err != nil {
 		return 0, err
 	}
-	// Root: the variable touching the most factors (richest containment
-	// information at the final combination step).
-	root := vars[0]
-	for _, v := range vars[1:] {
-		if len(v.factors) > len(root.factors) {
-			root = v
+	return g.Estimate(all(len(tables)), all(len(conds)))
+}
+
+// down returns the message of the subtree below edge e's factor as seen
+// from edge e's variable (excluding the variable's other factors),
+// computing it on first use.
+func (g *Graph) down(it *item, ws *scratch, e, depth int) (*message, error) {
+	f, v, x := it.fac[e], it.vr[e], it.ref[e]
+	key := msgKey{mask: it.sub[f], buckets: it.buckets[v], ref: x}
+	for c := it.conds; c != 0; c &= c - 1 {
+		if j := bits.TrailingZeros64(c); g.condTabs[j]&^key.mask == 0 {
+			key.conds |= 1 << j
 		}
 	}
-	est, err := m.combineAtVar(root, nil, src, mode, memo)
+	g.mu.Lock()
+	msg := g.msgs[key]
+	g.mu.Unlock()
+	if msg == nil {
+		msg = g.compute(it, ws, e, depth)
+		g.mu.Lock()
+		if prev := g.msgs[key]; prev != nil {
+			msg = prev
+		} else {
+			g.msgs[key] = msg
+		}
+		g.mu.Unlock()
+	}
+	return msg, msg.err
+}
+
+// compute builds the message down describes.
+func (g *Graph) compute(it *item, ws *scratch, e, depth int) *message {
+	f, v, x := it.fac[e], it.vr[e], it.ref[e]
+	ks := g.refs[x].ks
+	cnt, err := g.vector(x, it.buckets[v])
 	if err != nil {
-		return 0, err
+		return &message{err: err}
 	}
-	if math.IsNaN(est) || est < 0 {
-		est = 0
+	others := it.byFac[f] &^ (1 << e)
+	if others == 0 {
+		// A single-column factor's message is the base message itself;
+		// nothing below mutates it, so it aliases its inputs.
+		return &message{ks: ks, cnt: cnt, maxF: ks.MaxF}
 	}
-	return est, nil
-}
-
-// buildGraph unifies join columns into variables and checks the factor
-// graph is a connected tree.
-func (m *Model) buildGraph(tables []QueryTable, conds []Cond) ([]*qvar, []*qfactor, error) {
-	type colRef struct{ bind, col string }
-	parent := map[colRef]colRef{}
-	var find func(colRef) colRef
-	find = func(x colRef) colRef {
-		p, ok := parent[x]
-		if !ok || p == x {
-			parent[x] = x
-			return x
-		}
-		r := find(p)
-		parent[x] = r
-		return r
-	}
-	// refs lists the joined columns in first-encountered condition order.
-	// Iterating the parent map instead would randomize variable and factor
-	// ordering call to call — and with it the float accumulation order of
-	// the final combination, making repeated estimates differ in their last
-	// bits. Planning requires bit-identical repeatability.
-	var refs []colRef
-	seenRef := map[colRef]bool{}
-	addRef := func(r colRef) {
-		if !seenRef[r] {
-			seenRef[r] = true
-			refs = append(refs, r)
-		}
-	}
-	for _, c := range conds {
-		addRef(colRef{c.LBind, c.LCol})
-		addRef(colRef{c.RBind, c.RCol})
-		a, b := find(colRef{c.LBind, c.LCol}), find(colRef{c.RBind, c.RCol})
-		if a != b {
-			parent[a] = b
-		}
-	}
-	varOf := map[colRef]*qvar{}
-	var vars []*qvar
-	factorOf := map[string]*qfactor{}
-	var factors []*qfactor
-	for _, t := range tables {
-		f := &qfactor{binding: t.Binding, name: t.Name, colOf: map[int]string{}}
-		factorOf[t.Binding] = f
-		factors = append(factors, f)
-	}
-	edges := 0
-	for _, ref := range refs {
-		root := find(ref)
-		v, ok := varOf[root]
-		if !ok {
-			ks, found := m.Keys[keyName(factorOf[root.bind].name, root.col)]
-			if !found {
-				return nil, nil, fmt.Errorf("factorjoin: no bucket stats for %s.%s", factorOf[root.bind].name, root.col)
-			}
-			v = &qvar{id: len(vars), class: ks.Class, buckets: m.BucketsByClass[ks.Class]}
-			varOf[root] = v
-			vars = append(vars, v)
-		}
-		f := factorOf[ref.bind]
-		if f == nil {
-			return nil, nil, fmt.Errorf("factorjoin: condition references unknown binding %s", ref.bind)
-		}
-		if _, dup := f.colOf[v.id]; dup {
-			return nil, nil, fmt.Errorf("factorjoin: table %s joins variable twice (cyclic graph)", ref.bind)
-		}
-		if _, ok := m.Keys[keyName(f.name, ref.col)]; !ok {
-			return nil, nil, fmt.Errorf("factorjoin: no bucket stats for %s.%s", f.name, ref.col)
-		}
-		f.colOf[v.id] = ref.col
-		f.vars = append(f.vars, v)
-		v.factors = append(v.factors, f)
-		edges++
-	}
-	// Tree check on the bipartite graph: connected with nodes-1 edges.
-	nodes := len(vars) + len(factors)
-	if edges != nodes-1 {
-		return nil, nil, fmt.Errorf("factorjoin: join graph is cyclic (%d edges, %d nodes)", edges, nodes)
-	}
-	for _, f := range factors {
-		if len(f.vars) == 0 {
-			return nil, nil, fmt.Errorf("factorjoin: table %s participates in no join condition", f.binding)
-		}
-	}
-	return vars, factors, nil
-}
-
-// msg carries a subtree's per-bucket statistics at a variable: the
-// (expected or bounded) row count and the per-key-value maximum frequency
-// of the whole subtree (base MaxF amplified by downstream fan-out — the
-// quantity the upper bound multiplies). ndv, present only on memoized
-// leaf messages, precomputes effNDV per bucket; consumers fall back to
-// the inline computation when it is nil (identical values either way).
-type msg struct {
-	ks   *KeyStats
-	cnt  []float64
-	maxF []float64
-	ndv  []float64
-}
-
-// downCount computes the message of factor f's subtree as seen from
-// variable v (excluding v's other factors).
-func (m *Model) downCount(f *qfactor, v *qvar, src CountSource, mode Mode, memo *Memo) (msg, error) {
-	// Single-variable factors produce pure leaf messages — constructed,
-	// never mutated — so under a memo each (binding, column) leaf is built
-	// once per batch (two vector copies plus a Cardenas pow() per bucket)
-	// and shared read-only across every subset that joins the table.
-	if memo != nil && len(f.vars) == 1 {
-		return memo.leaf(leafKey(f.binding, f.name, f.colOf[v.id]), func() (msg, error) {
-			out, err := m.leafMsg(f, v, src)
-			if err != nil {
-				return out, err
-			}
-			out.ndv = make([]float64, len(out.cnt))
-			for b := range out.ndv {
-				out.ndv[b] = m.effNDV(out.ks, out.cnt, b)
-			}
-			return out, nil
-		})
-	}
-	out, err := m.leafMsg(f, v, src)
-	if err != nil {
-		return msg{}, err
-	}
-	for _, u := range f.vars {
-		if u.id == v.id {
-			continue
-		}
+	g.mu.Lock()
+	buf := g.alloc(len(cnt) + len(ks.MaxF))
+	g.mu.Unlock()
+	out := &message{ks: ks, cnt: buf[:len(cnt):len(cnt)], maxF: buf[len(cnt):]}
+	copy(out.cnt, cnt)
+	copy(out.maxF, ks.MaxF)
+	for es := others; es != 0; es &= es - 1 {
+		ue := bits.TrailingZeros64(es)
+		u := it.vr[ue]
 		// Fan-out through variable u: expected (estimate) or maximal
 		// (bound) join partners per subtree row whose u-key falls in each
 		// u-bucket.
-		fan := make([]float64, u.buckets.Count())
-		worst := make([]float64, u.buckets.Count())
-		domain := m.domainOf(u, memo)
+		ub := it.buckets[u].Count()
+		fan, worst, domain := ws.at(depth, ub)
+		g.domain(it, u, domain)
 		for i := range fan {
 			fan[i] = 1
 			worst[i] = 1
 		}
-		for _, g := range u.factors {
-			if g == f {
-				continue
-			}
-			sub, err := m.downCount(g, u, src, mode, memo)
+		for gs := it.byVar[u] &^ (1 << ue); gs != 0; gs &= gs - 1 {
+			sub, err := g.down(it, ws, bits.TrailingZeros64(gs), depth+1)
 			if err != nil {
-				return msg{}, err
+				return &message{err: err}
 			}
 			for b := range fan {
-				if mode == ModeBound {
+				if g.mode == ModeBound {
 					fan[b] *= sub.maxF[b]
 				} else {
 					// Expected partners per row through u: the subtree's
@@ -251,102 +132,47 @@ func (m *Model) downCount(f *qfactor, v *qvar, src CountSource, mode Mode, memo 
 		}
 		// Project the fan-out from u-buckets onto v-buckets through f's
 		// key-tree conditional P(b_u | b_v).
-		cond, err := m.conditionalOf(f, v, u, memo)
-		if err != nil {
-			return msg{}, err
-		}
-		ub := u.buckets.Count()
+		cond := g.m.conditional(g.tables[f].Name, g.refs[x].col, g.refs[it.ref[ue]].col, it.buckets[v].Count(), ub)
 		for bv := range out.cnt {
-			row := cond[bv*ub : (bv+1)*ub]
-			if out.cnt[bv] > 0 {
-				var factor float64
-				for bu, p := range row {
-					factor += p * fan[bu]
-				}
-				out.cnt[bv] *= factor
-			}
-			// Per-value worst case: a value's rows may all land in the
-			// reachable u-bucket with the largest downstream frequency.
-			var w float64
-			for bu, p := range row {
+			// One pass per row for both projections: the expected fan-out
+			// Σ p·fan, and the per-value worst case — a value's rows may
+			// all land in the reachable u-bucket with the largest
+			// downstream frequency.
+			var factor, w float64
+			for bu, p := range cond[bv*ub : (bv+1)*ub] {
+				factor += p * fan[bu]
 				if p > 0 && worst[bu] > w {
 					w = worst[bu]
 				}
 			}
-			out.maxF[bv] *= w
-		}
-	}
-	return out, nil
-}
-
-// leafMsg constructs the base message of factor f at variable v: the
-// CountSource's filtered per-bucket counts and the model's per-bucket
-// maximum frequencies, both copied so messages never alias mutable state.
-func (m *Model) leafMsg(f *qfactor, v *qvar, src CountSource) (msg, error) {
-	col := f.colOf[v.id]
-	ks := m.Keys[keyName(f.name, col)]
-	cnt, err := src(f.binding, f.name, col, v.buckets.Bounds)
-	if err != nil {
-		return msg{}, err
-	}
-	if len(cnt) != v.buckets.Count() {
-		return msg{}, fmt.Errorf("factorjoin: count source returned %d buckets for %s.%s, want %d", len(cnt), f.name, col, v.buckets.Count())
-	}
-	return msg{ks: ks, cnt: append([]float64(nil), cnt...), maxF: append([]float64(nil), ks.MaxF...)}, nil
-}
-
-// domainOf is varDomain behind the batch memo (pure in the model, so
-// memoized values are bit-identical to fresh ones).
-func (m *Model) domainOf(v *qvar, memo *Memo) []float64 {
-	if memo == nil {
-		return m.varDomain(v)
-	}
-	return memo.vector(memo.domains, domainKey(v), func() []float64 { return m.varDomain(v) })
-}
-
-// conditionalOf is conditional behind the batch memo. Failures are not
-// memoized: conditional only errors on model-shape mismatches, which
-// fail identically and cheaply on every call.
-func (m *Model) conditionalOf(f *qfactor, v, u *qvar, memo *Memo) ([]float64, error) {
-	if memo == nil {
-		return m.conditional(f, v, u)
-	}
-	var condErr error
-	out := memo.vector(memo.conds, condKey(f.name, f.colOf[v.id], f.colOf[u.id]), func() []float64 {
-		c, err := m.conditional(f, v, u)
-		if err != nil {
-			condErr = err
-			return nil
-		}
-		return c
-	})
-	if out == nil {
-		if condErr == nil {
-			condErr = fmt.Errorf("factorjoin: conditional for %s unavailable", f.name)
-		}
-		return nil, condErr
-	}
-	return out, nil
-}
-
-// varDomain estimates the per-bucket key-domain size of a variable: the
-// largest unfiltered distinct count among its attached tables (the
-// dimension side of a PK–FK join dominates).
-func (m *Model) varDomain(v *qvar) []float64 {
-	out := make([]float64, v.buckets.Count())
-	for _, f := range v.factors {
-		ks := m.Keys[keyName(f.name, f.colOf[v.id])]
-		for b := range out {
-			if ks.NDV[b] > out[b] {
-				out[b] = ks.NDV[b]
+			if out.cnt[bv] > 0 {
+				out.cnt[bv] *= factor
 			}
+			out.maxF[bv] *= w
 		}
 	}
 	return out
 }
 
+// domain fills out with the per-bucket key-domain size of variable v: the
+// largest unfiltered distinct count among its attached tables (the
+// dimension side of a PK–FK join dominates).
+func (g *Graph) domain(it *item, v uint8, out []float64) {
+	for b := range out {
+		out[b] = 0
+	}
+	for es := it.byVar[v]; es != 0; es &= es - 1 {
+		ndv := g.refs[it.ref[bits.TrailingZeros64(es)]].ks.NDV
+		for b := range out {
+			if ndv[b] > out[b] {
+				out[b] = ndv[b]
+			}
+		}
+	}
+}
+
 // effNDV estimates the distinct key count of the subtree at bucket b.
-func (m *Model) effNDV(ks *KeyStats, sub []float64, b int) float64 {
+func effNDV(ks *KeyStats, sub []float64, b int) float64 {
 	base := math.Min(sub[b], ks.Cnt[b])
 	ndv := cardinal.Cardenas(ks.NDV[b], math.Max(ks.Cnt[b], 1), math.Max(base, 0))
 	if sub[b] > 0 && ndv < 1 {
@@ -358,18 +184,163 @@ func (m *Model) effNDV(ks *KeyStats, sub []float64, b int) float64 {
 	return ndv
 }
 
-// conditional returns the row-major P(b_u | b_v) matrix within factor f,
-// derived from the stored pairwise joint (or independence when the pair
-// was not materialized — the key-tree reduction's fallback edge).
-func (m *Model) conditional(f *qfactor, v, u *qvar) ([]float64, error) {
-	colV, colU := f.colOf[v.id], f.colOf[u.id]
+// ndvOf returns msg's per-bucket effective NDV, building it on first use.
+func (g *Graph) ndvOf(msg *message) []float64 {
+	g.mu.Lock()
+	ndv := msg.ndv
+	var fresh []float64
+	if ndv == nil {
+		fresh = g.alloc(len(msg.cnt))
+	}
+	g.mu.Unlock()
+	if ndv != nil {
+		return ndv
+	}
+	for b := range fresh {
+		fresh[b] = effNDV(msg.ks, msg.cnt, b)
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if msg.ndv == nil {
+		msg.ndv = fresh
+	}
+	return msg.ndv
+}
+
+// combine folds every factor at the root variable into the final
+// estimate: Σ_b minNDV(b)·∏_i freq_i(b) (estimate) or
+// Σ_b min_i[cnt_i(b)·∏_{j≠i} maxF_j(b)] (bound).
+func (g *Graph) combine(it *item, ws *scratch, root int) (float64, error) {
+	var sideBuf [MaxGraph]*message
+	sides := sideBuf[:0]
+	for es := it.byVar[root]; es != 0; es &= es - 1 {
+		sub, err := g.down(it, ws, bits.TrailingZeros64(es), 0)
+		if err != nil {
+			return 0, err
+		}
+		sides = append(sides, sub)
+	}
+	if len(sides) == 1 {
+		var total float64
+		for _, c := range sides[0].cnt {
+			total += c
+		}
+		return total, nil
+	}
+	nb := it.buckets[root].Count()
+	var total float64
+	if g.mode == ModeBound {
+		for b := 0; b < nb; b++ {
+			best := math.Inf(1)
+			for i := range sides {
+				term := sides[i].cnt[b]
+				for j := range sides {
+					if j != i {
+						term *= sides[j].maxF[b]
+					}
+				}
+				if term < best {
+					best = term
+				}
+			}
+			if !math.IsInf(best, 1) {
+				total += best
+			}
+		}
+		return total, nil
+	}
+	// Probabilistic overlap: the expected number of key values shared by
+	// every side is ∏ effNDV_i / domain^(k-1) (capped by the smallest
+	// side), and each shared value contributes the product of the sides'
+	// average frequencies. The key domain is the largest unfiltered
+	// distinct count among the sides' tables.
+	var ndvBuf [MaxGraph][]float64
+	ndvs := ndvBuf[:len(sides)]
+	for i, side := range sides {
+		ndvs[i] = g.ndvOf(side)
+	}
+	for b := 0; b < nb; b++ {
+		minNDV := math.Inf(1)
+		match := 1.0
+		freqProd := 1.0
+		ok := true
+		for i := range sides {
+			if sides[i].cnt[b] <= 0 {
+				ok = false
+				break
+			}
+			ndv := ndvs[i][b]
+			if ndv < 1e-9 {
+				ok = false
+				break
+			}
+			if ndv < minNDV {
+				minNDV = ndv
+			}
+			match *= ndv
+			freqProd *= sides[i].cnt[b] / ndv
+		}
+		if !ok {
+			continue
+		}
+		var domain float64
+		for i := range sides {
+			if n := sides[i].ks.NDV[b]; n > domain {
+				domain = n
+			}
+		}
+		d := math.Max(domain, 1)
+		for i := 1; i < len(sides); i++ {
+			match /= d
+		}
+		if match > minNDV {
+			match = minNDV
+		}
+		total += match * freqProd
+	}
+	return total, nil
+}
+
+// condKey names one oriented key-tree conditional of a table.
+type condKey struct {
+	table, v, u string
+	vb, ub      int
+}
+
+// conditional returns the row-major P(b_u | b_v) matrix between two key
+// columns of one table, derived from the stored pairwise joint (or
+// independence when the pair was not materialized — the key-tree
+// reduction's fallback edge). The matrix depends on nothing but the model,
+// so it is built on first use and kept, immutable, with the loaded model:
+// nothing is paid at load time, and a retrained model starts empty.
+func (m *Model) conditional(table, colV, colU string, vb, ub int) []float64 {
+	key := condKey{table, colV, colU, vb, ub}
+	m.derivedMu.RLock()
+	out := m.conds[key]
+	m.derivedMu.RUnlock()
+	if out != nil {
+		return out
+	}
+	out = m.buildConditional(table, colV, colU, vb, ub)
+	m.derivedMu.Lock()
+	defer m.derivedMu.Unlock()
+	if prev := m.conds[key]; prev != nil {
+		return prev
+	}
+	if m.conds == nil {
+		m.conds = map[condKey][]float64{}
+	}
+	m.conds[key] = out
+	return out
+}
+
+func (m *Model) buildConditional(table, colV, colU string, vb, ub int) []float64 {
 	a, b := orderedPair(colV, colU)
-	joint, ok := m.PairJoint[pairName(f.name, a, b)]
-	vb, ub := v.buckets.Count(), u.buckets.Count()
+	joint, ok := m.PairJoint[pairName(table, a, b)]
 	out := make([]float64, vb*ub)
 	if !ok {
 		// Independence fallback: P(b_u) from u's marginal.
-		ksU := m.Keys[keyName(f.name, colU)]
+		ksU := m.Keys[keyName(table, colU)]
 		var total float64
 		for _, c := range ksU.Cnt {
 			total += c
@@ -382,7 +353,7 @@ func (m *Model) conditional(f *qfactor, v, u *qvar) ([]float64, error) {
 				out[bv*ub+bu] = ksU.Cnt[bu] / total
 			}
 		}
-		return out, nil
+		return out
 	}
 	// joint is (a-buckets)×(b-buckets); orient to (v,u).
 	transposed := colV != a
@@ -404,96 +375,5 @@ func (m *Model) conditional(f *qfactor, v, u *qvar) ([]float64, error) {
 			}
 		}
 	}
-	return out, nil
-}
-
-// combineAtVar folds every factor at the root variable into the final
-// estimate: Σ_b minNDV(b)·∏_i freq_i(b) (estimate) or
-// Σ_b min_i[cnt_i(b)·∏_{j≠i} maxF_j(b)] (bound).
-func (m *Model) combineAtVar(v *qvar, exclude *qfactor, src CountSource, mode Mode, memo *Memo) (float64, error) {
-	var sides []msg
-	for _, f := range v.factors {
-		if f == exclude {
-			continue
-		}
-		sub, err := m.downCount(f, v, src, mode, memo)
-		if err != nil {
-			return 0, err
-		}
-		sides = append(sides, sub)
-	}
-	if len(sides) == 1 {
-		var total float64
-		for _, c := range sides[0].cnt {
-			total += c
-		}
-		return total, nil
-	}
-	domain := m.domainOf(v, memo)
-	var total float64
-	for b := 0; b < v.buckets.Count(); b++ {
-		if mode == ModeBound {
-			best := math.Inf(1)
-			for i := range sides {
-				term := sides[i].cnt[b]
-				for j := range sides {
-					if j != i {
-						term *= sides[j].maxF[b]
-					}
-				}
-				if term < best {
-					best = term
-				}
-			}
-			if !math.IsInf(best, 1) {
-				total += best
-			}
-			continue
-		}
-		// Probabilistic overlap: the expected number of key values shared
-		// by every side is ∏ effNDV_i / domain^(k-1) (capped by the
-		// smallest side), and each shared value contributes the product of
-		// the sides' average frequencies.
-		minNDV := math.Inf(1)
-		match := 1.0
-		freqProd := 1.0
-		ok := true
-		for i := range sides {
-			if sides[i].cnt[b] <= 0 {
-				ok = false
-				break
-			}
-			// Memoized leaves carry their effNDV vector (one Cardenas
-			// pow() per bucket, computed once per batch instead of once
-			// per subset); other sides compute it inline. Same function,
-			// same inputs — bit-identical either way.
-			var ndv float64
-			if sides[i].ndv != nil {
-				ndv = sides[i].ndv[b]
-			} else {
-				ndv = m.effNDV(sides[i].ks, sides[i].cnt, b)
-			}
-			if ndv < 1e-9 {
-				ok = false
-				break
-			}
-			if ndv < minNDV {
-				minNDV = ndv
-			}
-			match *= ndv
-			freqProd *= sides[i].cnt[b] / ndv
-		}
-		if !ok {
-			continue
-		}
-		d := math.Max(domain[b], 1)
-		for i := 1; i < len(sides); i++ {
-			match /= d
-		}
-		if match > minNDV {
-			match = minNDV
-		}
-		total += match * freqProd
-	}
-	return total, nil
+	return out
 }
