@@ -76,9 +76,8 @@ type Options struct {
 	// the defaults: 5 consecutive failures open, 30s cooldown).
 	Breaker core.BreakerConfig
 	// TrainWorkers bounds ModelForge's training worker pool (Chow-Liu MI
-	// matrix, FactorJoin build). Zero defers to BYTECARD_TRAIN_WORKERS,
-	// then runtime.GOMAXPROCS. Trained models are byte-identical for every
-	// worker count.
+	// matrix, FactorJoin build). Zero defers to runtime.GOMAXPROCS.
+	// Trained models are byte-identical for every worker count.
 	TrainWorkers int
 	// PlanCacheBytes bounds the template-keyed plan cache's resident
 	// bytes. Zero takes the engine default (4 MiB); negative disables plan

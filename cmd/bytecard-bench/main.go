@@ -8,15 +8,9 @@
 //	bytecard-bench -scale 0.1 -seed 7  # bigger data, different seed
 //
 // Output is a textual rendering of each table/figure; EXPERIMENTS.md in
-// the repository root records a reference run.
-//
-// The estimation fast-path suite (pooled BN inference, batched join DP,
-// parallel training) runs separately and persists a JSON baseline:
-//
-//	bytecard-bench -estimation                 # full suite -> BENCH_estimation.json
-//	bytecard-bench -estimation -smoke          # CI gate: seconds, not minutes
-//	bytecard-bench -estimation -out other.json
-//	bytecard-bench -check BENCH_estimation.json  # enforce speedup floors
+// the repository root records a reference run. Performance claims about
+// the system itself are measured by the repository benchmark in
+// benchmark/, not here.
 package main
 
 import (
@@ -30,44 +24,20 @@ import (
 
 func main() {
 	var (
-		expFlag    = flag.String("exp", "all", "comma-separated experiments: table1,table2,table3,table5,table6,fig5,fig6a,fig6b,fig7 or all; drift (residual-correction drift study) runs only when named explicitly")
-		scale      = flag.Float64("scale", 0.05, "dataset scale factor")
-		seed       = flag.Int64("seed", 1, "generator seed")
-		probes     = flag.Int("probes", 60, "Q-error probes per dataset")
-		datasets   = flag.String("datasets", "imdb,stats,aeolus", "datasets to evaluate")
-		verbose    = flag.Bool("v", false, "log progress")
-		estimation = flag.Bool("estimation", false, "run the estimation fast-path suite instead of the paper experiments")
-		smoke      = flag.Bool("smoke", false, "with -estimation: shrink iterations/data to a CI-sized compile-and-run gate")
-		out        = flag.String("out", "BENCH_estimation.json", "with -estimation: report output path")
-		par        = flag.Int("parallelism", 4, "with -estimation: batched planner worker count")
-		check      = flag.String("check", "", "validate an estimation report against the fast-path speedup floors and exit")
+		expFlag  = flag.String("exp", "all", "comma-separated experiments: table1,table2,table3,table5,table6,fig5,fig6a,fig6b,fig7 or all; drift (residual-correction drift study) runs only when named explicitly")
+		scale    = flag.Float64("scale", 0.05, "dataset scale factor")
+		seed     = flag.Int64("seed", 1, "generator seed")
+		probes   = flag.Int("probes", 60, "Q-error probes per dataset")
+		datasets = flag.String("datasets", "imdb,stats,aeolus", "datasets to evaluate")
+		verbose  = flag.Bool("v", false, "log progress")
 	)
 	flag.Parse()
-
-	if *check != "" {
-		if err := bench.CheckJSON(*check); err != nil {
-			fmt.Fprintln(os.Stderr, "bytecard-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("%s: all speedup floors hold\n", *check)
-		return
-	}
 
 	var logf func(format string, args ...any)
 	if *verbose {
 		logf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		}
-	}
-
-	if *estimation {
-		if err := runEstimation(bench.EstimationConfig{
-			Smoke: *smoke, Parallelism: *par, Seed: *seed, Log: logf,
-		}, *out); err != nil {
-			fmt.Fprintln(os.Stderr, "bytecard-bench:", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	cfg := bench.Config{Scale: *scale, Seed: *seed, ProbeCount: *probes, Log: logf}
@@ -106,26 +76,6 @@ func runDrift(cfg bench.Config, datasets []string) error {
 		}
 	}
 	fmt.Println()
-	return nil
-}
-
-func runEstimation(cfg bench.EstimationConfig, out string) error {
-	rep, err := bench.EstimationSuite(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println("== Estimation fast path: before (baseline) vs after (fast path) ==")
-	fmt.Printf("%-14s %14s %14s %8s %12s %12s %10s\n",
-		"Bench", "before(ns)", "after(ns)", "speedup", "allocs-before", "allocs-after", "ratio")
-	for _, b := range rep.Benches {
-		fmt.Printf("%-14s %14.0f %14.0f %8.2f %12.1f %12.1f %10.1f\n",
-			b.Name, b.Before.NsPerOp, b.After.NsPerOp, b.Speedup,
-			b.Before.AllocsPerOp, b.After.AllocsPerOp, b.AllocRatio)
-	}
-	if err := rep.WriteJSON(out); err != nil {
-		return err
-	}
-	fmt.Println("\nreport written to", out)
 	return nil
 }
 

@@ -47,7 +47,7 @@ func main() {
 
 	// 2. Data Ingestor signals: enough ingested rows trigger retraining.
 	fmt.Println("\nSignalling data ingestion for 'posts' (Kafka-style consumption info)...")
-	before := sys.Infer.Timestamp("bn:posts")
+	before := sys.Infer.Admin().State("bn:posts").Timestamp
 	if err := sys.Forge.NotifyIngest("posts", 50); err != nil {
 		log.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	after := sys.Infer.Timestamp("bn:posts")
+	after := sys.Infer.Admin().State("bn:posts").Timestamp
 	fmt.Printf("  retrained + loader refresh: %d artifact(s) reloaded, model version %v -> %v\n",
 		n, before.Format("15:04:05.000"), after.Format("15:04:05.000"))
 
@@ -73,7 +73,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("  breach=%v -> rbx:posts.view_count disabled=%v (estimates fall back to GEE)\n",
-		rep.Breached, sys.Infer.Disabled("rbx:posts.view_count"))
+		rep.Breached, sys.Infer.Admin().State("rbx:posts.view_count").Disabled)
 	if _, err := sys.RefreshModels(); err != nil { // pick up fine-tuned RBX
 		log.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("  revalidation: breach=%v, column re-enabled=%v\n",
-		rep.Breached, !sys.Infer.Disabled("rbx:posts.view_count"))
+		rep.Breached, !sys.Infer.Admin().State("rbx:posts.view_count").Disabled)
 
 	// 4. Old artifacts can be purged like the paper's training residue.
 	removed, err := sys.Store.Purge(time.Now().Add(-24 * time.Hour))

@@ -370,8 +370,8 @@ func (c *Context) JointWithColumn(constraints []expr.Constraint, col string) ([]
 
 // ProbNoScratch computes P(evidence) exactly like Prob but with fresh
 // per-call buffer allocation — the pre-pooling behaviour, kept as the
-// ablation baseline the estimation benchmarks and the scratch-parity tests
-// compare against. It performs the same arithmetic in the same order as
+// reference the scratch-parity and allocation tests compare against. It
+// performs the same arithmetic in the same order as
 // Prob, so results are bit-identical.
 func (c *Context) ProbNoScratch(weights [][]float64) float64 {
 	n := len(c.m.Cols)

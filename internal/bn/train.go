@@ -37,8 +37,7 @@ type TrainConfig struct {
 	// forced-bounds column with externally computed (exact) values.
 	ForcedBinNDV map[string][]float64
 	// Workers bounds structure-learning parallelism (the O(cols²) pairwise
-	// MI matrix). Zero resolves via BYTECARD_TRAIN_WORKERS, then
-	// GOMAXPROCS. The learned model is identical at any worker count: each
+	// MI matrix). Zero resolves to GOMAXPROCS. The learned model is identical at any worker count: each
 	// MI cell is an independent computation and the spanning tree, root
 	// choice, and parameter learning stay serial.
 	Workers int

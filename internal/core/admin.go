@@ -6,11 +6,10 @@ import (
 	"bytecard/internal/obs"
 )
 
-// ModelAdmin is the documented administrative view of the Inference
-// Engine's per-model-key state. It unifies what used to be five scattered
-// methods (Disable/Enable/BreakerState/Disabled/Timestamp) behind one
-// handle, so operational tooling — the Model Monitor, the CLI, tests —
-// talks to a single surface instead of reaching into the registry.
+// ModelAdmin is the administrative view of the Inference Engine's
+// per-model-key state: the one surface operational tooling — the Model
+// Monitor, the CLI, tests — uses to disable, enable and inspect a key
+// instead of reaching into the registry.
 //
 // Model keys follow the registry convention: "bn:<table>" for single-table
 // Bayesian networks, "factorjoin" for the join model, "rbx" for the NDV
@@ -41,19 +40,19 @@ type ModelState struct {
 func (a ModelAdmin) State(key string) ModelState {
 	return ModelState{
 		Key:       key,
-		Disabled:  a.e.Disabled(key),
-		Breaker:   a.e.BreakerState(key),
-		Timestamp: a.e.Timestamp(key),
+		Disabled:  a.e.keyDisabled(key),
+		Breaker:   a.e.breakerState(key),
+		Timestamp: a.e.keyTimestamp(key),
 	}
 }
 
 // Disable marks a model key unusable; estimation falls back to the
 // traditional estimator (the Model Monitor's guardrail).
-func (a ModelAdmin) Disable(key string) { a.e.Disable(key) }
+func (a ModelAdmin) Disable(key string) { a.e.disableKey(key) }
 
 // Enable re-enables a previously disabled key and resets its circuit
 // breaker: a model the Monitor revalidated starts with a clean slate.
-func (a ModelAdmin) Enable(key string) { a.e.Enable(key) }
+func (a ModelAdmin) Enable(key string) { a.e.enableKey(key) }
 
 // CacheStats snapshots every registered derived cache's counters by name
 // ("joinvec" for the estimator's join-vector/subset cache, "plan" for the

@@ -117,7 +117,7 @@ func TestEngineBreakerIntegration(t *testing.T) {
 	if e.Allow("bn:orders") {
 		t.Fatal("tripped key must be blocked")
 	}
-	if st := e.BreakerState("bn:orders"); st != BreakerOpen {
+	if st := e.breakerState("bn:orders"); st != BreakerOpen {
 		t.Fatalf("state = %s", st)
 	}
 	snap := e.Snapshot()
@@ -131,7 +131,7 @@ func TestEngineBreakerIntegration(t *testing.T) {
 		t.Fatal("cooled key must admit a probe")
 	}
 	e.RecordSuccess("bn:orders")
-	if st := e.BreakerState("bn:orders"); st != BreakerClosed {
+	if st := e.breakerState("bn:orders"); st != BreakerClosed {
 		t.Fatalf("state = %s after probe success", st)
 	}
 
@@ -139,16 +139,16 @@ func TestEngineBreakerIntegration(t *testing.T) {
 	// both rungs.
 	e.RecordFailure("bn:orders")
 	e.RecordFailure("bn:orders")
-	e.Disable("bn:orders")
+	e.disableKey("bn:orders")
 	now = now.Add(time.Hour)
 	if e.Allow("bn:orders") {
 		t.Fatal("disabled key must be blocked past any cooldown")
 	}
-	e.Enable("bn:orders")
+	e.enableKey("bn:orders")
 	if !e.Allow("bn:orders") {
 		t.Fatal("enabled key must be allowed")
 	}
-	if st := e.BreakerState("bn:orders"); st != BreakerClosed {
+	if st := e.breakerState("bn:orders"); st != BreakerClosed {
 		t.Errorf("Enable must reset the breaker, state = %s", st)
 	}
 	if ds := e.Snapshot().Disabled; len(ds) != 0 {
@@ -158,8 +158,8 @@ func TestEngineBreakerIntegration(t *testing.T) {
 
 func TestSnapshotListsDisabled(t *testing.T) {
 	e := NewInferenceEngine(Options{})
-	e.Disable("rbx")
-	e.Disable("bn:fact")
+	e.disableKey("rbx")
+	e.disableKey("bn:fact")
 	snap := e.Snapshot()
 	if len(snap.Disabled) != 2 || snap.Disabled[0] != "bn:fact" || snap.Disabled[1] != "rbx" {
 		t.Errorf("disabled = %v", snap.Disabled)

@@ -183,12 +183,12 @@ func TestDisableForcesFallback(t *testing.T) {
 	infer, est, exec, _ := pipeline(t)
 	q := analyzed(t, exec, "SELECT COUNT(*) FROM fact WHERE val < 10")
 	before := est.Fallbacks()
-	infer.Disable("bn:fact")
+	infer.Admin().Disable("bn:fact")
 	_ = est.EstimateFilter(q.Tables[0])
 	if est.Fallbacks() != before+1 {
 		t.Error("disabled model must fall back")
 	}
-	infer.Enable("bn:fact")
+	infer.Admin().Enable("bn:fact")
 	_ = est.EstimateFilter(q.Tables[0])
 	if est.Fallbacks() != before+1 {
 		t.Error("re-enabled model must not fall back")
@@ -265,7 +265,7 @@ func TestLRUEviction(t *testing.T) {
 
 func TestTimestampStalenessIgnored(t *testing.T) {
 	infer, _, _, _ := pipeline(t)
-	stamp := infer.Timestamp("bn:fact")
+	stamp := infer.Admin().State("bn:fact").Timestamp
 	if stamp.IsZero() {
 		t.Fatal("missing timestamp for fact model")
 	}
@@ -288,7 +288,7 @@ func TestTimestampStalenessIgnored(t *testing.T) {
 	if err := infer.LoadModel(art); err != nil {
 		t.Fatal(err)
 	}
-	if !infer.Timestamp("bn:fact").Equal(stamp) {
+	if !infer.Admin().State("bn:fact").Timestamp.Equal(stamp) {
 		t.Error("stale artifact must not replace newer model")
 	}
 }
@@ -454,10 +454,10 @@ func TestSnapshotAndCostModelAbsent(t *testing.T) {
 	if snap.Tables != 0 || snap.Loads != 0 || snap.HasFJ || snap.HasRBX {
 		t.Errorf("empty snapshot = %+v", snap)
 	}
-	if !infer.Timestamp("bn:ghost").IsZero() {
+	if !infer.Admin().State("bn:ghost").Timestamp.IsZero() {
 		t.Error("unknown model must have zero timestamp")
 	}
-	if !infer.Timestamp("costmodel").IsZero() {
+	if !infer.Admin().State("costmodel").Timestamp.IsZero() {
 		t.Error("missing cost model must have zero timestamp")
 	}
 }

@@ -327,12 +327,11 @@ func (e *InferenceEngine) RBXUsable(column string) bool {
 	return !e.disabled["rbx"] && !e.disabled["rbx:"+column]
 }
 
-// Disable marks a model key unusable; estimation falls back to the
+// disableKey marks a model key unusable; estimation falls back to the
 // traditional estimator (the Model Monitor's guardrail). Keys: "bn:<table>",
-// "factorjoin", "rbx", "rbx:<table.column>".
-//
-// Deprecated: prefer the documented Admin() view.
-func (e *InferenceEngine) Disable(key string) {
+// "factorjoin", "rbx", "rbx:<table.column>". Callers outside core use
+// Admin().Disable.
+func (e *InferenceEngine) disableKey(key string) {
 	e.mu.Lock()
 	e.disabled[key] = true
 	e.mu.Unlock()
@@ -341,11 +340,10 @@ func (e *InferenceEngine) Disable(key string) {
 	e.FlushCaches()
 }
 
-// Enable re-enables a previously disabled key. The key's circuit breaker
-// is reset too: a model the Monitor revalidated starts with a clean slate.
-//
-// Deprecated: prefer the documented Admin() view.
-func (e *InferenceEngine) Enable(key string) {
+// enableKey re-enables a previously disabled key. The key's circuit
+// breaker is reset too: a model the Monitor revalidated starts with a clean
+// slate. Callers outside core use Admin().Enable.
+func (e *InferenceEngine) enableKey(key string) {
 	e.mu.Lock()
 	delete(e.disabled, key)
 	if b := e.breakers[key]; b != nil {
@@ -398,11 +396,9 @@ func (e *InferenceEngine) RecordSuccess(key string) {
 	}
 }
 
-// BreakerState returns a key's breaker state (BreakerClosed for keys that
+// breakerState returns a key's breaker state (BreakerClosed for keys that
 // never tripped).
-//
-// Deprecated: prefer Admin().State(key).Breaker.
-func (e *InferenceEngine) BreakerState(key string) string {
+func (e *InferenceEngine) breakerState(key string) string {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if b := e.breakers[key]; b != nil {
@@ -411,20 +407,16 @@ func (e *InferenceEngine) BreakerState(key string) string {
 	return BreakerClosed
 }
 
-// Disabled reports whether a key is disabled.
-//
-// Deprecated: prefer Admin().State(key).Disabled.
-func (e *InferenceEngine) Disabled(key string) bool {
+// keyDisabled reports whether a key is disabled.
+func (e *InferenceEngine) keyDisabled(key string) bool {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.disabled[key]
 }
 
-// Timestamp returns the installed version time of a model key ("bn:<table>",
-// "factorjoin", "rbx"); zero when absent.
-//
-// Deprecated: prefer Admin().State(key).Timestamp.
-func (e *InferenceEngine) Timestamp(key string) time.Time {
+// keyTimestamp returns the installed version time of a model key
+// ("bn:<table>", "factorjoin", "rbx"); zero when absent.
+func (e *InferenceEngine) keyTimestamp(key string) time.Time {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	switch key {

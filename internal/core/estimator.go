@@ -164,7 +164,7 @@ func (e *Estimator) guarded(op string, tables []string, key string, lo, hi float
 	e.Metrics.ModelCalls.Add(1)
 	if !e.Infer.Allow(key) {
 		outcome := obs.OutcomeBreakerOpen
-		if e.Infer.Disabled(key) {
+		if e.Infer.keyDisabled(key) {
 			outcome = obs.OutcomeDisabled
 		}
 		err := &ModelError{Key: key, Outcome: outcome, Msg: fmt.Sprintf("core: %s unavailable (breaker open or disabled)", key)}

@@ -359,7 +359,7 @@ func (e *Estimator) joinBatch(op string, items []engine.JoinBatchItem, paralleli
 	}
 	if !e.Infer.Allow("factorjoin") {
 		outcome := obs.OutcomeBreakerOpen
-		if e.Infer.Disabled("factorjoin") {
+		if e.Infer.keyDisabled("factorjoin") {
 			outcome = obs.OutcomeDisabled
 		}
 		e.Metrics.ModelCalls.Add(int64(len(items)))

@@ -153,7 +153,7 @@ func TestModelChurnDropsMemoizedSubsets(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			next := core.Artifact{Name: "stats/factorjoin", Kind: core.KindFactorJoin, Timestamp: infer.Timestamp("factorjoin").Add(1), Data: data}
+			next := core.Artifact{Name: "stats/factorjoin", Kind: core.KindFactorJoin, Timestamp: infer.Admin().State("factorjoin").Timestamp.Add(1), Data: data}
 			if err := infer.LoadModel(next); err != nil {
 				t.Fatal(err)
 			}

@@ -141,7 +141,7 @@ func TestEncodeDecodeAndFrameworkLoad(t *testing.T) {
 	if infer.CostModel() == nil {
 		t.Fatal("cost model not retrievable from the inference engine")
 	}
-	infer.Disable("costmodel")
+	infer.Admin().Disable("costmodel")
 	if infer.CostModel() != nil {
 		t.Error("disabled cost model must be hidden")
 	}

@@ -185,3 +185,36 @@ func TestPlanWithBypassesCache(t *testing.T) {
 		t.Errorf("PlanWith recorded a cache miss: misses=%d, want only Plan's 1", s.Misses)
 	}
 }
+
+// TestPlanCacheHitAllocs gates the warm template-hit path on a 6-table
+// join: template key, decision lookup and replay onto the caller's query,
+// with no estimator call. It measures 36 allocations; 54 leaves the same
+// half again of headroom as the planner's miss-path gate.
+func TestPlanCacheHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates; allocation counts are only meaningful without -race")
+	}
+	e := planCacheEngine(t, noBatch{&hashCardEstimator{}}, 0)
+	stmt, err := sqlparse.Parse(imdbJoinQueries[3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := e.Analyze(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := func() {
+		if _, err := e.Plan(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plan() // miss: publishes the template
+	allocs := testing.AllocsPerRun(100, plan)
+	if s := e.PlanCache.Stats(); s.Misses != 1 {
+		t.Fatalf("measured plans missed the cache: misses=%d, want 1", s.Misses)
+	}
+	t.Logf("6-table plan, warm template hit: %.0f allocs", allocs)
+	if allocs > 54 {
+		t.Errorf("6-table template hit allocates %.0f times, want <= 54", allocs)
+	}
+}

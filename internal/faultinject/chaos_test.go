@@ -237,7 +237,7 @@ func TestChaosBreakerOpensAndRecovers(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		sys.Estimator.EstimateFilter(ft)
 	}
-	if st := sys.Infer.BreakerState("bn:fact"); st != core.BreakerOpen {
+	if st := sys.Infer.Admin().State("bn:fact").Breaker; st != core.BreakerOpen {
 		t.Fatalf("breaker = %s after 3 panics, want open", st)
 	}
 	panicsAtOpen := sys.Metrics().Guard.Panics
@@ -271,7 +271,7 @@ func TestChaosBreakerOpensAndRecovers(t *testing.T) {
 	mu.Unlock()
 	fallbacksBefore := sys.Metrics().Estimator.Fallbacks
 	sys.Estimator.EstimateFilter(ft)
-	if st := sys.Infer.BreakerState("bn:fact"); st != core.BreakerClosed {
+	if st := sys.Infer.Admin().State("bn:fact").Breaker; st != core.BreakerClosed {
 		t.Fatalf("breaker = %s after successful probe, want closed", st)
 	}
 	sys.Estimator.EstimateFilter(ft)

@@ -1,9 +1,10 @@
-// Package lint is ByteCard's domain-specific static-analysis layer: five
-// project analyzers (mapiter, guardcall, randsource, poolhygiene, estclamp)
-// that turn the codebase's determinism, guard-discipline, and pool-hygiene
-// conventions into machine-checked invariants, plus the driver machinery to
-// run them — standalone over `go list` output, or under `go vet -vettool=`
-// via the vet config protocol.
+// Package lint is ByteCard's domain-specific static-analysis layer: eleven
+// project analyzers (see All) that turn the codebase's determinism,
+// guard-discipline, pool-hygiene, lock and goroutine conventions into
+// machine-checked invariants, plus a loader that type-checks the module's
+// packages from `go list -export` output. TestRepoIsClean runs every
+// analyzer over every package as part of `go test ./...`; it is the one
+// lint gate.
 //
 // The framework deliberately mirrors the golang.org/x/tools/go/analysis API
 // shape (Analyzer, Pass, Diagnostic) so analyzers port verbatim if the
@@ -20,13 +21,13 @@ import (
 	"strings"
 )
 
-// Analyzer describes one static check: a name (also its diagnostic prefix
-// and its enable flag on the multichecker), user-facing documentation, and
-// the function that inspects one package.
+// Analyzer describes one static check: a name (also its diagnostic
+// prefix), user-facing documentation, and the function that inspects one
+// package.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics, flags, and annotations.
+	// Name identifies the analyzer in diagnostics and annotations.
 	Name string
-	// Doc is the help text shown by the multichecker.
+	// Doc explains the invariant and how to satisfy or waive it.
 	Doc string
 	// Run inspects one type-checked package, reporting findings through
 	// pass.Report. The error return is for operational failures (analysis

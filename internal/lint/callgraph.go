@@ -18,8 +18,8 @@ import (
 // Cross-package callees are leaves: the graph records the edge (so a
 // classifier can judge the callee by identity — package path, receiver,
 // name) but never descends into bodies it has not parsed. That keeps the
-// graph buildable per package under both drivers, standalone and
-// `go vet -vettool=`, which present one package's sources at a time.
+// graph buildable from one package's sources at a time, which is all the
+// loader presents to an analyzer.
 type CallGraph struct {
 	pass *Pass
 	// decls maps each function/method declared in the package to its body.

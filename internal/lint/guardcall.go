@@ -15,9 +15,9 @@ import (
 // from, say, the engine bypasses all four protections: one NaN or panic in a
 // model reaches query execution. The analyzer knows the inference entry
 // points of each model package and the packages allowed to touch them — the
-// model package itself, core (the ladder), and bench (which measures raw
-// model latency on purpose). Test files are exempt. Intentional raw calls
-// (demos, calibration) carry //bytecard:directcall-ok <reason>.
+// model package itself and core (the ladder). Test files are exempt.
+// Intentional raw calls (demos, calibration) carry
+// //bytecard:directcall-ok <reason>.
 var GuardCall = &Analyzer{
 	Name: "guardcall",
 	Doc: "flag unguarded calls to model inference entry points\n\n" +
@@ -55,11 +55,9 @@ var guardedEntryPoints = []guardedEntryPoint{
 }
 
 // guardcallAllowedCallers lists package names permitted to call entry points
-// directly: core hosts the guarded ladder itself, bench measures raw model
-// latency to calibrate the ladder's budget.
+// directly: core hosts the guarded ladder itself.
 var guardcallAllowedCallers = map[string]bool{
-	"core":  true,
-	"bench": true,
+	"core": true,
 }
 
 func runGuardCall(pass *Pass) error {

@@ -5,10 +5,8 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"os/exec"
 	"path/filepath"
 	"regexp"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -148,32 +146,6 @@ func TestRepoIsClean(t *testing.T) {
 	}
 }
 
-// TestVetToolProtocol builds the multichecker binary and runs it under
-// `go vet -vettool=` — the full driver handshake (-V=full, -flags, per
-// package .cfg) against a real package.
-func TestVetToolProtocol(t *testing.T) {
-	if testing.Short() {
-		t.Skip("building the vettool binary is slow; skipped in -short")
-	}
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bin := filepath.Join(t.TempDir(), "bytecard-lint")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/bytecard-lint")
-	build.Dir = root
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-	vet := exec.Command("go", "vet", "-vettool="+bin,
-		"./internal/bn/...", "./internal/core/...", "./internal/engine/...",
-		"./internal/modelstore/...", "./internal/modelforge/...", "./internal/par/...")
-	vet.Dir = root
-	if out, err := vet.CombinedOutput(); err != nil {
-		t.Fatalf("go vet -vettool: %v\n%s", err, out)
-	}
-}
-
 // TestParseAnnotation pins the annotation grammar.
 func TestParseAnnotation(t *testing.T) {
 	cases := []struct {
@@ -241,8 +213,8 @@ func f() {
 	}
 }
 
-// TestDiagnosticFormat pins the file:line:col rendering the drivers print,
-// which CI greps and editors parse.
+// TestDiagnosticFormat pins the file:line:col rendering TestRepoIsClean
+// reports, which editors parse.
 func TestDiagnosticFormat(t *testing.T) {
 	fset := token.NewFileSet()
 	f := fset.AddFile("demo.go", -1, 100)
@@ -252,36 +224,5 @@ func TestDiagnosticFormat(t *testing.T) {
 	want := "demo.go:2:3: mapiter: message"
 	if got != want {
 		t.Errorf("diagnostic format = %q, want %q", got, want)
-	}
-}
-
-// TestSelectAnalyzers pins the vet flag-selection semantics.
-func TestSelectAnalyzers(t *testing.T) {
-	all := All()
-	names := func(as []*Analyzer) string {
-		var n []string
-		for _, a := range as {
-			n = append(n, a.Name)
-		}
-		return strings.Join(n, ",")
-	}
-	run := func(args ...string) string {
-		fs, enabled := newFlagParsing(all)
-		if err := fs.Parse(args); err != nil {
-			t.Fatal(err)
-		}
-		return names(selectAnalyzers(fs, all, enabled))
-	}
-	if got := run(); got != names(all) {
-		t.Errorf("no flags: got %q, want all", got)
-	}
-	if got := run("-mapiter"); got != "mapiter" {
-		t.Errorf("-mapiter: got %q", got)
-	}
-	if got := run("-mapiter", "-randsource"); got != "mapiter,randsource" {
-		t.Errorf("two positive flags: got %q", got)
-	}
-	if got := run("-mapiter=false"); got != "atomicfield,atomicwrite,ctxflow,estclamp,goroutinesrc,guardcall,locksafe,poolhygiene,randsource,scanread" {
-		t.Errorf("-mapiter=false: got %q", got)
 	}
 }

@@ -106,8 +106,7 @@ func (l *Loader) Packages() []string {
 
 // Check parses and type-checks one loaded package from source. Only
 // GoFiles are analyzed: _test.go files are exempt from every project
-// analyzer, and the vet driver presents them through its own config when
-// running under `go vet`.
+// analyzer.
 func (l *Loader) Check(pkgPath string) ([]*ast.File, *types.Package, *types.Info, error) {
 	var lp *listPackage
 	for _, p := range l.pkgs {

@@ -47,9 +47,8 @@ type Config struct {
 	// Seed drives sampling determinism.
 	Seed int64
 	// TrainWorkers bounds the worker pool parallelizing BN structure
-	// learning and the FactorJoin build. Zero resolves through
-	// BYTECARD_TRAIN_WORKERS, then GOMAXPROCS. Trained artifacts are
-	// byte-identical for every worker count.
+	// learning and the FactorJoin build. Zero resolves to GOMAXPROCS.
+	// Trained artifacts are byte-identical for every worker count.
 	TrainWorkers int
 	// Now is the clock (tests inject a fake).
 	Now func() time.Time

@@ -257,7 +257,7 @@ func TestTrainCostModelStoresArtifact(t *testing.T) {
 	if infer.CostModel() == nil {
 		t.Error("cost model not loaded")
 	}
-	if infer.Timestamp("costmodel").IsZero() {
+	if infer.Admin().State("costmodel").Timestamp.IsZero() {
 		t.Error("cost model timestamp missing")
 	}
 }
@@ -271,7 +271,7 @@ func TestTrainCostModelTooFewTraces(t *testing.T) {
 
 // TestTrainWorkersDeterministicArtifacts trains the same dataset with a
 // single worker and with a pool, requiring identical trained models — the
-// guarantee that lets BYTECARD_TRAIN_WORKERS be a pure speed knob.
+// guarantee that lets Config.TrainWorkers be a pure speed knob.
 // Comparison is structural (decoded models, wall-time fields normalized):
 // gob serializes maps in random iteration order, so equal models need not
 // share bytes.

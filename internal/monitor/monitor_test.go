@@ -72,7 +72,7 @@ func TestHealthyModelPasses(t *testing.T) {
 	if len(rep.QErrors) != 12 {
 		t.Errorf("probes run = %d", len(rep.QErrors))
 	}
-	if f.infer.Disabled("bn:fact") {
+	if f.infer.Admin().State("bn:fact").Disabled {
 		t.Error("healthy model must stay enabled")
 	}
 }
@@ -142,7 +142,7 @@ func TestBreachDisablesAndRetrains(t *testing.T) {
 	if !rep.Breached {
 		t.Fatal("expected breach at threshold ~1")
 	}
-	if !f.infer.Disabled("bn:fact") {
+	if !f.infer.Admin().State("bn:fact").Disabled {
 		t.Error("breached model must be disabled")
 	}
 	if retrained != "fact" {
@@ -152,7 +152,7 @@ func TestBreachDisablesAndRetrains(t *testing.T) {
 	if _, err := f.ld.RefreshOnce(); err != nil {
 		t.Fatal(err)
 	}
-	f.infer.Enable("bn:fact")
+	f.infer.Admin().Enable("bn:fact")
 	f.mon.Threshold = 100
 	rep, err = f.mon.CheckTable("fact")
 	if err != nil {
@@ -198,7 +198,7 @@ func TestNDVBreachTriggersCalibration(t *testing.T) {
 	if !rep.Breached {
 		t.Fatal("expected NDV breach")
 	}
-	if !f.infer.Disabled("rbx:fact.val") {
+	if !f.infer.Admin().State("rbx:fact.val").Disabled {
 		t.Error("breached column must be disabled for RBX")
 	}
 	if gotColumn != "fact.val" || len(gotProfiles) == 0 {
@@ -216,7 +216,7 @@ func TestNDVBreachTriggersCalibration(t *testing.T) {
 	if rep.Breached {
 		t.Errorf("revalidation failed (worst %g)", rep.Worst)
 	}
-	if f.infer.Disabled("rbx:fact.val") {
+	if f.infer.Admin().State("rbx:fact.val").Disabled {
 		t.Error("revalidated column must be re-enabled")
 	}
 }

@@ -5,14 +5,12 @@
 // goroutinesrc analyzer — so worker clamping and scheduling determinism
 // stay centralized. Training parallelism is resolved separately from the
 // executor's BYTECARD_PARALLELISM: training runs in ModelForge's
-// background refresh, not on the query critical path, so it gets its own
-// knob (BYTECARD_TRAIN_WORKERS).
+// background refresh, not on the query critical path, so its only knob is
+// the caller's requested worker count (TrainWorkers).
 package par
 
 import (
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -163,27 +161,13 @@ var overheadOnce = sync.OnceValue(func() time.Duration {
 // across workers to decide whether fanning out pays at all.
 func Overhead() time.Duration { return overheadOnce() }
 
-// envTrainWorkers reads BYTECARD_TRAIN_WORKERS once; 0 means unset/invalid.
-var envTrainWorkers = sync.OnceValue(func() int {
-	if s := os.Getenv("BYTECARD_TRAIN_WORKERS"); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v > 0 {
-			return v
-		}
-	}
-	return 0
-})
-
 // TrainWorkers resolves the training worker count: an explicit positive
-// request wins, then BYTECARD_TRAIN_WORKERS, then GOMAXPROCS — clamped
-// to effective parallelism either way, so a 4-worker request on a 1-CPU
-// box takes the serial path (trained artifacts are byte-identical at any
-// worker count, so the clamp is a pure wall-clock win).
+// request wins, otherwise GOMAXPROCS — clamped to effective parallelism
+// either way, so a 4-worker request on a 1-CPU box takes the serial path
+// (trained artifacts are byte-identical at any worker count, so the clamp
+// is a pure wall-clock win).
 func TrainWorkers(requested int) int {
-	switch {
-	case requested > 0:
-	case envTrainWorkers() > 0:
-		requested = envTrainWorkers()
-	default:
+	if requested <= 0 {
 		requested = runtime.GOMAXPROCS(0)
 	}
 	return Effective(requested)

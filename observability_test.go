@@ -230,8 +230,9 @@ func TestMetricsSnapshot(t *testing.T) {
 	}
 }
 
-// TestModelAdminView checks the documented admin surface drives the same
-// state as the legacy registry methods.
+// TestModelAdminView checks the registry's admin surface: Disable and
+// Enable show up in State and Usable and decide whether estimation falls
+// back.
 func TestModelAdminView(t *testing.T) {
 	sys := openToy(t)
 	admin := sys.Infer.Admin()

@@ -90,10 +90,10 @@ func TestConcurrentServingStress(t *testing.T) {
 			for n := 0; n < 4; n++ {
 				sys.Infer.RecordFailure(key)
 			}
-			_ = sys.Infer.BreakerState(key)
+			_ = sys.Infer.Admin().State(key)
 			_ = sys.Infer.Allow(key)
 			sys.Infer.RecordSuccess(key)
-			sys.Infer.Enable(key)
+			sys.Infer.Admin().Enable(key)
 		})
 	}
 
@@ -108,7 +108,7 @@ func TestConcurrentServingStress(t *testing.T) {
 
 	// The system must still serve once the storm passes.
 	for _, key := range breakerKeys {
-		sys.Infer.Enable(key)
+		sys.Infer.Admin().Enable(key)
 	}
 	if _, err := sys.Estimate(queries[0], EstimateOpts{}); err != nil {
 		t.Fatalf("post-stress estimate: %v", err)
