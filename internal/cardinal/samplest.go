@@ -62,11 +62,7 @@ func newSampleEstimator(db *storage.Database, sizeOf func(rows int) int, seed in
 	e := &SampleEstimator{frames: map[string]*sample.Frame{}}
 	for _, name := range db.TableNames() {
 		t := db.Table(name)
-		res := sample.NewReservoir(sizeOf(t.NumRows()), seed^int64(len(name))^int64(t.NumRows()))
-		for i := 0; i < t.NumRows(); i++ {
-			res.Offer(t.Row(i))
-		}
-		e.frames[name] = sample.NewFrame(t.ColumnNames(), res.Rows(), int64(t.NumRows()))
+		e.frames[name] = sample.SampleTable(t, sizeOf(t.NumRows()), seed^int64(len(name))^int64(t.NumRows()))
 	}
 	return e
 }
@@ -74,36 +70,20 @@ func newSampleEstimator(db *storage.Database, sizeOf func(rows int) int, seed in
 // Name implements engine.CardEstimator.
 func (e *SampleEstimator) Name() string { return "sample" }
 
-// filteredFrame evaluates the filter tree over the table's sample.
-func (e *SampleEstimator) filteredFrame(t *engine.QueryTable, filter *expr.Node) *sample.Frame {
-	f := e.frames[t.Name]
-	if f == nil || filter == nil {
-		return f
-	}
-	cols := f.Columns()
-	idx := map[string]int{}
-	for i, c := range cols {
-		idx[c] = i
-	}
-	return f.Filter(func(row []types.Datum) bool {
-		return filter.Eval(func(_, col string) types.Datum { return row[idx[col]] })
-	})
-}
-
 // EstimateFilter implements engine.CardEstimator by counting matching
 // sample rows and scaling, with half-row smoothing so empty matches do not
 // collapse to zero.
 func (e *SampleEstimator) EstimateFilter(t *engine.QueryTable) float64 {
 	f := e.frames[t.Name]
-	if f == nil {
+	if f == nil || t.Filter == nil {
 		return float64(t.Table.NumRows())
 	}
-	if t.Filter == nil {
-		return float64(t.Table.NumRows())
+	sel, err := f.Select(t.Filter, nil)
+	if err != nil {
+		return engine.HeuristicEstimator{}.EstimateFilter(t)
 	}
-	g := e.filteredFrame(t, t.Filter)
 	scale := float64(t.Table.NumRows()) / math.Max(float64(f.Len()), 1)
-	return (float64(g.Len()) + 0.5) * scale
+	return (float64(len(sel)) + 0.5) * scale
 }
 
 // EstimateConj implements engine.CardEstimator.
@@ -116,8 +96,11 @@ func (e *SampleEstimator) EstimateConj(t *engine.QueryTable, preds []expr.Pred) 
 	for _, p := range preds {
 		node = expr.And(node, expr.Leaf(p))
 	}
-	g := e.filteredFrame(t, node)
-	return (float64(g.Len()) + 0.5) / float64(f.Len())
+	sel, err := f.Select(node, nil)
+	if err != nil {
+		return engine.HeuristicEstimator{}.EstimateConj(t, preds)
+	}
+	return (float64(len(sel)) + 0.5) / float64(f.Len())
 }
 
 // EstimateJoin implements engine.CardEstimator by actually joining the
@@ -129,9 +112,11 @@ func (e *SampleEstimator) EstimateConj(t *engine.QueryTable, preds []expr.Pred) 
 // partners), which the smoothing floor only partly repairs — the behaviour
 // Figure 7 shows on AEOLUS.
 func (e *SampleEstimator) EstimateJoin(tables []*engine.QueryTable, joins []engine.JoinCond) float64 {
+	// Each table's filtered sample rows, read cell by cell through the
+	// frame's table.
 	type tabState struct {
-		t     *engine.QueryTable
-		frame *sample.Frame
+		tab  *storage.Table
+		rows []int32
 	}
 	states := map[string]*tabState{}
 	scale := 1.0
@@ -140,12 +125,15 @@ func (e *SampleEstimator) EstimateJoin(tables []*engine.QueryTable, joins []engi
 		if full == nil || full.Len() == 0 {
 			return engine.HeuristicEstimator{}.EstimateJoin(tables, joins)
 		}
-		st := &tabState{t: t, frame: e.filteredFrame(t, t.Filter)}
-		states[t.Binding] = st
+		rows, err := full.Select(t.Filter, nil)
+		if err != nil {
+			return engine.HeuristicEstimator{}.EstimateJoin(tables, joins)
+		}
+		states[t.Binding] = &tabState{tab: full.Table(), rows: rows}
 		scale /= float64(full.Len()) / float64(t.Table.NumRows())
 	}
-	colIdx := func(binding, col string) int {
-		return e.frames[states[binding].t.Name].ColumnIndex(col)
+	cell := func(binding, col string, row int32) types.Datum {
+		return states[binding].tab.ColByName(col).Value(int(row))
 	}
 
 	// A tuple is represented by the values of the columns remaining join
@@ -197,11 +185,10 @@ func (e *SampleEstimator) EstimateJoin(tables []*engine.QueryTable, joins []engi
 	cur := map[uint64]*entry{}
 	{
 		live := liveCols(inSet, remaining)
-		for i := 0; i < first.frame.Len(); i++ {
+		for _, row := range first.rows {
 			vals := map[string]types.Datum{}
 			for key := range live {
-				col := key[len(tables[0].Binding)+1:]
-				vals[key] = first.frame.Row(i)[colIdx(tables[0].Binding, col)]
+				vals[key] = cell(tables[0].Binding, key[len(tables[0].Binding)+1:], row)
 			}
 			h := sigOf(vals, live)
 			if prev, ok := cur[h]; ok {
@@ -240,18 +227,17 @@ func (e *SampleEstimator) EstimateJoin(tables []*engine.QueryTable, joins []engi
 			vals map[string]types.Datum
 		}
 		build := map[uint64][]buildRow{}
-		for i := 0; i < st.frame.Len(); i++ {
-			row := st.frame.Row(i)
+		for _, row := range st.rows {
 			key := make([]types.Datum, len(conds))
 			var h uint64 = 1469598103934665603
 			for k, c := range conds {
-				key[k] = row[colIdx(t.Binding, c.RightCol)]
+				key[k] = cell(t.Binding, c.RightCol, row)
 				h = h*1099511628211 ^ key[k].Hash64()
 			}
 			vals := map[string]types.Datum{}
 			for lk := range live {
 				if len(lk) > len(t.Binding) && lk[:len(t.Binding)+1] == t.Binding+"." {
-					vals[lk] = row[colIdx(t.Binding, lk[len(t.Binding)+1:])]
+					vals[lk] = cell(t.Binding, lk[len(t.Binding)+1:], row)
 				}
 			}
 			build[h] = append(build[h], buildRow{key: key, vals: vals})
@@ -327,11 +313,18 @@ func (e *SampleEstimator) EstimateGroupNDV(q *engine.Query) float64 {
 	ndv := 1.0
 	for binding, cols := range perTable {
 		t := q.TableByBinding(binding)
-		g := e.filteredFrame(t, t.Filter)
-		if g == nil || g.Len() == 0 {
+		f := e.frames[t.Name]
+		if f == nil {
 			continue
 		}
-		ndv *= math.Max(g.ProfileOf(cols...).GEE(), 1)
+		p, err := f.ProfileOf(t.Filter, cols...)
+		if err != nil {
+			return engine.HeuristicEstimator{}.EstimateGroupNDV(q)
+		}
+		if p.SampleRows == 0 {
+			continue
+		}
+		ndv *= math.Max(p.GEE(), 1)
 	}
 	var out float64
 	if len(q.Tables) == 1 {

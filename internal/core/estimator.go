@@ -35,8 +35,10 @@ type Estimator struct {
 	// Guard wraps every model call with panic recovery, the latency
 	// budget, and estimate sanitization.
 	Guard *Guard
-	// Samples holds per-table sample frames for RBX featurization (the
-	// Model Loader's in-memory DataFrames).
+	// Samples holds the per-table sample frames RBX featurizes (the Model
+	// Loader's in-memory DataFrames): immutable, shared by every view and
+	// concurrent call, each filtered and profiled per estimate without
+	// being copied.
 	Samples map[string]*sample.Frame
 	// JoinMode selects FactorJoin's estimate or bound output.
 	JoinMode factorjoin.Mode
@@ -429,19 +431,18 @@ func (e *Estimator) EstimateGroupNDV(q *engine.Query) float64 {
 		if !e.Infer.RBXUsable(key) {
 			return fallback(&ModelError{Key: "rbx:" + key, Outcome: obs.OutcomeDisabled, Msg: fmt.Sprintf("core: rbx disabled for %s", key)})
 		}
-		filtered := frame
-		if t.Filter != nil {
-			// The frame indexes its columns once, when it is built.
-			filtered = frame.Filter(func(row []types.Datum) bool {
-				return t.Filter.Eval(func(_, col string) types.Datum { return row[frame.ColumnIndex(col)] })
-			})
+		// Profiling runs before the guard: its pooled scratch must not
+		// outlive a call the latency budget abandons.
+		prof, err := frame.ProfileOf(t.Filter, cols...)
+		if err != nil {
+			return fallback(fmt.Errorf("core: sample profile for %s: %w", key, err))
 		}
-		if filtered.Len() == 0 {
+		if prof.SampleRows == 0 {
 			continue // no sample survivors: contributes nothing measurable
 		}
 		// A column set's NDV cannot exceed the table population.
 		est, err := e.guarded(obs.OpGroupNDV, e.traceTables(binding), "rbx", 1, math.Max(float64(frame.PopSize()), 1), func() (float64, error) {
-			return model.EstimateNDVForColumn(key, filtered.ProfileOf(cols...)), nil
+			return model.EstimateNDVForColumn(key, prof), nil
 		})
 		if err != nil {
 			return fallback(err)

@@ -231,10 +231,6 @@ func LoadSamples(db *storage.Database, est *core.Estimator, maxRows int, seed in
 	}
 	for _, name := range db.TableNames() {
 		t := db.Table(name)
-		res := sample.NewReservoir(maxRows, seed^int64(t.NumRows()))
-		for i := 0; i < t.NumRows(); i++ {
-			res.Offer(t.Row(i))
-		}
-		est.Samples[name] = sample.NewFrame(t.ColumnNames(), res.Rows(), int64(t.NumRows()))
+		est.Samples[name] = sample.SampleTable(t, maxRows, seed^int64(t.NumRows()))
 	}
 }

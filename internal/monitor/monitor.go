@@ -311,19 +311,16 @@ func (m *Monitor) CheckNDV(table, column string) (NDVReport, error) {
 			rep.Worst = q
 		}
 		if frame != nil {
-			filtered := frame
+			var filter *expr.Node
 			if len(preds) > 0 {
-				node := expr.Leaf(preds[0])
-				idx := map[string]int{}
-				for ci, c := range frame.Columns() {
-					idx[c] = ci
-				}
-				filtered = frame.Filter(func(row []types.Datum) bool {
-					return node.Eval(func(_, col string) types.Datum { return row[idx[col]] })
-				})
+				filter = expr.Leaf(preds[0])
 			}
-			if filtered.Len() > 0 {
-				profiles = append(profiles, filtered.ProfileOf(column))
+			p, err := frame.ProfileOf(filter, column)
+			if err != nil {
+				return rep, fmt.Errorf("monitor: profile %s: %w", key, err)
+			}
+			if p.SampleRows > 0 {
+				profiles = append(profiles, p)
 				truths = append(truths, float64(truth))
 			}
 		}

@@ -155,19 +155,19 @@ func simulateColumn(rng *rand.Rand, pop int) (sample.Profile, float64) {
 		d := 1 + rng.Intn(200)
 		freqs = zipfFreqs(rng, pop, d, 1.0+rng.Float64())
 	}
-	counts := map[uint64]int{}
+	return sampleFreqs(rng, freqs, rate, pop)
+}
+
+// sampleFreqs binomially subsamples each distinct value's population
+// frequency at rate and profiles what survived.
+func sampleFreqs(rng *rand.Rand, freqs []int, rate float64, pop int) (sample.Profile, float64) {
+	counts := make([]int, len(freqs))
 	var sampled int
-	var id uint64
-	for _, f := range freqs {
-		s := binomial(rng, f, rate)
-		if s > 0 {
-			counts[id] = s
-			sampled += s
-		}
-		id++
+	for i, f := range freqs {
+		counts[i] = binomial(rng, f, rate)
+		sampled += counts[i]
 	}
-	prof := profileFromCounts(counts, sampled, pop)
-	return prof, float64(len(freqs))
+	return sample.ProfileFromCounts(counts, sampled, int64(pop)), float64(len(freqs))
 }
 
 func uniformFreqs(pop, d int) []int {
@@ -266,23 +266,6 @@ func binomial(rng *rand.Rand, n int, p float64) int {
 		k = n
 	}
 	return k
-}
-
-func profileFromCounts(counts map[uint64]int, rows, pop int) sample.Profile {
-	p := sample.Profile{
-		Freq:       make([]float64, sample.ProfileLen),
-		SampleRows: float64(rows),
-		SampleNDV:  float64(len(counts)),
-		PopRows:    float64(pop),
-	}
-	for _, c := range counts {
-		if c >= sample.ProfileLen {
-			p.Freq[sample.ProfileLen-1]++
-		} else {
-			p.Freq[c-1]++
-		}
-	}
-	return p
 }
 
 // EstimateNDV predicts the population NDV from a sample profile, clamped to
@@ -396,17 +379,7 @@ func (m *Model) FineTune(column string, profiles []sample.Profile, truths []floa
 
 func subsampleUniform(rng *rand.Rand, pop, d int) (sample.Profile, float64) {
 	rate := 0.005 + rng.Float64()*0.05
-	freqs := uniformFreqs(pop, d)
-	counts := map[uint64]int{}
-	var sampled int
-	for id, f := range freqs {
-		s := binomial(rng, f, rate)
-		if s > 0 {
-			counts[uint64(id)] = s
-			sampled += s
-		}
-	}
-	return profileFromCounts(counts, sampled, pop), float64(len(freqs))
+	return sampleFreqs(rng, uniformFreqs(pop, d), rate, pop)
 }
 
 // SizeBytes reports the model footprint (base plus calibrations).

@@ -1,27 +1,39 @@
-// Package sample provides reservoir sampling, the in-memory sample
-// "DataFrame" the paper's Model Loader keeps per table for RBX
-// featurization, frequency profiles, and the GEE sample-based NDV
-// estimator used by the traditional baseline.
+// Package sample provides the per-table sample frames the paper's Model
+// Loader keeps for RBX featurization (its in-memory "DataFrame"), reservoir
+// sampling of their row ids, frequency profiles, and the GEE sample-based
+// NDV estimator used by the traditional baseline.
+//
+// A frame is an immutable, ordinary small storage.Table gathered from its
+// base table at the sampled row ids, plus one dense identity code per cell
+// built at load. A filter runs as a selection vector through
+// storage.BlockScan, and a frequency profile is one counting pass over the
+// selected rows' composite codes: nothing on the estimate path boxes a
+// Datum, hashes a cell or allocates a map.
 package sample
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"sync"
 
+	"bytecard/internal/expr"
+	"bytecard/internal/storage"
 	"bytecard/internal/types"
 )
 
-// Reservoir maintains a uniform random sample of up to capacity rows using
-// Vitter's algorithm R. It is deterministic for a given seed and insertion
-// order.
+// Reservoir maintains a uniform random sample of up to capacity row ids
+// using Vitter's algorithm R. It is deterministic for a given seed and
+// insertion order.
 type Reservoir struct {
 	capacity int
 	seen     int64
-	rows     [][]types.Datum
+	rows     []int32
 	rng      *rand.Rand
 }
 
-// NewReservoir creates a reservoir holding at most capacity rows.
+// NewReservoir creates a reservoir holding at most capacity row ids.
 func NewReservoir(capacity int, seed int64) *Reservoir {
 	if capacity <= 0 {
 		panic("sample: capacity must be positive")
@@ -29,25 +41,23 @@ func NewReservoir(capacity int, seed int64) *Reservoir {
 	return &Reservoir{capacity: capacity, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Offer presents one row to the reservoir. The row is copied.
-func (r *Reservoir) Offer(row []types.Datum) {
+// Offer presents one row id to the reservoir.
+func (r *Reservoir) Offer(row int32) {
 	r.seen++
-	cp := make([]types.Datum, len(row))
-	copy(cp, row)
 	if len(r.rows) < r.capacity {
-		r.rows = append(r.rows, cp)
+		r.rows = append(r.rows, row)
 		return
 	}
-	j := r.rng.Int63n(r.seen)
-	if j < int64(r.capacity) {
-		r.rows[j] = cp
+	if j := r.rng.Int63n(r.seen); j < int64(r.capacity) {
+		r.rows[j] = row
 	}
 }
 
-// Rows returns the sampled rows. The slice is owned by the reservoir.
-func (r *Reservoir) Rows() [][]types.Datum { return r.rows }
+// Rows returns the sampled row ids in slot order. The slice is owned by
+// the reservoir.
+func (r *Reservoir) Rows() []int32 { return r.rows }
 
-// Seen returns the number of rows offered.
+// Seen returns the number of row ids offered.
 func (r *Reservoir) Seen() int64 { return r.seen }
 
 // Rate returns the effective sampling rate len(rows)/seen.
@@ -58,62 +68,119 @@ func (r *Reservoir) Rate() float64 {
 	return float64(len(r.rows)) / float64(r.seen)
 }
 
-// Frame is the mutable two-dimensional sample table the Model Loader keeps
-// per base table: column-labelled, filterable in place, and the substrate
-// for sample-profile computation. It corresponds to the paper's
-// "DataFrame" built by a high-performance C++ library.
+// Frame is the sample table the Model Loader keeps per base table — the
+// paper's "DataFrame". It is immutable after construction and safe for
+// concurrent use: every call borrows its working memory from a pool.
 type Frame struct {
-	cols    []string
-	colIdx  map[string]int
-	rows    [][]types.Datum
-	popSize int64 // size of the population the sample was drawn from
+	tab *storage.Table
+	// codes[j][i] is row i's identity code in column j, dense in
+	// [0, card[j]): two cells share a code exactly when their
+	// types.Datum.Hash64 is equal.
+	codes [][]uint32
+	card  []uint64
+	pop   int64 // size of the population the sample was drawn from
 }
 
-// NewFrame builds a frame over the given rows (not copied) with popSize
-// recording the size of the underlying population.
-func NewFrame(cols []string, rows [][]types.Datum, popSize int64) *Frame {
-	idx := make(map[string]int, len(cols))
-	for i, c := range cols {
-		idx[c] = i
+// SampleTable draws a reservoir sample of up to capacity rows of t (offered
+// in row order) and gathers it into a frame.
+func SampleTable(t *storage.Table, capacity int, seed int64) *Frame {
+	res := NewReservoir(capacity, seed)
+	for i := 0; i < t.NumRows(); i++ {
+		res.Offer(int32(i))
 	}
-	return &Frame{cols: cols, colIdx: idx, rows: rows, popSize: popSize}
+	return newFrame(t, res.Rows(), int64(t.NumRows()))
+}
+
+// newFrame gathers base's rows at ids into a frame over a population of
+// pop rows and builds the identity codes.
+func newFrame(base *storage.Table, ids []int32, pop int64) *Frame {
+	tab := base.Gather(ids)
+	f := &Frame{tab: tab, codes: make([][]uint32, tab.NumCols()), card: make([]uint64, tab.NumCols()), pop: pop}
+	byHash := map[uint64]uint32{}
+	for j := range f.codes {
+		col := tab.Col(j)
+		codes := make([]uint32, tab.NumRows())
+		clear(byHash)
+		for i := range codes {
+			h := col.Value(i).Hash64()
+			c, ok := byHash[h]
+			if !ok {
+				c = uint32(len(byHash))
+				byHash[h] = c
+			}
+			codes[i] = c
+		}
+		f.codes[j], f.card[j] = codes, uint64(len(byHash))
+	}
+	return f
 }
 
 // Len returns the number of sample rows.
-func (f *Frame) Len() int { return len(f.rows) }
+func (f *Frame) Len() int { return f.tab.NumRows() }
 
 // PopSize returns the population size the sample represents.
-func (f *Frame) PopSize() int64 { return f.popSize }
+func (f *Frame) PopSize() int64 { return f.pop }
 
-// Columns returns the column labels.
-func (f *Frame) Columns() []string { return f.cols }
+// Table returns the sample rows as a table (columns and dictionaries of
+// the base table).
+func (f *Frame) Table() *storage.Table { return f.tab }
 
-// ColumnIndex returns the index of the named column, or -1.
-func (f *Frame) ColumnIndex(name string) int {
-	if i, ok := f.colIdx[name]; ok {
-		return i
+// Select appends to dst[:0] the ids of the frame rows satisfying filter, in
+// ascending order; a nil filter selects every row. A conjunction compiles
+// once into per-column constraints and runs through storage.BlockScan;
+// any other tree is the union of its DNF terms' scans, and a DNF wider
+// than expr.MaxDNFTerms is an error.
+func (f *Frame) Select(filter *expr.Node, dst []int32) ([]int32, error) {
+	dst = dst[:0]
+	if preds, ok := filter.Conjunction(); ok {
+		return f.scan(preds, dst)
 	}
-	return -1
-}
-
-// Row returns row i.
-func (f *Frame) Row(i int) []types.Datum { return f.rows[i] }
-
-// Filter returns a new frame containing only rows where keep returns true.
-// The population size is scaled by the surviving fraction so downstream NDV
-// scaling stays consistent.
-func (f *Frame) Filter(keep func(row []types.Datum) bool) *Frame {
-	var out [][]types.Datum
-	for _, row := range f.rows {
-		if keep(row) {
-			out = append(out, row)
+	terms, err := filter.DNF()
+	if err != nil {
+		return dst, err
+	}
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	marks := grow(&sc.marks, f.Len())
+	for _, term := range terms {
+		if sc.term, err = f.scan(term, sc.term[:0]); err != nil {
+			clear(marks)
+			return dst, err
+		}
+		for _, r := range sc.term {
+			marks[r] = true
 		}
 	}
-	pop := f.popSize
-	if len(f.rows) > 0 {
-		pop = int64(math.Round(float64(f.popSize) * float64(len(out)) / float64(len(f.rows))))
+	for i, m := range marks {
+		if m {
+			dst = append(dst, int32(i))
+			marks[i] = false
+		}
 	}
-	return &Frame{cols: f.cols, colIdx: f.colIdx, rows: out, popSize: pop}
+	return dst, nil
+}
+
+// scan appends the rows satisfying the conjunction preds to dst.
+func (f *Frame) scan(preds []expr.Pred, dst []int32) ([]int32, error) {
+	if len(preds) == 0 {
+		for i := 0; i < f.Len(); i++ {
+			dst = append(dst, int32(i))
+		}
+		return dst, nil
+	}
+	for _, p := range preds {
+		if f.tab.ColByName(p.Col) == nil {
+			return dst, fmt.Errorf("sample: unknown column %s", p.Col)
+		}
+	}
+	cons := expr.BuildConstraints(preds, func(col string, d types.Datum) (float64, bool) {
+		return f.tab.ColByName(col).EncodeDatum(d)
+	})
+	readers := make([]*storage.Reader, len(cons))
+	for i, c := range cons {
+		readers[i] = f.tab.ColByName(c.Col).NewReader(nil)
+	}
+	return storage.BlockScan(readers, storage.ScanOptions{Constraints: cons}, 0, f.Len(), dst), nil
 }
 
 // Profile is a frequency profile: Freq[j-1] counts the distinct (composite)
@@ -137,52 +204,71 @@ type Profile struct {
 const ProfileLen = 100
 
 // ProfileOf computes the frequency profile of the composite key formed by
-// the named columns over the frame's rows.
-func (f *Frame) ProfileOf(cols ...string) Profile {
-	idxs := make([]int, len(cols))
-	for i, c := range cols {
-		j := f.ColumnIndex(c)
+// cols over the frame rows satisfying filter (nil: every row). PopRows is
+// the population scaled by the surviving fraction; SampleRows is 0 when no
+// row survives.
+func (f *Frame) ProfileOf(filter *expr.Node, cols ...string) (Profile, error) {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	idx := sc.cols[:0]
+	for _, c := range cols {
+		j := f.tab.ColIndex(c)
 		if j < 0 {
-			panic("sample: unknown column " + c)
+			return Profile{}, fmt.Errorf("sample: unknown column %s", c)
 		}
-		idxs[i] = j
+		idx = append(idx, j)
 	}
-	counts := make(map[uint64]int, len(f.rows))
-	for _, row := range f.rows {
-		var h uint64 = 1469598103934665603
-		for _, j := range idxs {
-			h = h*1099511628211 ^ row[j].Hash64()
-		}
-		counts[h]++
+	sc.cols = idx
+	var err error
+	if sc.sel, err = f.Select(filter, sc.sel); err != nil {
+		return Profile{}, err
 	}
-	return profileFromCounts(counts, len(f.rows), f.popSize)
+	pop := f.pop
+	if f.Len() > 0 {
+		pop = int64(math.Round(float64(f.pop) * float64(len(sc.sel)) / float64(f.Len())))
+	}
+	return ProfileFromCounts(f.count(sc.sel, idx, sc), len(sc.sel), pop), nil
 }
 
-func profileFromCounts(counts map[uint64]int, rows int, pop int64) Profile {
+// ProfileFromCounts builds the profile of a sample of rows rows over a
+// population of pop, given each distinct value's multiplicity; zero
+// multiplicities (values absent from the sample) are skipped.
+func ProfileFromCounts(counts []int, rows int, pop int64) Profile {
 	p := Profile{
 		Freq:       make([]float64, ProfileLen),
 		SampleRows: float64(rows),
-		SampleNDV:  float64(len(counts)),
 		PopRows:    float64(pop),
 	}
 	for _, c := range counts {
-		if c >= ProfileLen {
+		switch {
+		case c <= 0:
+			continue
+		case c >= ProfileLen:
 			p.Freq[ProfileLen-1]++
-		} else {
+		default:
 			p.Freq[c-1]++
 		}
+		p.SampleNDV++
 	}
 	return p
 }
 
-// ProfileOfValues computes a frequency profile directly from a value slice,
-// used when training RBX on synthetic columns.
+// ProfileOfValues computes a frequency profile directly from a value slice
+// (values are equal when their Hash64 is).
 func ProfileOfValues(values []types.Datum, popRows int64) Profile {
-	counts := make(map[uint64]int, len(values))
+	ids := make(map[uint64]int, len(values))
+	var counts []int
 	for _, v := range values {
-		counts[v.Hash64()]++
+		h := v.Hash64()
+		id, ok := ids[h]
+		if !ok {
+			id = len(counts)
+			ids[h] = id
+			counts = append(counts, 0)
+		}
+		counts[id]++
 	}
-	return profileFromCounts(counts, len(values), popRows)
+	return ProfileFromCounts(counts, len(values), popRows)
 }
 
 // GEE returns the Guaranteed-Error Estimator of the population NDV from the
@@ -205,4 +291,101 @@ func (p Profile) GEE() float64 {
 		est = p.PopRows
 	}
 	return est
+}
+
+// flatSlots bounds the composite-code space counted through a flat table;
+// wider spaces go through the open-addressing table.
+const flatSlots = 1 << 16
+
+// count returns the multiplicity of every distinct composite code of the
+// columns idx over the rows sel (scratch owned by sc). The per-column codes
+// are combined mixed-radix; a code space that would overflow 64 bits is
+// first re-coded densely over the rows at hand.
+func (f *Frame) count(sel []int32, idx []int, sc *scratch) []int {
+	if len(sel) == 0 {
+		return nil
+	}
+	keys := grow(&sc.keys, len(sel))
+	clear(keys)
+	radix := uint64(1)
+	for _, j := range idx {
+		codes, card := f.codes[j], f.card[j]
+		if radix > math.MaxUint64/card {
+			radix = uint64(len(sc.dense(keys, radix)))
+		}
+		for i, r := range sel {
+			keys[i] = keys[i]*card + uint64(codes[r])
+		}
+		radix *= card
+	}
+	return sc.dense(keys, radix)
+}
+
+// scratch is one call's working memory. Its slices only grow, and flat and
+// marks are all zero between uses.
+type scratch struct {
+	sel, term []int32
+	cols      []int
+	keys      []uint64
+	counts    []int
+	flat      []int32 // key → id+1, for code spaces up to flatSlots
+	slots     []int32 // open addressing: id+1, 0 = empty
+	owners    []uint64
+	marks     []bool
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// grow returns (*buf)[:n], reallocating only when the capacity is short.
+// A reallocated buffer is zero.
+func grow[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
+
+// dense replaces every key (each below radix) by a dense id numbered in
+// first-appearance order and returns each id's multiplicity.
+func (sc *scratch) dense(keys []uint64, radix uint64) []int {
+	counts, owners := sc.counts[:0], sc.owners[:0]
+	if radix <= flatSlots {
+		flat := grow(&sc.flat, int(radix))
+		for i, k := range keys {
+			id := flat[k]
+			if id == 0 {
+				owners = append(owners, k)
+				counts = append(counts, 0)
+				id = int32(len(counts))
+				flat[k] = id
+			}
+			counts[id-1]++
+			keys[i] = uint64(id - 1)
+		}
+		for _, k := range owners {
+			flat[k] = 0
+		}
+		sc.counts, sc.owners = counts, owners
+		return counts
+	}
+	shift := 64 - bits.Len(uint(2*len(keys)-1))
+	slots := grow(&sc.slots, 1<<(64-shift))
+	clear(slots)
+	mask := uint64(len(slots) - 1)
+	for i, k := range keys {
+		h := (k * 0x9e3779b97f4a7c15) >> shift
+		for slots[h] != 0 && owners[slots[h]-1] != k {
+			h = (h + 1) & mask
+		}
+		if slots[h] == 0 {
+			owners = append(owners, k)
+			counts = append(counts, 0)
+			slots[h] = int32(len(counts))
+		}
+		counts[slots[h]-1]++
+		keys[i] = uint64(slots[h] - 1)
+	}
+	sc.counts, sc.owners = counts, owners
+	return counts
 }

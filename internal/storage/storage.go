@@ -516,9 +516,10 @@ type ScanOptions struct {
 // column). Per block, every constrained column's zone map is consulted
 // first — one miss prunes the block for all constrained columns without
 // charging a read — then survivors are refined stage by stage, vectorized
-// per block. All decisions are block-local, so morsel-parallel callers
-// scanning disjoint block-aligned ranges read and skip exactly the blocks
-// the sequential scan would.
+// per block, in place at the tail of dst: the scan needs no scratch, so a
+// caller that passes a dst with room allocates nothing. All decisions are
+// block-local, so morsel-parallel callers scanning disjoint block-aligned
+// ranges read and skip exactly the blocks the sequential scan would.
 func BlockScan(readers []*Reader, opts ScanOptions, lo, hi int, dst []int32) []int32 {
 	if len(readers) == 0 || len(readers) != len(opts.Constraints) {
 		panic("storage: BlockScan needs one reader per constraint")
@@ -531,7 +532,6 @@ func BlockScan(readers []*Reader, opts ScanOptions, lo, hi int, dst []int32) []i
 	if n := readers[0].col.Len(); hi > n {
 		hi = n
 	}
-	var sel []int32
 	for b := BlockOf(lo); b*BlockSize < hi; b++ {
 		blo, bhi := b*BlockSize, (b+1)*BlockSize
 		if blo < lo {
@@ -553,11 +553,11 @@ func BlockScan(readers []*Reader, opts ScanOptions, lo, hi int, dst []int32) []i
 			}
 			continue
 		}
-		sel = readers[0].filterRange(blo, bhi, opts.Constraints[0], sel[:0])
-		for i := 1; i < len(readers) && len(sel) > 0; i++ {
-			sel = readers[i].filterRows(sel, opts.Constraints[i])
+		start := len(dst)
+		dst = readers[0].filterRange(blo, bhi, opts.Constraints[0], dst)
+		for i := 1; i < len(readers) && len(dst) > start; i++ {
+			dst = dst[:start+len(readers[i].filterRows(dst[start:], opts.Constraints[i]))]
 		}
-		dst = append(dst, sel...)
 		if opts.Limit > 0 && len(dst) >= opts.Limit {
 			return dst[:opts.Limit]
 		}
@@ -616,6 +616,37 @@ func (t *Table) Row(i int) []types.Datum {
 	out := make([]types.Datum, len(t.cols))
 	for j, c := range t.cols {
 		out[j] = c.Value(i)
+	}
+	return out
+}
+
+// Gather returns a new table holding t's rows at the given ids, in that
+// order: numeric columns are copied, dictionary-encoded columns copy their
+// codes and share t's sorted dictionary (so EncodeDatum and MergeDicts mean
+// the same on both), and zone maps are rebuilt for the new layout.
+func (t *Table) Gather(rows []int32) *Table {
+	out := &Table{name: t.name, cols: make([]*Column, len(t.cols)), byName: t.byName, n: len(rows)}
+	for j, c := range t.cols {
+		g := &Column{name: c.name, kind: c.kind, dict: c.dict}
+		switch c.kind {
+		case types.KindInt64:
+			g.ints = make([]int64, len(rows))
+			for i, r := range rows {
+				g.ints[i] = c.ints[r]
+			}
+		case types.KindFloat64:
+			g.floats = make([]float64, len(rows))
+			for i, r := range rows {
+				g.floats[i] = c.floats[r]
+			}
+		default:
+			g.codes = make([]int32, len(rows))
+			for i, r := range rows {
+				g.codes[i] = c.codes[r]
+			}
+		}
+		g.buildZones()
+		out.cols[j] = g
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"bytecard/internal/expr"
 	"bytecard/internal/types"
 )
 
@@ -318,6 +319,70 @@ func TestTypedAccessorsChargeLikeValue(t *testing.T) {
 	if boxed.BlocksRead() != typed.BlocksRead() || boxed.BytesRead() != typed.BytesRead() {
 		t.Errorf("typed reads charged %d blocks / %d bytes, Value reads %d / %d",
 			typed.BlocksRead(), typed.BytesRead(), boxed.BlocksRead(), boxed.BytesRead())
+	}
+}
+
+// TestGather: the gathered table holds the chosen rows in the given order,
+// shares the base dictionary (member codes encode identically) and has zone
+// maps of its own layout.
+func TestGather(t *testing.T) {
+	base := buildTestTable(t, 3*BlockSize)
+	rows := []int32{int32(2*BlockSize + 7), 4, 4, int32(BlockSize)}
+	g := base.Gather(rows)
+	if g.Name() != "t" || g.NumRows() != len(rows) || g.ColIndex("tag") != 2 {
+		t.Fatalf("metadata: %s %d rows, tag at %d", g.Name(), g.NumRows(), g.ColIndex("tag"))
+	}
+	for i, r := range rows {
+		for j := 0; j < base.NumCols(); j++ {
+			if got, want := g.Col(j).Value(i), base.Col(j).Value(int(r)); !got.Equal(want) {
+				t.Errorf("row %d col %d = %v, want %v", i, j, got, want)
+			}
+		}
+	}
+	for _, s := range []string{"alpha", "mid", "zeta", "nope"} {
+		gv, gok := g.ColByName("tag").EncodeDatum(types.Str(s))
+		bv, bok := base.ColByName("tag").EncodeDatum(types.Str(s))
+		if gv != bv || gok != bok {
+			t.Errorf("EncodeDatum(%q): gathered %g/%v, base %g/%v", s, gv, gok, bv, bok)
+		}
+	}
+	if lo, hi := g.ColByName("id").ZoneRange(0); lo != 4 || hi != float64(2*BlockSize+7) {
+		t.Errorf("gathered id zone = [%g, %g], want [4, %d]", lo, hi, 2*BlockSize+7)
+	}
+	if empty := base.Gather(nil); empty.NumRows() != 0 || empty.Col(0).NumBlocks() != 0 {
+		t.Errorf("empty gather: %d rows, %d blocks", empty.NumRows(), empty.Col(0).NumBlocks())
+	}
+}
+
+// TestBlockScanRefinesInPlace: a multi-stage scan appends exactly the rows
+// that pass every constraint, after whatever dst already held, and a dst
+// with room is not reallocated.
+func TestBlockScanRefinesInPlace(t *testing.T) {
+	tab := buildTestTable(t, 2*BlockSize+100)
+	tagCode, _ := tab.ColByName("tag").EncodeDatum(types.Str("mid"))
+	cons := []expr.Constraint{expr.NewConstraint("score"), expr.NewConstraint("tag")}
+	cons[0].Add(expr.OpGe, 100, true)
+	cons[1].Add(expr.OpEq, tagCode, true)
+	readers := []*Reader{tab.ColByName("score").NewReader(nil), tab.ColByName("tag").NewReader(nil)}
+	dst := make([]int32, 1, tab.NumRows()+1)
+	dst[0] = -1
+	got := BlockScan(readers, ScanOptions{Constraints: cons}, 0, tab.NumRows(), dst)
+	want := []int32{-1}
+	for i := 0; i < tab.NumRows(); i++ {
+		if float64(i)/2 >= 100 && i%3 == 2 {
+			want = append(want, int32(i))
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("scan kept %d rows, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("row %d = %d, want %d", i, got[i], want[i])
+		}
+	}
+	if &got[0] != &dst[0] {
+		t.Error("scan reallocated a dst that had room")
 	}
 }
 
