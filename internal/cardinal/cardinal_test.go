@@ -5,9 +5,12 @@ import (
 	"testing"
 	"testing/quick"
 
+	"bytecard/internal/catalog"
 	"bytecard/internal/datagen"
 	"bytecard/internal/engine"
 	"bytecard/internal/sqlparse"
+	"bytecard/internal/storage"
+	"bytecard/internal/types"
 )
 
 func TestQError(t *testing.T) {
@@ -338,5 +341,84 @@ func TestSampleJoinLiveColumnChain(t *testing.T) {
 	}
 	if qe := QError(got, truth); qe > 30 {
 		t.Errorf("chain sample estimate %g vs truth %g (q=%g)", got, truth, qe)
+	}
+}
+
+// keyDB builds one single-column table per entry of keys, column k.
+func keyDB(kind types.Kind, keys map[string][]types.Datum) *storage.Database {
+	db := storage.NewDatabase()
+	for name, vals := range keys {
+		b := storage.NewBuilder(name, []storage.ColumnSpec{{Name: "k", Kind: kind}})
+		for _, v := range vals {
+			b.Append([]types.Datum{v})
+		}
+		db.Add(b.Build())
+	}
+	return db
+}
+
+// TestSampleJoinDistinctKeysNeverMerge joins full-size samples on keys that
+// hash alike — 1e300 and 2e300 once saturated int64 in Datum.Hash64, and
+// 2^53 and 2^53+1 share a float image — so an estimate that merges tuples
+// by hash counts two matches where there is one.
+func TestSampleJoinDistinctKeysNeverMerge(t *testing.T) {
+	for _, c := range []struct {
+		kind types.Kind
+		a, b []types.Datum
+	}{
+		{types.KindFloat64, []types.Datum{types.Float(1e300), types.Float(2e300)}, []types.Datum{types.Float(1e300)}},
+		{types.KindInt64, []types.Datum{types.Int(1 << 53), types.Int(1<<53 + 1)}, []types.Datum{types.Int(1 << 53)}},
+	} {
+		db := keyDB(c.kind, map[string][]types.Datum{"a": c.a, "b": c.b})
+		est := NewSampleEstimator(db, 10, 1)
+		e := engine.New(db, catalog.NewSchema(), est)
+		sql := "SELECT COUNT(*) FROM a, b WHERE a.k = b.k"
+		q := analyzeQuery(t, e, sql)
+		truth, err := e.TrueCardinality(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := est.EstimateJoin(q.Tables, q.Joins); got != 1 || truth != 1 {
+			t.Errorf("%s keys: estimate %g, truth %g; want 1", c.kind, got, truth)
+		}
+	}
+}
+
+// TestSampleJoinAllocs is the sample join's allocation gate: a filtered
+// four-table estimate allocates per table, per column and per distinct key —
+// never per sample row — so 500- and 4000-row samples cost the same count.
+func TestSampleJoinAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates; allocation counts are only meaningful without -race")
+	}
+	db := storage.NewDatabase()
+	for _, name := range []string{"a", "b", "c", "d"} {
+		b := storage.NewBuilder(name, []storage.ColumnSpec{{Name: "k", Kind: types.KindInt64}, {Name: "v", Kind: types.KindInt64}})
+		for i := 0; i < 20000; i++ {
+			b.Append([]types.Datum{types.Int(int64(i % 8)), types.Int(int64(i * 37 % 100))})
+		}
+		db.Add(b.Build())
+	}
+	// a and c keep a fifth of their rows, below compressThreshold at both
+	// sizes; a⋈b and the final step cross it at both.
+	sql := "SELECT COUNT(*) FROM a, b, c, d WHERE a.k = b.k AND b.k = c.k AND c.k = d.k AND a.v < 20 AND b.v < 50 AND c.v < 20 AND d.v < 50"
+	var counts []float64
+	for _, rows := range []int{500, 4000} {
+		est := NewSampleEstimator(db, rows, 7)
+		e := engine.New(db, catalog.NewSchema(), est)
+		q := analyzeQuery(t, e, sql)
+		truth, err := e.TrueCardinality(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := est.EstimateJoin(q.Tables, q.Joins); QError(got, truth) > 2 {
+			t.Fatalf("%d-row samples: estimate %g, truth %g", rows, got, truth)
+		}
+		allocs := testing.AllocsPerRun(20, func() { est.EstimateJoin(q.Tables, q.Joins) })
+		t.Logf("%d-row samples: %.0f allocs per estimate", rows, allocs)
+		counts = append(counts, allocs)
+	}
+	if counts[0] != counts[1] {
+		t.Errorf("allocations grow with the sample: %.0f at 500 rows, %.0f at 4000", counts[0], counts[1])
 	}
 }

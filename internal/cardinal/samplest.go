@@ -2,13 +2,11 @@ package cardinal
 
 import (
 	"math"
-	"sort"
 
 	"bytecard/internal/engine"
 	"bytecard/internal/expr"
 	"bytecard/internal/sample"
 	"bytecard/internal/storage"
-	"bytecard/internal/types"
 )
 
 // SampleEstimator is the AnalyticDB-style baseline: it keeps a reservoir
@@ -104,214 +102,57 @@ func (e *SampleEstimator) EstimateConj(t *engine.QueryTable, preds []expr.Pred) 
 }
 
 // EstimateJoin implements engine.CardEstimator by actually joining the
-// filtered samples along the query's join conditions and scaling by the
-// product of sampling rates. The join carries multiplicity-compressed
-// signatures (only the key values later conditions still need), so even
-// skewed star joins stay linear in the sample sizes. Sample joins still
-// famously underestimate sparse keys (few sample rows share join
-// partners), which the smoothing floor only partly repairs — the behaviour
-// Figure 7 shows on AEOLUS.
+// filtered samples along the query's join conditions, through the
+// executor's join pipeline (engine.JoinSize), and scaling by the product of
+// sampling rates. Sample joins still famously underestimate sparse keys
+// (few sample rows share join partners), which the smoothing floor only
+// partly repairs — the behaviour Figure 7 shows on AEOLUS. A join the
+// pipeline refuses (a table joining nothing before it in the given order,
+// or a size past its bounds) takes the heuristic estimate.
 func (e *SampleEstimator) EstimateJoin(tables []*engine.QueryTable, joins []engine.JoinCond) float64 {
-	// Each table's filtered sample rows, read cell by cell through the
-	// frame's table.
-	type tabState struct {
-		tab  *storage.Table
-		rows []int32
-	}
-	states := map[string]*tabState{}
+	samples := make([]*engine.QueryTable, len(tables))
+	rows := make([][]int32, len(tables))
 	scale := 1.0
-	for _, t := range tables {
-		full := e.frames[t.Name]
-		if full == nil || full.Len() == 0 {
+	for i, t := range tables {
+		f := e.frames[t.Name]
+		if f == nil || f.Len() == 0 {
 			return engine.HeuristicEstimator{}.EstimateJoin(tables, joins)
 		}
-		rows, err := full.Select(t.Filter, nil)
-		if err != nil {
+		var err error
+		if rows[i], err = f.Select(t.Filter, make([]int32, 0, f.Len())); err != nil {
 			return engine.HeuristicEstimator{}.EstimateJoin(tables, joins)
 		}
-		states[t.Binding] = &tabState{tab: full.Table(), rows: rows}
-		scale /= float64(full.Len()) / float64(t.Table.NumRows())
+		samples[i] = &engine.QueryTable{Binding: t.Binding, Name: t.Name, Table: f.Table()}
+		scale /= float64(f.Len()) / float64(t.Table.NumRows())
 	}
-	cell := func(binding, col string, row int32) types.Datum {
-		return states[binding].tab.ColByName(col).Value(int(row))
-	}
-
-	// A tuple is represented by the values of the columns remaining join
-	// conditions can still observe, plus a multiplicity.
-	type entry struct {
-		vals  map[string]types.Datum // "binding.col" → value
-		count float64
-	}
-	liveCols := func(inSet map[string]bool, remaining []engine.JoinCond) map[string]bool {
-		out := map[string]bool{}
-		for _, j := range remaining {
-			if inSet[j.LeftTab] {
-				out[j.LeftTab+"."+j.LeftCol] = true
-			}
-			if inSet[j.RightTab] {
-				out[j.RightTab+"."+j.RightCol] = true
-			}
-		}
-		return out
-	}
-	sigOf := func(vals map[string]types.Datum, live map[string]bool) uint64 {
-		var h uint64 = 1469598103934665603
-		for _, key := range sortedKeys(live) {
-			h = h*1099511628211 ^ vals[key].Hash64()
-		}
-		return h
-	}
-	project := func(ents map[uint64]*entry, live map[string]bool) map[uint64]*entry {
-		out := make(map[uint64]*entry, len(ents))
-		for _, en := range ents {
-			vals := map[string]types.Datum{}
-			for key := range live {
-				vals[key] = en.vals[key]
-			}
-			h := sigOf(vals, live)
-			if prev, ok := out[h]; ok {
-				prev.count += en.count
-			} else {
-				out[h] = &entry{vals: vals, count: en.count}
-			}
-		}
-		return out
-	}
-
-	inSet := map[string]bool{tables[0].Binding: true}
-	// Conds not yet applied.
-	remaining := append([]engine.JoinCond(nil), joins...)
-	first := states[tables[0].Binding]
-	cur := map[uint64]*entry{}
-	{
-		live := liveCols(inSet, remaining)
-		for _, row := range first.rows {
-			vals := map[string]types.Datum{}
-			for key := range live {
-				vals[key] = cell(tables[0].Binding, key[len(tables[0].Binding)+1:], row)
-			}
-			h := sigOf(vals, live)
-			if prev, ok := cur[h]; ok {
-				prev.count++
-			} else {
-				cur[h] = &entry{vals: vals, count: 1}
-			}
-		}
-	}
-	for _, t := range tables[1:] {
-		st := states[t.Binding]
-		var conds []engine.JoinCond
-		var rest []engine.JoinCond
-		for _, j := range remaining {
-			switch {
-			case inSet[j.LeftTab] && j.RightTab == t.Binding:
-				conds = append(conds, j)
-			case inSet[j.RightTab] && j.LeftTab == t.Binding:
-				conds = append(conds, engine.JoinCond{LeftTab: j.RightTab, LeftCol: j.RightCol, RightTab: j.LeftTab, RightCol: j.LeftCol})
-			default:
-				rest = append(rest, j)
-			}
-		}
-		if len(conds) == 0 {
-			// Disconnected prefix: the DP only asks connected subsets, so
-			// treat this as a modelling gap and fall back.
-			return engine.HeuristicEstimator{}.EstimateJoin(tables, joins)
-		}
-		remaining = rest
-		inSet[t.Binding] = true
-		live := liveCols(inSet, remaining)
-
-		// Build on the new table's sample rows, keyed by join values.
-		type buildRow struct {
-			key  []types.Datum
-			vals map[string]types.Datum
-		}
-		build := map[uint64][]buildRow{}
-		for _, row := range st.rows {
-			key := make([]types.Datum, len(conds))
-			var h uint64 = 1469598103934665603
-			for k, c := range conds {
-				key[k] = cell(t.Binding, c.RightCol, row)
-				h = h*1099511628211 ^ key[k].Hash64()
-			}
-			vals := map[string]types.Datum{}
-			for lk := range live {
-				if len(lk) > len(t.Binding) && lk[:len(t.Binding)+1] == t.Binding+"." {
-					vals[lk] = cell(t.Binding, lk[len(t.Binding)+1:], row)
-				}
-			}
-			build[h] = append(build[h], buildRow{key: key, vals: vals})
-		}
-		next := map[uint64]*entry{}
-		probeKey := make([]types.Datum, len(conds))
-		for _, en := range cur {
-			var h uint64 = 1469598103934665603
-			for k, c := range conds {
-				probeKey[k] = en.vals[c.LeftTab+"."+c.LeftCol]
-				h = h*1099511628211 ^ probeKey[k].Hash64()
-			}
-			for _, br := range build[h] {
-				match := true
-				for k := range probeKey {
-					if !probeKey[k].Equal(br.key[k]) {
-						match = false
-						break
-					}
-				}
-				if !match {
-					continue
-				}
-				vals := map[string]types.Datum{}
-				for lk := range live {
-					if v, ok := en.vals[lk]; ok {
-						vals[lk] = v
-					} else if v, ok := br.vals[lk]; ok {
-						vals[lk] = v
-					}
-				}
-				sh := sigOf(vals, live)
-				if prev, ok := next[sh]; ok {
-					prev.count += en.count
-				} else {
-					next[sh] = &entry{vals: vals, count: en.count}
-				}
-			}
-		}
-		cur = project(next, live)
-		if len(cur) == 0 {
-			break
-		}
-	}
-	var matches float64
-	for _, en := range cur {
-		matches += en.count
+	matches, err := engine.JoinSize(samples, rows, joins)
+	if err != nil {
+		return engine.HeuristicEstimator{}.EstimateJoin(tables, joins)
 	}
 	if matches == 0 {
 		// Empty sample join: smooth with half a match.
 		return math.Max(0.5*scale, 1)
 	}
-	return matches * scale
-}
-
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	return float64(matches) * scale
 }
 
 // EstimateGroupNDV implements engine.CardEstimator with the GEE estimator
 // over the filtered per-table sample profiles, multiplied across tables and
 // capped by the estimated join size.
 func (e *SampleEstimator) EstimateGroupNDV(q *engine.Query) float64 {
+	// Tables multiply in the order their first key appears, so the float
+	// product is the same on every call.
+	var bindings []string
 	perTable := map[string][]string{}
 	for _, g := range q.GroupBy {
+		if perTable[g.Tab] == nil {
+			bindings = append(bindings, g.Tab)
+		}
 		perTable[g.Tab] = append(perTable[g.Tab], g.Col)
 	}
 	ndv := 1.0
-	for binding, cols := range perTable {
+	for _, binding := range bindings {
+		cols := perTable[binding]
 		t := q.TableByBinding(binding)
 		f := e.frames[t.Name]
 		if f == nil {

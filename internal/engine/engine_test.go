@@ -88,6 +88,34 @@ func TestGroupByMatchesNaive(t *testing.T) {
 	assertResultsEqual(t, fast, slow)
 }
 
+// TestGroupByHashCollisionsMatchNaive groups by keys whose hashes once
+// collided (1e300 and 2e300 both saturated int64) or still do (2^53 and
+// 2^53+1 share a float image): the executor and the oracle must both keep
+// every distinct key its own group.
+func TestGroupByHashCollisionsMatchNaive(t *testing.T) {
+	b := storage.NewBuilder("h", []storage.ColumnSpec{{Name: "f", Kind: types.KindFloat64}, {Name: "i", Kind: types.KindInt64}})
+	for k, f := range []float64{1e300, 2e300, 1e300, 2e300, 2e300} {
+		b.Append([]types.Datum{types.Float(f), types.Int(1<<53 + int64(k%2))})
+	}
+	db := storage.NewDatabase()
+	db.Add(b.Build())
+	e := New(db, catalog.NewSchema(), HeuristicEstimator{})
+	for _, sql := range []string{"SELECT f, COUNT(*) FROM h GROUP BY f", "SELECT i, COUNT(*) FROM h GROUP BY i"} {
+		fast, err := e.Run(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slow, err := e.RunNaive(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(fast.Rows) != 2 || len(slow.Rows) != 2 {
+			t.Fatalf("%s: %d groups executed, %d from the oracle; want 2", sql, len(fast.Rows), len(slow.Rows))
+		}
+		assertResultsEqual(t, fast, slow)
+	}
+}
+
 func TestCountDistinctMatchesNaive(t *testing.T) {
 	e := toyEngine(t)
 	sql := "SELECT COUNT(DISTINCT f.dim_id, f.flag) FROM fact f WHERE f.val > 20"

@@ -92,9 +92,7 @@ func (e *Engine) ExecuteTraced(p *Plan, tr *obs.Trace) (*Result, error) {
 		return nil, err
 	}
 	m.EstFinalRows = p.EstFinalRows
-	for _, c := range inter.counts {
-		m.ActualFinalRows += c
-	}
+	m.ActualFinalRows = inter.size()
 
 	var res *Result
 	if len(q.Select) > 0 {
@@ -369,20 +367,10 @@ func (e *Engine) executeJoins(q *Query, p *Plan, states []*scanState, m *Metrics
 // by the intermediate's key set) and joins it to inter. remaining lists the
 // tables still to be joined afterwards.
 func (e *Engine) joinNext(q *Query, p *Plan, states []*scanState, inter *intermediate, next int, remaining []int, bindingIdx map[string]int, m *Metrics, ex *execCtx) (*intermediate, error) {
-	var conds []JoinCond
-	for _, j := range q.Joins {
-		l, r := bindingIdx[j.LeftTab], bindingIdx[j.RightTab]
-		if inter.pos(l) >= 0 && r == next {
-			conds = append(conds, j)
-		} else if inter.pos(r) >= 0 && l == next {
-			// Normalize so Left references the intermediate side.
-			conds = append(conds, JoinCond{LeftTab: j.RightTab, LeftCol: j.RightCol, RightTab: j.LeftTab, RightCol: j.LeftCol})
-		}
+	js, ok, err := bindJoinStep(q, inter, states, next, bindingIdx)
+	if err != nil {
+		return nil, err
 	}
-	if len(conds) == 0 {
-		return nil, fmt.Errorf("engine: table %s joins nothing in the current prefix", q.Tables[next].Binding)
-	}
-	js, ok := bindJoinStep(q, inter, states, next, conds, bindingIdx)
 	if !ok {
 		return &intermediate{tabs: append(inter.tabs, next)}, nil
 	}

@@ -39,6 +39,15 @@ func scanIntermediate(tab int, rows []int32) *intermediate {
 
 func (in *intermediate) len() int { return len(in.counts) }
 
+// size is the relation's logical cardinality: its multiplicities' sum.
+func (in *intermediate) size() int64 {
+	var n int64
+	for _, c := range in.counts {
+		n += c
+	}
+	return n
+}
+
 // pos returns the column position of query table tab, or -1.
 func (in *intermediate) pos(tab int) int {
 	for k, t := range in.tabs {
@@ -425,26 +434,36 @@ type joinStep struct {
 	rows  []int32
 }
 
-// bindJoinStep resolves the step's join conditions against the
-// intermediate's layout and the two sides' column kinds. ok is false when
-// some condition compares kinds no value of which can be equal: the join
-// is empty.
-func bindJoinStep(q *Query, inter *intermediate, states []*scanState, next int, conds []JoinCond, bindingIdx map[string]int) (*joinStep, bool) {
+// bindJoinStep gathers the join conditions between table next and the
+// intermediate's tables and resolves them against the intermediate's
+// layout and the two sides' column kinds. A table no condition connects to
+// the intermediate is an error. ok is false when some condition compares
+// kinds no value of which can be equal: the join is empty.
+func bindJoinStep(q *Query, inter *intermediate, states []*scanState, next int, bindingIdx map[string]int) (*joinStep, bool, error) {
 	js := &joinStep{q: q, states: states, bindingIdx: bindingIdx, inter: inter, next: next}
-	for _, c := range conds {
-		lt := bindingIdx[c.LeftTab]
-		lcol := q.Tables[lt].Table.ColByName(c.LeftCol)
-		rcol := q.Tables[next].Table.ColByName(c.RightCol)
-		l, r, ok := pairCodecs(lcol, rcol)
-		if !ok {
-			return nil, false
+	for _, j := range q.Joins {
+		l, r := bindingIdx[j.LeftTab], bindingIdx[j.RightTab]
+		if inter.pos(r) >= 0 && l == next {
+			// Normalize so Left references the intermediate side.
+			j = JoinCond{LeftTab: j.RightTab, LeftCol: j.RightCol, RightTab: j.LeftTab, RightCol: j.LeftCol}
+			l, r = r, l
 		}
-		l.r, l.pos = states[lt].reader(c.LeftCol), inter.pos(lt)
-		js.left = append(js.left, l)
-		js.right = append(js.right, r)
-		js.rightCols = append(js.rightCols, c.RightCol)
+		if inter.pos(l) < 0 || r != next {
+			continue
+		}
+		lc, rc, ok := pairCodecs(q.Tables[l].Table.ColByName(j.LeftCol), q.Tables[next].Table.ColByName(j.RightCol))
+		if !ok {
+			return nil, false, nil
+		}
+		lc.r, lc.pos = states[l].reader(j.LeftCol), inter.pos(l)
+		js.left = append(js.left, lc)
+		js.right = append(js.right, rc)
+		js.rightCols = append(js.rightCols, j.RightCol)
 	}
-	return js, true
+	if len(js.left) == 0 {
+		return nil, false, fmt.Errorf("engine: table %s joins nothing in the current prefix", q.Tables[next].Binding)
+	}
+	return js, true, nil
 }
 
 // internKeys interns every tuple's join key.
@@ -644,4 +663,60 @@ func (js *joinStep) parallelMerge(sigL, sigR []wordCol, workers int) *mergeTable
 		mt.absorb(p)
 	}
 	return mt
+}
+
+// maxJoinSize bounds JoinSize's multiplicities, well inside int64.
+const maxJoinSize = 1 << 62
+
+// JoinSize returns the number of tuples in the join of tables along joins,
+// where table i contributes only its rows rows[i]. The tables are folded in
+// the order given through the executor's join pipeline, sequentially and
+// without SIP or I/O accounting. It is an error when a table joins nothing
+// in the prefix before it, when a condition names a table not given, when a
+// step's matches pass MaxIntermediateRows, or when a step's size could pass
+// 2^62 (its input size times its largest right-side group).
+func JoinSize(tables []*QueryTable, rows [][]int32, joins []JoinCond) (int64, error) {
+	if len(tables) == 0 {
+		return 0, fmt.Errorf("engine: join of no tables")
+	}
+	q := &Query{Tables: tables, Joins: joins}
+	bindingIdx := make(map[string]int, len(tables))
+	states := make([]*scanState, len(tables))
+	order := make([]int, len(tables))
+	for i, t := range tables {
+		bindingIdx[t.Binding] = i
+		states[i] = &scanState{t: t, rows: rows[i], readers: map[string]*storage.Reader{}}
+		order[i] = i
+	}
+	for _, j := range joins {
+		_, l := bindingIdx[j.LeftTab]
+		_, r := bindingIdx[j.RightTab]
+		if !l || !r {
+			return 0, fmt.Errorf("engine: join condition %s names a table not joined", j)
+		}
+	}
+	inter := compress(q, bindingIdx, scanIntermediate(0, rows[0]), states, order[1:])
+	var m Metrics
+	for next := 1; next < len(tables); next++ {
+		js, ok, err := bindJoinStep(q, inter, states, next, bindingIdx)
+		if !ok {
+			return 0, err
+		}
+		js.internKeys()
+		js.groupRight()
+		var widest int64
+		for g := 1; g < len(js.start); g++ {
+			widest = max(widest, int64(js.start[g]-js.start[g-1]))
+		}
+		if widest > 0 && inter.size() > maxJoinSize/widest {
+			return 0, fmt.Errorf("engine: join size may exceed 2^62")
+		}
+		if inter, err = js.probe(order[next+1:], &m, nil); err != nil {
+			return 0, err
+		}
+		if inter.len() == 0 {
+			return 0, nil
+		}
+	}
+	return inter.size(), nil
 }

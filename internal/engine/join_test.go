@@ -3,7 +3,9 @@ package engine
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"bytecard/internal/catalog"
@@ -487,5 +489,182 @@ func BenchmarkJoinStep(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*tuples), "ns/tuple")
 		})
+	}
+}
+
+// joinSizeBase is a physical table for the JoinSize differential test: two
+// int keys and a float, holding integral values, halves and −0, and a
+// string key over a dictionary of its own (prefix), all of low cardinality.
+func joinSizeBase(rng *rand.Rand, name, prefix string, n int) *storage.Table {
+	b := storage.NewBuilder(name, []storage.ColumnSpec{
+		{Name: "i", Kind: types.KindInt64},
+		{Name: "j", Kind: types.KindInt64},
+		{Name: "f", Kind: types.KindFloat64},
+		{Name: "s", Kind: types.KindString},
+	})
+	floats := []float64{0, math.Copysign(0, -1), 1, 2, 2.5}
+	for r := 0; r < n; r++ {
+		b.Append([]types.Datum{
+			types.Int(int64(rng.Intn(3))),
+			types.Int(int64(rng.Intn(4))),
+			types.Float(floats[rng.Intn(len(floats))]),
+			types.Str(fmt.Sprintf("%s%d", prefix, rng.Intn(3))),
+		})
+	}
+	return b.Build()
+}
+
+// naiveJoinSize is the oracle: RunNaive's COUNT(*) over each binding's
+// rows gathered into a table of its own.
+func naiveJoinSize(t *testing.T, tables []*QueryTable, rows [][]int32, joins []JoinCond) int64 {
+	t.Helper()
+	db := storage.NewDatabase()
+	var from, where []string
+	for i, qt := range tables {
+		g := qt.Table.Gather(rows[i])
+		name := fmt.Sprintf("g%d", i)
+		b := storage.NewBuilder(name, []storage.ColumnSpec{
+			{Name: "i", Kind: types.KindInt64}, {Name: "j", Kind: types.KindInt64},
+			{Name: "f", Kind: types.KindFloat64}, {Name: "s", Kind: types.KindString},
+		})
+		for r := 0; r < g.NumRows(); r++ {
+			b.Append(g.Row(r))
+		}
+		db.Add(b.Build())
+		from = append(from, name+" "+qt.Binding)
+	}
+	for _, j := range joins {
+		where = append(where, j.String())
+	}
+	sql := "SELECT COUNT(*) FROM " + strings.Join(from, ", ") + " WHERE " + strings.Join(where, " AND ")
+	res, err := New(db, catalog.NewSchema(), HeuristicEstimator{}).RunNaive(sql)
+	if err != nil {
+		t.Fatalf("%s: %v", sql, err)
+	}
+	n, err := res.ScalarInt()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestJoinSizeMatchesNaive is JoinSize's differential test: random 2–6
+// table trees over three physical tables (so bindings often alias one
+// table — self-joins whose string keys share a dictionary), with int,
+// float, string and mixed int↔float keys, steps of one or two conditions,
+// empty selections, and low-cardinality keys whose outputs cross
+// compressThreshold. Every count must equal the oracle's.
+func TestJoinSizeMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	bases := []*storage.Table{
+		joinSizeBase(rng, "p", "a", 40),
+		joinSizeBase(rng, "q", "b", 40),
+		joinSizeBase(rng, "r", "a", 3000),
+	}
+	pairs := [][2]string{{"i", "i"}, {"i", "j"}, {"j", "j"}, {"f", "f"}, {"i", "f"}, {"f", "j"}, {"s", "s"}}
+	var compressed int
+	for trial := 0; trial < 120; trial++ {
+		// Every fourth trial starts from a big table (the scan-side
+		// compress); every fourth joins one second, so a middle step's
+		// matches cross compressThreshold and the merged relation feeds
+		// later steps.
+		n, big := 2+rng.Intn(5), -1
+		switch trial % 4 {
+		case 0:
+			big = 0
+		case 1:
+			n, big = 3+rng.Intn(2), 1
+		}
+		tables := make([]*QueryTable, n)
+		rows := make([][]int32, n)
+		var joins []JoinCond
+		for k := range tables {
+			base := bases[rng.Intn(2)]
+			size := rng.Intn(17)
+			if k == big {
+				base, size = bases[2], 1100+rng.Intn(500)
+			}
+			if rng.Intn(10) == 0 {
+				size = 0
+			}
+			tables[k] = &QueryTable{Binding: fmt.Sprintf("b%d", k), Name: base.Name(), Table: base}
+			for _, r := range rng.Perm(base.NumRows())[:size] {
+				rows[k] = append(rows[k], int32(r))
+			}
+			if k == 0 {
+				continue
+			}
+			parent := fmt.Sprintf("b%d", rng.Intn(k))
+			for c := 1 + rng.Intn(3)/2; c > 0; c-- {
+				p := pairs[rng.Intn(len(pairs))]
+				j := JoinCond{LeftTab: tables[k].Binding, LeftCol: p[0], RightTab: parent, RightCol: p[1]}
+				if rng.Intn(2) == 0 {
+					j = JoinCond{LeftTab: j.RightTab, LeftCol: j.RightCol, RightTab: j.LeftTab, RightCol: j.LeftCol}
+				}
+				joins = append(joins, j)
+			}
+		}
+		rng.Shuffle(len(joins), func(a, b int) { joins[a], joins[b] = joins[b], joins[a] })
+		got, err := JoinSize(tables, rows, joins)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if want := naiveJoinSize(t, tables, rows, joins); got != want {
+			t.Fatalf("trial %d: JoinSize = %d, oracle %d (joins %v)", trial, got, want, joins)
+		}
+		if got >= compressThreshold {
+			compressed++
+		}
+	}
+	if compressed < 10 {
+		t.Errorf("only %d trials reached compressThreshold; the merge path is under-exercised", compressed)
+	}
+}
+
+// TestJoinSizeErrors: a table that joins nothing before it in the given
+// order — even after an empty prefix — and a condition naming a table not
+// given are errors, not counts.
+func TestJoinSizeErrors(t *testing.T) {
+	base := joinSizeBase(rand.New(rand.NewSource(1)), "p", "a", 20)
+	tab := func(b string) *QueryTable { return &QueryTable{Binding: b, Name: "p", Table: base} }
+	all := allRows(base.NumRows())
+	chain := []JoinCond{{LeftTab: "a", LeftCol: "i", RightTab: "c", RightCol: "i"}, {LeftTab: "c", LeftCol: "j", RightTab: "b", RightCol: "j"}}
+	abc := []*QueryTable{tab("a"), tab("b"), tab("c")}
+	for _, rows := range [][][]int32{{all, all, all}, {nil, all, all}} {
+		if _, err := JoinSize(abc, rows, chain); err == nil || !strings.Contains(err.Error(), "joins nothing") {
+			t.Errorf("b joins nothing before it: err = %v", err)
+		}
+	}
+	// In a connected order the same tables join fine.
+	if _, err := JoinSize([]*QueryTable{tab("a"), tab("c"), tab("b")}, [][]int32{all, all, all}, chain); err != nil {
+		t.Errorf("connected order: %v", err)
+	}
+	stray := []JoinCond{{LeftTab: "a", LeftCol: "i", RightTab: "b", RightCol: "i"}, {LeftTab: "b", LeftCol: "i", RightTab: "z", RightCol: "i"}}
+	if _, err := JoinSize(abc[:2], [][]int32{all, all}, stray); err == nil {
+		t.Error("a condition naming an absent table must be an error")
+	}
+
+	// A star of 1000-row tables on one key value: six tables count 10^18
+	// exactly; a seventh could pass 2^62 and is refused.
+	flat := storage.NewBuilder("flat", []storage.ColumnSpec{{Name: "k", Kind: types.KindInt64}})
+	for r := 0; r < 1000; r++ {
+		flat.Append([]types.Datum{types.Int(7)})
+	}
+	ft := flat.Build()
+	var star []*QueryTable
+	var starRows [][]int32
+	var starJoins []JoinCond
+	for k := 0; k < 7; k++ {
+		star = append(star, &QueryTable{Binding: fmt.Sprintf("s%d", k), Name: "flat", Table: ft})
+		starRows = append(starRows, allRows(1000))
+		if k > 0 {
+			starJoins = append(starJoins, JoinCond{LeftTab: "s0", LeftCol: "k", RightTab: star[k].Binding, RightCol: "k"})
+		}
+	}
+	if n, err := JoinSize(star[:6], starRows[:6], starJoins[:5]); err != nil || n != 1e18 {
+		t.Errorf("six-table star = %d, %v; want 10^18", n, err)
+	}
+	if _, err := JoinSize(star, starRows, starJoins); err == nil || !strings.Contains(err.Error(), "2^62") {
+		t.Errorf("seven-table star: err = %v, want the 2^62 bound", err)
 	}
 }

@@ -96,17 +96,27 @@ func (e *Engine) RunNaive(sql string) (*Result, error) {
 		key  []types.Datum
 		accs []aggAcc
 	}
-	groups := map[uint64]*group{}
+	// Groups chain under their key's hash and are told apart by keysEqual:
+	// the oracle never lets a hash stand in for equality.
+	var groups []*group
+	byHash := map[uint64][]*group{}
 	for _, tuple = range match {
 		key := make([]types.Datum, len(q.GroupBy))
 		for i, g := range q.GroupBy {
 			key[i] = at(g, tuple)
 		}
 		h := hashKey(key)
-		g, ok := groups[h]
-		if !ok {
+		var g *group
+		for _, c := range byHash[h] {
+			if keysEqual(c.key, key) {
+				g = c
+				break
+			}
+		}
+		if g == nil {
 			g = &group{key: key, accs: newAccs(q.Aggs)}
-			groups[h] = g
+			byHash[h] = append(byHash[h], g)
+			groups = append(groups, g)
 		}
 		updateAccs(g.accs, q.Aggs, fetch, 1)
 	}

@@ -74,8 +74,8 @@ func (r *Reservoir) Rate() float64 {
 type Frame struct {
 	tab *storage.Table
 	// codes[j][i] is row i's identity code in column j, dense in
-	// [0, card[j]): two cells share a code exactly when their
-	// types.Datum.Hash64 is equal.
+	// [0, card[j]) and numbered in first-occurrence order: two cells share
+	// a code exactly when they hold equal values (see cellWord).
 	codes [][]uint32
 	card  []uint64
 	pop   int64 // size of the population the sample was drawn from
@@ -96,23 +96,42 @@ func SampleTable(t *storage.Table, capacity int, seed int64) *Frame {
 func newFrame(base *storage.Table, ids []int32, pop int64) *Frame {
 	tab := base.Gather(ids)
 	f := &Frame{tab: tab, codes: make([][]uint32, tab.NumCols()), card: make([]uint64, tab.NumCols()), pop: pop}
-	byHash := map[uint64]uint32{}
+	byWord := map[uint64]uint32{}
 	for j := range f.codes {
 		col := tab.Col(j)
+		r := col.NewReader(nil)
 		codes := make([]uint32, tab.NumRows())
-		clear(byHash)
+		clear(byWord)
 		for i := range codes {
-			h := col.Value(i).Hash64()
-			c, ok := byHash[h]
+			w := cellWord(r, col.Kind(), i)
+			c, ok := byWord[w]
 			if !ok {
-				c = uint32(len(byHash))
-				byHash[h] = c
+				c = uint32(len(byWord))
+				byWord[w] = c
 			}
 			codes[i] = c
 		}
-		f.codes[j], f.card[j] = codes, uint64(len(byHash))
+		f.codes[j], f.card[j] = codes, uint64(len(byWord))
 	}
 	return f
+}
+
+// cellWord is row i's value as one word: the int64 of an int column, the
+// bits (−0 folded into +0) of a float column, and the dictionary code of any
+// other. Two cells of one column have equal words exactly when they hold
+// the same value (a NaN is identified by its bit pattern).
+func cellWord(r *storage.Reader, k types.Kind, i int) uint64 {
+	switch k {
+	case types.KindInt64:
+		return uint64(r.Int(i))
+	case types.KindFloat64:
+		if f := r.Float(i); f != 0 {
+			return math.Float64bits(f)
+		}
+		return 0
+	default:
+		return uint64(r.Code(i))
+	}
 }
 
 // Len returns the number of sample rows.

@@ -319,7 +319,8 @@ func TestQuickProfileInvariants(t *testing.T) {
 }
 
 // testColumns are the property test's columns: narrow and wide ints,
-// floats over a pool holding −0/+0, integral values and ±Inf, wide floats,
+// floats over a pool holding −0/+0, integral values (some past int64's
+// range) and ±Inf, wide floats,
 // and narrow and wide strings.
 var testColumns = []storage.ColumnSpec{
 	{Name: "i_narrow", Kind: types.KindInt64},
@@ -330,7 +331,7 @@ var testColumns = []storage.ColumnSpec{
 	{Name: "s_wide", Kind: types.KindString},
 }
 
-var floatPool = []float64{math.Copysign(0, -1), 0, 1, -1, 2, 2.5, -3.75, 1e6, 1e300, math.Inf(1), math.Inf(-1), 0.1}
+var floatPool = []float64{math.Copysign(0, -1), 0, 1, -1, 2, 2.5, -3.75, 1e6, 1e300, 2e300, -1e19, math.Inf(1), math.Inf(-1), 0.1}
 
 func testTable(rng *rand.Rand, n int) *storage.Table {
 	b := storage.NewBuilder("t", testColumns)

@@ -191,8 +191,8 @@ func (d Datum) Equal(o Datum) bool { return d.Compare(o) == 0 }
 func (d Datum) Less(o Datum) bool { return d.Compare(o) < 0 }
 
 // Hash64 returns a 64-bit hash of the datum, suitable for hash joins,
-// aggregation tables, and HyperLogLog registration. Int64 and float64
-// datums holding the same integral value hash identically.
+// aggregation tables, and HyperLogLog registration. Equal non-NaN numeric
+// datums hash identically, int64 and float64 alike.
 func (d Datum) Hash64() uint64 {
 	// FNV-1a, inlined: no hash.Hash64 interface value and no []byte(d.S)
 	// conversion on what is a per-row path (HLL registration, aggregation
@@ -208,9 +208,10 @@ func (d Datum) Hash64() uint64 {
 	}
 	f := d.AsFloat()
 	tag, v := uint64('f'), math.Float64bits(f)
-	if f == math.Trunc(f) && !math.IsInf(f, 0) {
+	if f == math.Trunc(f) && f >= -1<<63 && f < 1<<63 {
 		// Normalize integral values so Int(3) and Float(3.0) land in the
-		// same hash bucket.
+		// same hash bucket. Only values int64 holds: past its range the
+		// conversion saturates, and every huge float would hash alike.
 		tag, v = 'i', uint64(int64(f))
 	}
 	h := uint64(fnvOffset64)

@@ -161,13 +161,34 @@ func TestQuickCompareAntisymmetric(t *testing.T) {
 	}
 }
 
-// Property: hash is deterministic.
+// Property: hash is deterministic, and equal non-NaN numeric datums —
+// int or float, −0 or +0, inside or past int64's range — hash equal.
 func TestQuickHashDeterministic(t *testing.T) {
-	f := func(a int64) bool {
+	f := func(a int64, b float64, exp uint8) bool {
+		c := math.Ldexp(math.Trunc(b), int(exp%80)) // integral, often past ±2^63
+		ds := []Datum{Int(a), Float(float64(a)), Float(b), Float(-b), Float(c), Float(-c), Float(math.Copysign(0, -1)), Int(0)}
+		if c >= -1<<63 && c < 1<<63 {
+			ds = append(ds, Int(int64(c)))
+		}
+		for _, x := range ds {
+			for _, y := range ds {
+				if !math.IsNaN(x.AsFloat()) && !math.IsNaN(y.AsFloat()) && x.Equal(y) && x.Hash64() != y.Hash64() {
+					return false
+				}
+			}
+		}
 		return Int(a).Hash64() == Int(a).Hash64()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+	huge := []Datum{Float(1e300), Float(2e300), Float(1e19), Float(-1e300), Int(math.MinInt64)}
+	for i, x := range huge {
+		for _, y := range huge[i+1:] {
+			if x.Hash64() == y.Hash64() {
+				t.Errorf("%v and %v hash alike", x, y)
+			}
+		}
 	}
 }
 
@@ -213,6 +234,13 @@ func TestHash64Golden(t *testing.T) {
 		{Float(math.Copysign(0, -1)), 0xf91e3bab850ef2ff},
 		{Float(math.Inf(1)), 0xa10577887b2d4439},
 		{Float(math.Inf(-1)), 0x47740380e6291125},
+		{Float(-1 << 63), 0x945abbad40a5e44e},
+		// Integral floats outside int64's range hash by their bits, each
+		// its own value (they once all saturated to MinInt64's hash).
+		{Float(1e300), 0xd2baa1586fdcc7bf},
+		{Float(2e300), 0x0a35d80bcec84480},
+		{Float(1e19), 0xc7941481531bf752},
+		{Float(-1e300), 0x9911f76183c3b9f7},
 		{Str(""), 0xcc38350dbfbd2cea},
 		{Str("a"), 0xc9249dc50390899c},
 		{Str("hello world"), 0xa2cd37b7d5420eef},
