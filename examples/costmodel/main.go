@@ -1,8 +1,9 @@
 // Costmodel: demonstrates the paper's "future integration" — a
-// query-driven learned cost model trained on runtime traces and deployed
-// through the same framework (store → loader → inference engine) as the
-// cardinality models. The trained model predicts per-plan latency, the
-// input for admission control and workload management.
+// query-driven learned cost model trained on runtime traces. The trained
+// model predicts per-plan latency, the input for admission control and
+// workload management. No planner consumes that prediction yet, so the
+// model is trained and evaluated here, in process, rather than deployed
+// through the Inference Engine.
 //
 //	go run ./examples/costmodel
 package main
@@ -47,20 +48,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 2. ModelForge trains the cost model and stores the artifact; the
-	// Model Loader ships it into the Inference Engine like any other model.
+	// 2. Train the cost model on most of the traces.
 	train, test := traces[:80], traces[80:]
-	if _, err := sys.Forge.TrainCostModel(train, costmodel.TrainConfig{Seed: 7}); err != nil {
+	model, err := costmodel.Train(train, costmodel.TrainConfig{Seed: 7})
+	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := sys.RefreshModels(); err != nil {
-		log.Fatal(err)
-	}
-	model := sys.Infer.CostModel()
-	if model == nil {
-		log.Fatal("cost model not loaded")
-	}
-	fmt.Printf("Cost model trained on %d traces (%.0f KB) and loaded.\n\n",
+	fmt.Printf("Cost model trained on %d traces (%.0f KB).\n\n",
 		len(train), float64(model.SizeBytes())/1024)
 
 	// 3. Evaluate held-out prediction quality against a mean baseline.
@@ -72,7 +66,6 @@ func main() {
 	var modelErr, baseErr float64
 	for _, tr := range test {
 		y := math.Log1p(tr.Millis)
-		//bytecard:directcall-ok offline evaluation measures the raw model; no query depends on the output
 		p := math.Log1p(model.PredictMillis(tr.Features))
 		modelErr += (p - y) * (p - y)
 		baseErr += (meanLog - y) * (meanLog - y)
@@ -90,7 +83,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	predicted := model.PredictPlan(plan) //bytecard:directcall-ok demo compares the raw prediction against the measured runtime
+	predicted := model.PredictPlan(plan)
 	res, err := sys.Engine.Execute(plan)
 	if err != nil {
 		log.Fatal(err)

@@ -196,7 +196,9 @@ func (c *Context) upward(sc *scratch, weights [][]float64) {
 // The returned tables are freshly checked-out scratch the caller owns; the
 // hot paths inside this package reuse pooled scratch via marginals instead.
 func (c *Context) Marginals(weights [][]float64) (float64, [][]float64, [][]float64) {
-	sc := c.getScratch() //bytecard:pool-ok belief/pair escape to the caller, which owns them; GC reclaims the scratch with the result
+	// Not returned to the pool: belief and pair escape to the caller, which
+	// owns them; GC reclaims the scratch with the result.
+	sc := c.getScratch()
 	pe := c.marginals(sc, weights)
 	return pe, sc.belief, sc.pair
 }

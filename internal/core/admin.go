@@ -13,8 +13,7 @@ import (
 //
 // Model keys follow the registry convention: "bn:<table>" for single-table
 // Bayesian networks, "factorjoin" for the join model, "rbx" for the NDV
-// model, "rbx:<table.column>" for per-column RBX calibration state, and
-// "costmodel" for the learned cost model.
+// model, and "rbx:<table.column>" for per-column RBX calibration state.
 type ModelAdmin struct {
 	e *InferenceEngine
 }

@@ -22,10 +22,13 @@ const (
 	KindBN         ModelKind = "bn"
 	KindFactorJoin ModelKind = "factorjoin"
 	KindRBX        ModelKind = "rbx"
-	// KindCost is the learned cost model — the paper's planned next
-	// ML-enhanced component, deployed through the same framework.
-	KindCost ModelKind = "costmodel"
 )
+
+// Retired reports whether k names a model family the Inference Engine no
+// longer serves: the learned cost model ("costmodel"), which stores written
+// by earlier versions may still hold. The Model Loader skips such artifacts
+// instead of failing every refresh on them.
+func (k ModelKind) Retired() bool { return k == "costmodel" }
 
 // Artifact is one serialized model as stored in (and loaded from) the
 // model store: the unit the Model Loader ships between the ModelForge
@@ -57,7 +60,7 @@ func (a *Artifact) Validate() error {
 		if a.Table == "" {
 			return fmt.Errorf("core: BN artifact %s without table", a.Name)
 		}
-	case KindFactorJoin, KindRBX, KindCost:
+	case KindFactorJoin, KindRBX:
 	default:
 		return fmt.Errorf("core: artifact %s has unknown kind %q", a.Name, a.Kind)
 	}

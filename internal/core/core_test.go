@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -10,11 +11,13 @@ import (
 	"bytecard/internal/core"
 	"bytecard/internal/datagen"
 	"bytecard/internal/engine"
+	"bytecard/internal/expr"
 	"bytecard/internal/loader"
 	"bytecard/internal/modelforge"
 	"bytecard/internal/modelstore"
 	"bytecard/internal/rbx"
 	"bytecard/internal/sqlparse"
+	"bytecard/internal/types"
 )
 
 // pipeline trains Toy models into a temp store and loads them into a fresh
@@ -230,6 +233,48 @@ func TestLoadModelSizeChecker(t *testing.T) {
 	if infer.Snapshot().Tables != 0 {
 		t.Error("no BN should have been installed")
 	}
+
+	// The registry bound never rejects and never splits a table: three
+	// shards of fact, together past the bound, are all served and evict
+	// dim; reloading dim then evicts all of fact.
+	fact, err := store.Get("toy/bn/fact")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dim, err := store.Get("toy/bn/dim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := int64(len(fact.Data))
+	infer = core.NewInferenceEngine(core.Options{MaxTotalBytes: 2 * size})
+	if err := infer.LoadModel(dim); err != nil {
+		t.Fatal(err)
+	}
+	for shard := 0; shard < 3; shard++ {
+		a := fact
+		a.Name, a.Shard = fmt.Sprintf("toy/bn/fact#%d", shard), shard
+		if err := infer.LoadModel(a); err != nil {
+			t.Fatalf("shard %d: %v", shard, err)
+		}
+	}
+	if ctxs, ok := infer.BNContexts("fact"); !ok || len(ctxs) != 3 {
+		t.Errorf("fact serves %d shards (ok=%v), want 3", len(ctxs), ok)
+	}
+	if _, ok := infer.BNContexts("dim"); ok {
+		t.Error("dim must have been evicted")
+	}
+	if snap := infer.Snapshot(); snap.Tables != 1 || snap.TotalSize != 3*size || snap.Rejects != 0 {
+		t.Errorf("after the shards: %+v, want fact alone at %d bytes", snap, 3*size)
+	}
+	if err := infer.LoadModel(dim); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := infer.BNContexts("fact"); ok {
+		t.Error("fact must have been evicted whole")
+	}
+	if snap := infer.Snapshot(); snap.Tables != 1 || snap.TotalSize != int64(len(dim.Data)) {
+		t.Errorf("after reloading dim: %+v", snap)
+	}
 }
 
 func TestLRUEviction(t *testing.T) {
@@ -426,6 +471,49 @@ func TestConcurrentEstimationWhileLoading(t *testing.T) {
 	}
 }
 
+// constHook answers every guarded model call with one value.
+type constHook float64
+
+func (constHook) Before(string)                       {}
+func (h constHook) Transform(string, float64) float64 { return float64(h) }
+
+// TestEstimatorAnswersStayInBounds is the estimator's boundary check. The
+// engine.CardEstimator methods return float64, so no type keeps their
+// answers bounded: whatever the models say — far too much, zero, or a
+// subnormal — each method must return a finite value inside the bounds of
+// what it estimates, without falling back.
+func TestEstimatorAnswersStayInBounds(t *testing.T) {
+	infer, est, exec, ds := pipeline(t)
+	filter := analyzed(t, exec, "SELECT COUNT(*) FROM fact WHERE val < 40")
+	join := analyzed(t, exec, "SELECT d.cat, COUNT(*) FROM fact f, dim d WHERE f.dim_id = d.id AND f.val < 40 GROUP BY d.cat")
+	preds := []expr.Pred{{Table: "fact", Col: "val", Op: expr.OpLt, Val: types.Int(40)}}
+	rows := float64(ds.DB.Table("fact").NumRows())
+	cartesian := rows * float64(ds.DB.Table("dim").NumRows())
+	for _, model := range []float64{1e300, 0, 5e-324} {
+		est.Guard.SetHook(constHook(model))
+		infer.FlushCaches()
+		fallbacks := est.Fallbacks()
+		got := []struct {
+			method    string
+			v, lo, hi float64
+		}{
+			{"EstimateFilter", est.EstimateFilter(filter.Tables[0]), 1, rows},
+			{"EstimateConj", est.EstimateConj(filter.Tables[0], preds), 0, 1},
+			{"EstimateJoin", est.EstimateJoin(join.Tables, join.Joins), 1, cartesian},
+			{"EstimateJoinBatch", est.EstimateJoinBatch([]engine.JoinBatchItem{{Tables: join.Tables, Conds: join.Joins}}, 1)[0], 1, cartesian},
+			{"EstimateGroupNDV", est.EstimateGroupNDV(join), 1, cartesian},
+		}
+		for _, g := range got {
+			if !(g.v >= g.lo && g.v <= g.hi) {
+				t.Errorf("models answering %g: %s = %g, outside [%g, %g]", model, g.method, g.v, g.lo, g.hi)
+			}
+		}
+		if est.Fallbacks() != fallbacks {
+			t.Errorf("models answering %g: %d fallbacks, want the answers clamped", model, est.Fallbacks()-fallbacks)
+		}
+	}
+}
+
 // TestOrFilterInJoinEstimation verifies inclusion–exclusion flows through
 // the FactorJoin count source.
 func TestOrFilterInJoinEstimation(t *testing.T) {
@@ -445,11 +533,12 @@ func TestOrFilterInJoinEstimation(t *testing.T) {
 	}
 }
 
+// TestSnapshotAndCostModelAbsent checks an empty registry's snapshot, and
+// that the learned cost model is not a kind the registry serves: it is
+// trained and evaluated offline (examples/costmodel) and no planner
+// consumes it.
 func TestSnapshotAndCostModelAbsent(t *testing.T) {
 	infer := core.NewInferenceEngine(core.Options{})
-	if infer.CostModel() != nil {
-		t.Error("empty engine must have no cost model")
-	}
 	snap := infer.Snapshot()
 	if snap.Tables != 0 || snap.Loads != 0 || snap.HasFJ || snap.HasRBX {
 		t.Errorf("empty snapshot = %+v", snap)
@@ -457,8 +546,9 @@ func TestSnapshotAndCostModelAbsent(t *testing.T) {
 	if !infer.Admin().State("bn:ghost").Timestamp.IsZero() {
 		t.Error("unknown model must have zero timestamp")
 	}
-	if !infer.Admin().State("costmodel").Timestamp.IsZero() {
-		t.Error("missing cost model must have zero timestamp")
+	err := infer.LoadModel(core.Artifact{Name: "toy/costmodel", Kind: "costmodel", Timestamp: time.Now(), Data: []byte("model")})
+	if err == nil {
+		t.Error("the registry must not accept a cost-model artifact")
 	}
 }
 
@@ -472,7 +562,7 @@ func TestLoadModelUnknownKind(t *testing.T) {
 
 func TestCorruptFactorJoinAndRBXRejected(t *testing.T) {
 	infer := core.NewInferenceEngine(core.Options{})
-	for _, kind := range []core.ModelKind{core.KindFactorJoin, core.KindRBX, core.KindCost} {
+	for _, kind := range []core.ModelKind{core.KindFactorJoin, core.KindRBX} {
 		err := infer.LoadModel(core.Artifact{
 			Name: "bad", Kind: kind, Timestamp: time.Now(), Data: []byte("garbage"),
 		})

@@ -1,15 +1,15 @@
 package core
 
 import (
-	"container/list"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
 	"bytecard/internal/bn"
-	"bytecard/internal/costmodel"
 	"bytecard/internal/factorjoin"
+	"bytecard/internal/lru"
 	"bytecard/internal/rbx"
 )
 
@@ -19,8 +19,10 @@ type Options struct {
 	// MaxModelBytes rejects any single model above this size (the
 	// per-model size check); 0 means 64 MiB.
 	MaxModelBytes int64
-	// MaxTotalBytes caps the cumulative loaded size; least recently used
-	// BN models are evicted beyond it. 0 means 512 MiB.
+	// MaxTotalBytes caps the cumulative loaded size of the BN models;
+	// least recently used tables are evicted beyond it, except the table
+	// just loaded, which stays even if its models alone exceed it. 0 means
+	// 512 MiB.
 	MaxTotalBytes int64
 	// Breaker tunes the per-model-key circuit breakers (zero values take
 	// the BreakerConfig defaults).
@@ -47,39 +49,33 @@ type bnEntry struct {
 	size      int64
 }
 
-// tableModels groups the shard entries of one table.
-type tableModels struct {
-	shards  []*bnEntry
-	lruElem *list.Element
-}
-
 // InferenceEngine is the central hub for deployed inference algorithms: it
 // loads and validates models, builds their immutable inference contexts
 // (initContext), enforces size limits with LRU retention, and serves
 // concurrent query threads: the contexts it hands out are immutable, so
 // estimation itself runs without any registry lock. Lookups do lock —
 // BNContexts takes the exclusive lock briefly, because it moves the table
-// to the front of the retention LRU; the whole-warehouse model getters
-// (FactorJoin, RBX, ...) take the read lock.
+// to the front of the retention LRU (under the read lock, concurrent
+// lookups would queue on the LRU's own mutex instead, a worse tail); the
+// whole-warehouse model getters (FactorJoin, RBX, ...) take the read lock.
 type InferenceEngine struct {
 	opts Options
 
-	mu        sync.RWMutex
-	tables    map[string]*tableModels
-	fj        *factorjoin.Model
-	fjStamp   time.Time
-	rbxModel  *rbx.Model
-	rbxStamp  time.Time
-	cost      *costmodel.Model
-	costStamp time.Time
-	disabled  map[string]bool
-	breakers  map[string]*breaker
-	now       func() time.Time
-	lru       *list.List // of table names; front = most recent
-	totalSize int64
+	mu sync.RWMutex
+	// tables holds each table's BN shard entries in ascending shard order,
+	// charged the sum of their artifact sizes, capped at MaxTotalBytes. A
+	// resident slice is never modified: a load publishes a new one.
+	tables   *lru.Cache[string, []*bnEntry]
+	fj       *factorjoin.Model
+	fjStamp  time.Time
+	rbxModel *rbx.Model
+	rbxStamp time.Time
+	disabled map[string]bool
+	breakers map[string]*breaker
+	now      func() time.Time
 
 	// counters for observability
-	loads, rejects, evictions int64
+	loads, rejects int64
 
 	// cacheMu guards the derived-cache registry (see RegisterCache). A
 	// separate mutex: invalidation fans out to caches that take their own
@@ -94,11 +90,10 @@ func NewInferenceEngine(opts Options) *InferenceEngine {
 	opts.fill()
 	return &InferenceEngine{
 		opts:     opts,
-		tables:   map[string]*tableModels{},
+		tables:   lru.NewBytes[string, []*bnEntry](opts.MaxTotalBytes),
 		disabled: map[string]bool{},
 		breakers: map[string]*breaker{},
 		now:      time.Now,
-		lru:      list.New(),
 	}
 }
 
@@ -128,8 +123,6 @@ func (e *InferenceEngine) LoadModel(a Artifact) error {
 		err = e.loadFJ(a)
 	case KindRBX:
 		err = e.loadRBX(a)
-	case KindCost:
-		err = e.loadCost(a)
 	default:
 		return fmt.Errorf("core: unknown model kind %q", a.Kind)
 	}
@@ -168,32 +161,23 @@ func (e *InferenceEngine) loadBN(a Artifact) error {
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	tm := e.tables[a.Table]
-	if tm == nil {
-		tm = &tableModels{}
-		e.tables[a.Table] = tm
-		tm.lruElem = e.lru.PushFront(a.Table)
-	}
-	for i, s := range tm.shards {
-		if s.shard == a.Shard {
-			if !a.Timestamp.After(s.timestamp) {
-				return nil // stale artifact; keep the newer model
-			}
-			e.totalSize -= s.size
-			tm.shards[i] = entry
-			e.totalSize += size
-			e.loads++
-			e.touchLocked(a.Table)
-			e.evictLocked()
-			return nil
+	old, _ := e.tables.Peek(a.Table)
+	shards := []*bnEntry{entry}
+	total := size
+	for _, s := range old {
+		if s.shard != a.Shard {
+			shards = append(shards, s)
+			total += s.size
+		} else if !a.Timestamp.After(s.timestamp) {
+			return nil // stale artifact; keep the newer model
 		}
 	}
-	tm.shards = append(tm.shards, entry)
-	sort.Slice(tm.shards, func(i, j int) bool { return tm.shards[i].shard < tm.shards[j].shard })
-	e.totalSize += size
+	sort.Slice(shards, func(i, j int) bool { return shards[i].shard < shards[j].shard })
+	// The table just loaded is never evicted: charged at most the whole
+	// bound, a table whose models alone exceed it evicts every other table
+	// and is served with all its shards.
+	e.tables.Put(a.Table, shards, min(total, e.opts.MaxTotalBytes), nil)
 	e.loads++
-	e.touchLocked(a.Table)
-	e.evictLocked()
 	return nil
 }
 
@@ -229,55 +213,6 @@ func (e *InferenceEngine) loadRBX(a Artifact) error {
 	return nil
 }
 
-func (e *InferenceEngine) loadCost(a Artifact) error {
-	model, err := costmodel.Decode(a.Data)
-	if err != nil {
-		return fmt.Errorf("core: cost-model artifact %s failed validation: %w", a.Name, err)
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.cost != nil && !a.Timestamp.After(e.costStamp) {
-		return nil
-	}
-	e.cost = model
-	e.costStamp = a.Timestamp
-	e.loads++
-	return nil
-}
-
-// CostModel returns the loaded learned cost model, or nil.
-func (e *InferenceEngine) CostModel() *costmodel.Model {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.disabled["costmodel"] {
-		return nil
-	}
-	return e.cost
-}
-
-// touchLocked marks a table as recently used.
-func (e *InferenceEngine) touchLocked(table string) {
-	if tm := e.tables[table]; tm != nil && tm.lruElem != nil {
-		e.lru.MoveToFront(tm.lruElem)
-	}
-}
-
-// evictLocked drops least-recently-used table models until the cumulative
-// size fits the cap.
-func (e *InferenceEngine) evictLocked() {
-	for e.totalSize > e.opts.MaxTotalBytes && e.lru.Len() > 1 {
-		back := e.lru.Back()
-		table := back.Value.(string)
-		tm := e.tables[table]
-		for _, s := range tm.shards {
-			e.totalSize -= s.size
-		}
-		delete(e.tables, table)
-		e.lru.Remove(back)
-		e.evictions++
-	}
-}
-
 // BNContexts returns the immutable contexts of a table's models (one per
 // shard) and marks the table recently used. ok is false when the table has
 // no usable model (absent or disabled).
@@ -287,13 +222,12 @@ func (e *InferenceEngine) BNContexts(table string) ([]*bn.Context, bool) {
 	if e.disabled["bn:"+table] {
 		return nil, false
 	}
-	tm := e.tables[table]
-	if tm == nil || len(tm.shards) == 0 {
+	shards, ok := e.tables.Get(table)
+	if !ok {
 		return nil, false
 	}
-	e.touchLocked(table)
-	out := make([]*bn.Context, len(tm.shards))
-	for i, s := range tm.shards {
+	out := make([]*bn.Context, len(shards))
+	for i, s := range shards {
 		out[i] = s.ctx
 	}
 	return out, true
@@ -424,27 +358,15 @@ func (e *InferenceEngine) keyTimestamp(key string) time.Time {
 		return e.fjStamp
 	case "rbx":
 		return e.rbxStamp
-	case "costmodel":
-		return e.costStamp
-	default:
-		if tm := e.tables[trimPrefix(key, "bn:")]; tm != nil && len(tm.shards) > 0 {
-			latest := tm.shards[0].timestamp
-			for _, s := range tm.shards[1:] {
-				if s.timestamp.After(latest) {
-					latest = s.timestamp
-				}
-			}
-			return latest
+	}
+	shards, _ := e.tables.Peek(strings.TrimPrefix(key, "bn:"))
+	var latest time.Time
+	for _, s := range shards {
+		if s.timestamp.After(latest) {
+			latest = s.timestamp
 		}
 	}
-	return time.Time{}
-}
-
-func trimPrefix(s, prefix string) string {
-	if len(s) >= len(prefix) && s[:len(prefix)] == prefix {
-		return s[len(prefix):]
-	}
-	return s
+	return latest
 }
 
 // Stats summarizes the registry for observability, including the full
@@ -471,14 +393,20 @@ func (e *InferenceEngine) Snapshot() Stats {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	s := Stats{
-		Tables:    len(e.tables),
-		TotalSize: e.totalSize,
+		Tables:    e.tables.Len(),
 		Loads:     e.loads,
 		Rejects:   e.rejects,
-		Evictions: e.evictions,
+		Evictions: e.tables.Stats().Evictions,
 		HasFJ:     e.fj != nil,
 		HasRBX:    e.rbxModel != nil,
 	}
+	// The artifact sizes, not the cache's charge, which an oversized table
+	// caps at the bound.
+	e.tables.Range(func(_ string, shards []*bnEntry) {
+		for _, sh := range shards {
+			s.TotalSize += sh.size
+		}
+	})
 	for key := range e.disabled {
 		s.Disabled = append(s.Disabled, key)
 	}

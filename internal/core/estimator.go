@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"bytecard/internal/engine"
+	"bytecard/internal/estimate"
 	"bytecard/internal/expr"
 	"bytecard/internal/factorjoin"
 	"bytecard/internal/obs"
@@ -161,7 +162,7 @@ func sourceOfKey(key string) string {
 // attempt lands in the metrics block and, on traced views, in the trace
 // (tables is the span's table list: traceTables/traceBindings, nil when
 // untraced).
-func (e *Estimator) guarded(op string, tables []string, key string, lo, hi float64, fn func() (float64, error)) (float64, error) {
+func (e *Estimator) guarded(op string, tables []string, key string, lo, hi float64, fn func() (float64, error)) (estimate.Value, error) {
 	start := time.Now()
 	e.Metrics.ModelCalls.Add(1)
 	if !e.Infer.Allow(key) {
@@ -172,16 +173,14 @@ func (e *Estimator) guarded(op string, tables []string, key string, lo, hi float
 		err := &ModelError{Key: key, Outcome: outcome, Msg: fmt.Sprintf("core: %s unavailable (breaker open or disabled)", key)}
 		e.Metrics.ModelFailures.Add(1)
 		e.modelSpan(op, tables, key, outcome, 0, err, time.Since(start))
-		return 0, err
+		return estimate.Value{}, err
 	}
 	raw, err := e.Guard.Do(key, fn)
-	// v only ever holds sanitized values (the raw model output is passed to
-	// Sanitize and discarded), so every return below is in [lo, hi].
-	var v float64
+	var v estimate.Value
 	outcome := obs.OutcomeOK
 	if err == nil {
 		v, err = e.Guard.Sanitize(key, raw, lo, hi)
-		if err == nil && v != raw {
+		if err == nil && v.Float() != raw {
 			outcome = obs.OutcomeClamped
 		}
 	}
@@ -189,13 +188,13 @@ func (e *Estimator) guarded(op string, tables []string, key string, lo, hi float
 		e.Infer.RecordFailure(key)
 		e.Metrics.ModelFailures.Add(1)
 		e.modelSpan(op, tables, key, OutcomeOf(err), 0, err, time.Since(start))
-		return 0, err
+		return estimate.Value{}, err
 	}
 	e.Infer.RecordSuccess(key)
 	dur := time.Since(start)
 	e.Metrics.ModelLatency.Observe(float64(dur.Nanoseconds()))
 	e.Metrics.Sources.Add(sourceOfKey(key), 1)
-	e.modelSpan(op, tables, key, outcome, v, nil, dur)
+	e.modelSpan(op, tables, key, outcome, v.Float(), nil, dur)
 	return v, nil
 }
 
@@ -229,10 +228,10 @@ func encoderFor(t *engine.QueryTable) expr.Encoder {
 // filterSelectivity evaluates a filter tree over the table's shard
 // contexts, weighting shards by their population. The BN inference runs
 // under the guard; the result is a sanitized selectivity in [0, 1].
-func (e *Estimator) filterSelectivity(t *engine.QueryTable) (float64, error) {
+func (e *Estimator) filterSelectivity(t *engine.QueryTable) (estimate.Value, error) {
 	ctxs, ok := e.Infer.BNContexts(t.Name)
 	if !ok {
-		return 0, &ModelError{Key: "bn:" + t.Name, Outcome: obs.OutcomeMissing, Msg: fmt.Sprintf("core: no BN for table %s", t.Name)}
+		return estimate.Value{}, &ModelError{Key: "bn:" + t.Name, Outcome: obs.OutcomeMissing, Msg: fmt.Sprintf("core: no BN for table %s", t.Name)}
 	}
 	return e.guarded(obs.OpFilter, e.traceTables(t.Binding), "bn:"+t.Name, 0, 1, func() (float64, error) {
 		enc := encoderFor(t)
@@ -264,11 +263,11 @@ func (e *Estimator) EstimateFilter(t *engine.QueryTable) float64 {
 		return v
 	}
 	rows := math.Max(1, float64(t.Table.NumRows()))
-	est := math.Max(1, sel*float64(t.Table.NumRows()))
+	est := estimate.Clamp(sel.Float()*float64(t.Table.NumRows()), 1, rows)
 	if e.Residual == nil {
-		return est
+		return est.Float()
 	}
-	return e.correctFinal(obs.OpFilter, []*engine.QueryTable{t}, nil, est, 1, rows)
+	return e.correctFinal(obs.OpFilter, []*engine.QueryTable{t}, nil, est.Float(), 1, rows).Float()
 }
 
 // EstimateConj implements engine.CardEstimator (the column-order input).
@@ -304,7 +303,7 @@ func (e *Estimator) EstimateConj(t *engine.QueryTable, preds []expr.Pred) float6
 		e.fallbackSpan(obs.OpConj, e.traceTables(t.Binding), err, v, start)
 		return v
 	}
-	return sel
+	return sel.Float()
 }
 
 // jointVector returns the filtered per-bucket count vector of keyCol under
@@ -363,7 +362,7 @@ func (e *Estimator) jointVector(t *engine.QueryTable, keyCol string, buckets int
 // corrector learns the models' residuals, not the sketch's), and strict
 // paths (countSingle, which feeds Monitor probes and featurization) stay
 // raw so the Monitor measures the models themselves.
-func (e *Estimator) correctFinal(op string, tables []*engine.QueryTable, joins []engine.JoinCond, est, lo, hi float64) float64 {
+func (e *Estimator) correctFinal(op string, tables []*engine.QueryTable, joins []engine.JoinCond, est, lo, hi float64) estimate.Value {
 	key := engine.TemplateKey(tables, joins)
 	v, factor := e.Residual.Correct(key, est)
 	if factor != 1 && e.trace != nil {
@@ -372,7 +371,7 @@ func (e *Estimator) correctFinal(op string, tables []*engine.QueryTable, joins [
 			Source: "residual", Outcome: obs.OutcomeOK, Value: v,
 		})
 	}
-	return clampEst(v, lo, hi)
+	return estimate.Clamp(v, lo, hi)
 }
 
 // groupColumnKey names a group-key set for calibration lookup.
@@ -447,7 +446,7 @@ func (e *Estimator) EstimateGroupNDV(q *engine.Query) float64 {
 		if err != nil {
 			return fallback(err)
 		}
-		ndv *= est
+		ndv *= est.Float()
 	}
 	var out float64
 	if len(q.Tables) == 1 {
@@ -455,50 +454,22 @@ func (e *Estimator) EstimateGroupNDV(q *engine.Query) float64 {
 	} else {
 		out = e.EstimateJoin(q.Tables, q.Joins)
 	}
-	res := math.Min(ndv, math.Max(out, 1))
+	// Every factor is at least 1, so only the result-size cap can bind.
+	res := estimate.Clamp(ndv, 1, math.Max(out, 1))
 	// Summarize: the capping filter/join call above traced its own spans,
 	// but the request's answer is RBX's — record it last so Trace.Source
 	// attributes the NDV to the model that produced it.
-	e.modelSpan(obs.OpGroupNDV, groupTables(), "rbx", obs.OutcomeOK, res, nil, time.Since(start))
-	return res
-}
-
-// clampEst bounds an estimate to [lo, hi] before it leaves the estimator —
-// the arithmetic-after-the-ladder counterpart of Guard.Sanitize, and the
-// clamp helper the estclamp analyzer recognizes. NaN collapses to lo.
-func clampEst(v, lo, hi float64) float64 {
-	if math.IsNaN(v) {
-		return lo
-	}
-	return math.Min(hi, math.Max(lo, v))
+	e.modelSpan(obs.OpGroupNDV, groupTables(), "rbx", obs.OutcomeOK, res.Float(), nil, time.Since(start))
+	return res.Float()
 }
 
 // countSingle estimates one filtered table without fallback (used by the
-// featurization Estimate API, which surfaces errors to its caller). The
-// selectivity is already sanitized into [0, 1], so the clamp is a no-op
-// today; it guarantees the product stays in-range if that invariant moves.
-func (e *Estimator) countSingle(t *engine.QueryTable) (float64, error) {
+// featurization Estimate API, which surfaces errors to its caller).
+func (e *Estimator) countSingle(t *engine.QueryTable) (estimate.Value, error) {
 	sel, err := e.filterSelectivity(t)
 	if err != nil {
-		return 0, err
+		return estimate.Value{}, err
 	}
 	rows := float64(t.Table.NumRows())
-	return clampEst(sel*rows, 0, rows), nil
-}
-
-// PredictCostMillis runs the learned cost model under the guard and
-// breaker. ok is false when the model is missing, tripped, or produced an
-// invalid latency — callers should then keep the heuristic cost.
-func (e *Estimator) PredictCostMillis(features []float64) (float64, bool) {
-	model := e.Infer.CostModel()
-	if model == nil {
-		return 0, false
-	}
-	ms, err := e.guarded(obs.OpCost, nil, "costmodel", 0, math.MaxFloat64, func() (float64, error) {
-		return model.PredictMillis(features), nil
-	})
-	if err != nil {
-		return 0, false
-	}
-	return ms, true
+	return estimate.Clamp(sel.Float()*rows, 0, rows), nil
 }

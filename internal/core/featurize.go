@@ -59,7 +59,8 @@ func (f *Featurizer) FeaturizeAST(stmt *sqlparse.SelectStmt) (*FeatureVector, er
 func (e *Estimator) Estimate(fv *FeatureVector) (float64, error) {
 	q := fv.query
 	if len(q.Tables) == 1 {
-		return e.countSingle(q.Tables[0])
+		v, err := e.countSingle(q.Tables[0])
+		return v.Float(), err
 	}
 	fj := e.Infer.FactorJoin()
 	if fj == nil {

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"bytecard/internal/estimate"
 	"bytecard/internal/obs"
 )
 
@@ -16,7 +17,7 @@ import (
 // obs.Outcome* verdict that produced it, so traces and metrics can
 // attribute failures without string matching.
 type ModelError struct {
-	// Key is the model key ("bn:<table>", "factorjoin", "rbx", "costmodel").
+	// Key is the model key ("bn:<table>", "factorjoin", "rbx").
 	Key string
 	// Outcome is the obs outcome constant classifying the failure.
 	Outcome string
@@ -56,8 +57,8 @@ type GuardConfig struct {
 	LatencyBudget time.Duration
 }
 
-// Guard wraps every learned-model call (BN selectivity, FactorJoin, RBX,
-// cost model) with the protections the deployment contract requires: a
+// Guard wraps every learned-model call (BN selectivity, FactorJoin, RBX)
+// with the protections the deployment contract requires: a
 // panicking model must not crash the query goroutine, a stalled model must
 // not stall planning past the latency budget, and a NaN/Inf/negative or
 // absurdly large estimate must never reach the optimizer. Each protection
@@ -162,18 +163,13 @@ func (g *Guard) Do(key string, fn func() (float64, error)) (float64, error) {
 // merely imprecise), while finite out-of-range values are clamped into
 // [lo, hi] — a cardinality can never exceed the relation's row count nor
 // drop below one row.
-func (g *Guard) Sanitize(key string, v, lo, hi float64) (float64, error) {
+func (g *Guard) Sanitize(key string, v, lo, hi float64) (estimate.Value, error) {
 	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
 		g.invalid.Add(1)
-		return 0, &ModelError{Key: key, Outcome: obs.OutcomeInvalid, Msg: fmt.Sprintf("core: model %s produced invalid estimate %v", key, v)}
+		return estimate.Value{}, &ModelError{Key: key, Outcome: obs.OutcomeInvalid, Msg: fmt.Sprintf("core: model %s produced invalid estimate %v", key, v)}
 	}
-	if v < lo {
+	if v < lo || v > hi {
 		g.clamped.Add(1)
-		return lo, nil
 	}
-	if v > hi {
-		g.clamped.Add(1)
-		return hi, nil
-	}
-	return v, nil
+	return estimate.Clamp(v, lo, hi), nil
 }

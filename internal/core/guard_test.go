@@ -100,16 +100,16 @@ func TestSanitize(t *testing.T) {
 	if g.Stats().Invalid != 4 {
 		t.Errorf("invalid = %d, want 4", g.Stats().Invalid)
 	}
-	if v, err := g.Sanitize("bn:t", 1e12, 1, 100); err != nil || v != 100 {
+	if v, err := g.Sanitize("bn:t", 1e12, 1, 100); err != nil || v.Float() != 100 {
 		t.Errorf("clamp high = %v, %v", v, err)
 	}
-	if v, err := g.Sanitize("bn:t", 0.2, 1, 100); err != nil || v != 1 {
+	if v, err := g.Sanitize("bn:t", 0.2, 1, 100); err != nil || v.Float() != 1 {
 		t.Errorf("clamp low = %v, %v", v, err)
 	}
 	if g.Stats().Clamped != 2 {
 		t.Errorf("clamped = %d, want 2", g.Stats().Clamped)
 	}
-	if v, err := g.Sanitize("bn:t", 42, 1, 100); err != nil || v != 42 {
+	if v, err := g.Sanitize("bn:t", 42, 1, 100); err != nil || v.Float() != 42 {
 		t.Errorf("in-range = %v, %v", v, err)
 	}
 }

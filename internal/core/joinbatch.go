@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"bytecard/internal/engine"
+	"bytecard/internal/estimate"
 	"bytecard/internal/factorjoin"
 	"bytecard/internal/obs"
 	"bytecard/internal/par"
@@ -265,7 +266,6 @@ func (e *Estimator) fanOutWorkers(n, requested int) int {
 func (e *Estimator) EstimateJoin(tables []*engine.QueryTable, joins []engine.JoinCond) float64 {
 	var out [1]float64
 	e.joinBatch(obs.OpJoin, []engine.JoinBatchItem{{Tables: tables, Conds: joins}}, 1, out[:])
-	//bytecard:clamp-ok joinBatch fills out from Guard.Sanitize into [1, cartesian product] (fresh or memoized) or from the fallback estimator
 	return out[0]
 }
 
@@ -318,7 +318,7 @@ func (e *Estimator) joinBatch(op string, items []engine.JoinBatchItem, paralleli
 			}
 		}
 		if e.Residual != nil {
-			out[k] = e.correctFinal(op, items[k].Tables, items[k].Conds, out[k], 1, cartesianUpper(items[k].Tables))
+			out[k] = e.correctFinal(op, items[k].Tables, items[k].Conds, out[k], 1, cartesianUpper(items[k].Tables)).Float()
 		}
 	}
 	// fellBack answers item k from the traditional estimator.
@@ -419,9 +419,9 @@ func (e *Estimator) joinBatch(op string, items []engine.JoinBatchItem, paralleli
 		}
 		raw, err := e.Guard.Do("factorjoin", func() (float64, error) { return r.u.graph.Estimate(r.tables, r.conds) })
 		if err == nil {
-			var v float64
+			var v estimate.Value
 			if v, err = e.Guard.Sanitize("factorjoin", raw, 1, cartesianUpper(items[k].Tables)); err == nil {
-				out[k], r.clamped = v, v != raw
+				out[k], r.clamped = v.Float(), v.Float() != raw
 			}
 		}
 		r.err = err

@@ -1,16 +1,15 @@
 // Package costmodel implements the paper's stated next step: a
-// query-driven learned cost model deployed through the same framework as
-// the CardEst models. Runtime traces (plan features paired with measured
-// execution times) train a small regression network; inference predicts a
-// plan's execution cost, enabling admission control and workload-management
-// decisions. Unlike the CardEst models it is query-driven by design — the
-// paper notes cost models need runtime traces, which the warehouse already
-// logs.
+// query-driven learned cost model. Runtime traces (plan features paired
+// with measured execution times) train a small regression network;
+// inference predicts a plan's execution cost, the input admission control
+// and workload management would use. Unlike the CardEst models it is
+// query-driven by design — the paper notes cost models need runtime
+// traces, which the warehouse already logs. No planner consumes a cost
+// prediction, so the model is not deployed through the Inference Engine:
+// examples/costmodel trains and evaluates it in process.
 package costmodel
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
@@ -147,38 +146,5 @@ func (m *Model) PredictPlan(p *engine.Plan) float64 {
 	return m.PredictMillis(Featurize(p))
 }
 
-// Validate checks network health (the Model Validator hook; cost models
-// ride the same load/validate/initContext protocol as CardEst models).
-func (m *Model) Validate() error {
-	if m.Net == nil {
-		return errors.New("costmodel: missing network")
-	}
-	if m.Net.InputDim() != FeatureDim {
-		return fmt.Errorf("costmodel: input dim %d, want %d", m.Net.InputDim(), FeatureDim)
-	}
-	return m.Net.Validate()
-}
-
 // SizeBytes reports the parameter footprint.
 func (m *Model) SizeBytes() int64 { return m.Net.SizeBytes() }
-
-// Encode serializes the model with gob.
-func (m *Model) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// Decode deserializes and validates a model.
-func Decode(data []byte) (*Model, error) {
-	var m Model
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&m); err != nil {
-		return nil, err
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return &m, nil
-}

@@ -3,9 +3,7 @@ package costmodel_test
 import (
 	"math"
 	"testing"
-	"time"
 
-	"bytecard/internal/core"
 	"bytecard/internal/costmodel"
 	"bytecard/internal/datagen"
 	"bytecard/internal/engine"
@@ -111,38 +109,5 @@ func TestTrainErrors(t *testing.T) {
 	}
 	if _, err := costmodel.Train(bad, costmodel.TrainConfig{}); err == nil {
 		t.Error("wrong feature width must fail")
-	}
-}
-
-func TestEncodeDecodeAndFrameworkLoad(t *testing.T) {
-	_, traces := collect(t)
-	model, err := costmodel.Train(traces, costmodel.TrainConfig{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := model.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := costmodel.Decode(data); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := costmodel.Decode([]byte("junk")); err == nil {
-		t.Error("garbage must fail")
-	}
-	// The framework hosts cost models through the same artifact protocol.
-	infer := core.NewInferenceEngine(core.Options{})
-	err = infer.LoadModel(core.Artifact{
-		Name: "imdb/costmodel", Kind: core.KindCost, Timestamp: time.Now(), Data: data,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if infer.CostModel() == nil {
-		t.Fatal("cost model not retrievable from the inference engine")
-	}
-	infer.Admin().Disable("costmodel")
-	if infer.CostModel() != nil {
-		t.Error("disabled cost model must be hidden")
 	}
 }

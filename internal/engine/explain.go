@@ -189,7 +189,7 @@ func (e *Engine) ExplainStmt(sql string, stmt *sqlparse.SelectStmt) (*ExplainRes
 		if s.Outcome != obs.OutcomeOK && s.Outcome != obs.OutcomeClamped {
 			continue
 		}
-		if s.Op == obs.OpVector || s.Op == obs.OpConj || s.Op == obs.OpCost {
+		if s.Op == obs.OpVector || s.Op == obs.OpConj {
 			continue
 		}
 		attr[spanKey(s.Op, s.Tables)] = attribution{source: s.Source, fallback: s.Fallback}

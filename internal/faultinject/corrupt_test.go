@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"bytecard/internal/core"
-	"bytecard/internal/costmodel"
 	"bytecard/internal/datagen"
 	"bytecard/internal/faultinject"
 	"bytecard/internal/modelforge"
@@ -33,19 +32,6 @@ func trainedStore(t *testing.T) (string, *modelstore.Store) {
 	for round := 0; round < 2; round++ {
 		if _, err := svc.TrainAll(); err != nil {
 			t.Fatalf("train round %d: %v", round, err)
-		}
-		traces := make([]costmodel.Trace, 12)
-		for i := range traces {
-			traces[i] = costmodel.Trace{
-				Features: []float64{
-					float64(i + round), float64(i % 3), 1, float64(i * i),
-					float64(round), 2, float64(i % 5), 0.5,
-				},
-				Millis: float64(10 + i + round),
-			}
-		}
-		if _, err := svc.TrainCostModel(traces, costmodel.TrainConfig{Epochs: 20, Seed: 5}); err != nil {
-			t.Fatalf("train cost model round %d: %v", round, err)
 		}
 	}
 	// The base RBX model is workload-independent and trains only when
@@ -91,7 +77,6 @@ func TestCorruptedArtifactFallback(t *testing.T) {
 		{core.KindBN, func(b []byte) []byte { return faultinject.Truncate(b, 0.4) }},
 		{core.KindFactorJoin, func(b []byte) []byte { return faultinject.Garble(b, 7) }},
 		{core.KindRBX, func(b []byte) []byte { return faultinject.Truncate(b, 0.7) }},
-		{core.KindCost, func(b []byte) []byte { return faultinject.Garble(b, 11) }},
 	}
 	for _, tc := range cases {
 		t.Run(string(tc.kind), func(t *testing.T) {

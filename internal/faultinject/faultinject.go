@@ -55,7 +55,7 @@ func (k Kind) String() string {
 type Rule struct {
 	Kind Kind
 	// KeyPrefix limits the rule to model keys with this prefix ("bn:",
-	// "factorjoin", "rbx", "costmodel"); empty matches every key.
+	// "factorjoin", "rbx"); empty matches every key.
 	KeyPrefix string
 	// Rate is the per-call injection probability in (0, 1]; 0 means 1
 	// (inject on every matching call).

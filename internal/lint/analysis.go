@@ -1,6 +1,6 @@
-// Package lint is ByteCard's domain-specific static-analysis layer: eleven
+// Package lint is ByteCard's domain-specific static-analysis layer: eight
 // project analyzers (see All) that turn the codebase's determinism,
-// guard-discipline, pool-hygiene, lock and goroutine conventions into
+// guard-discipline, crash-safe-write, lock, context and goroutine conventions into
 // machine-checked invariants, plus a loader that type-checks the module's
 // packages from `go list -export` output. TestRepoIsClean runs every
 // analyzer over every package as part of `go test ./...`; it is the one

@@ -11,7 +11,7 @@ import (
 //	//bytecard:<name>-ok <reason>
 //
 // on the offending line or the line directly above it, where <name> is the
-// analyzer's annotation key (e.g. unordered, directcall, rand, pool, clamp).
+// analyzer's annotation key (e.g. unordered, directcall, rand, lock).
 // The reason is mandatory: an annotation without one is itself reported, so
 // every suppression in the tree documents why the invariant may be waived.
 const annotationPrefix = "//bytecard:"

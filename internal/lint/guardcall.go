@@ -11,7 +11,7 @@ import (
 // Every learned-model inference in ByteCard is supposed to flow through
 // core.Estimator's guarded() path, which layers circuit-breaker admission,
 // panic recovery, a latency budget, and output sanitization around the raw
-// model call. A direct call to bn.Context.Prob or costmodel.Model.PredictPlan
+// model call. A direct call to bn.Context.Prob or factorjoin.Model.Estimate
 // from, say, the engine bypasses all four protections: one NaN or panic in a
 // model reaches query execution. The analyzer knows the inference entry
 // points of each model package and the packages allowed to touch them — the
@@ -50,8 +50,6 @@ var guardedEntryPoints = []guardedEntryPoint{
 	{"internal/factorjoin", "Model", "Estimate"},
 	{"internal/rbx", "Model", "EstimateNDV"},
 	{"internal/rbx", "Model", "EstimateNDVForColumn"},
-	{"internal/costmodel", "Model", "PredictMillis"},
-	{"internal/costmodel", "Model", "PredictPlan"},
 }
 
 // guardcallAllowedCallers lists package names permitted to call entry points

@@ -131,21 +131,3 @@ func containsCall(info *types.Info, e ast.Expr) bool {
 	})
 	return found
 }
-
-// funcBodyReturns collects the return statements belonging to fn's own body,
-// excluding returns inside nested function literals.
-func funcBodyReturns(body *ast.BlockStmt) []*ast.ReturnStmt {
-	var out []*ast.ReturnStmt
-	var walk func(n ast.Node) bool
-	walk = func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.ReturnStmt:
-			out = append(out, n)
-		}
-		return true
-	}
-	ast.Inspect(body, walk)
-	return out
-}

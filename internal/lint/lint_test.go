@@ -110,11 +110,8 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{AtomicWrite, []string{"atomicwrite_flag", "atomicwrite_other"}},
 		{GuardCall, []string{"guardcall_flag", "guardcall_core"}},
 		{RandSource, []string{"randsource_flag"}},
-		{PoolHygiene, []string{"poolhygiene_flag"}},
-		{EstClamp, []string{"estclamp_flag"}},
 		{ScanRead, []string{"scanread_flag"}},
 		{LockSafe, []string{"locksafe_flag"}},
-		{AtomicField, []string{"atomicfield_flag"}},
 		{CtxFlow, []string{"ctxflow_flag"}},
 		{GoroutineSrc, []string{"goroutinesrc_flag", "goroutinesrc_par"}},
 	}
@@ -155,7 +152,7 @@ func TestParseAnnotation(t *testing.T) {
 		wantReason string
 	}{
 		{"//bytecard:unordered-ok keys sorted downstream", true, "unordered", "keys sorted downstream"},
-		{"//bytecard:pool-ok", true, "pool", ""},
+		{"//bytecard:lock-ok", true, "lock", ""},
 		{"//bytecard:rand-ok   spaced   reason", true, "rand", "spaced   reason"},
 		{"// ordinary comment", false, "", ""},
 		{"//bytecard:unordered", false, "", ""},

@@ -4,7 +4,8 @@ package client
 
 import (
 	"bytecard/internal/bn"
-	"bytecard/internal/costmodel"
+	"bytecard/internal/rbx"
+	"bytecard/internal/sample"
 )
 
 func Direct(c *bn.Context, w [][]float64) float64 {
@@ -15,8 +16,8 @@ func DirectConj(c *bn.Context) (float64, error) {
 	return c.SelectivityConj(nil) // want `bypasses core.Estimator's guarded ladder`
 }
 
-func DirectCost(m *costmodel.Model, f []float64) float64 {
-	return m.PredictMillis(f) // want `bypasses core.Estimator's guarded ladder`
+func DirectNDV(m *rbx.Model, p sample.Profile) float64 {
+	return m.EstimateNDV(p) // want `bypasses core.Estimator's guarded ladder`
 }
 
 // Annotated raw calls document why the ladder is skipped.
@@ -31,7 +32,7 @@ func NoReason(c *bn.Context, w [][]float64) float64 {
 }
 
 // Train-and-encode surfaces are not entry points; touching them is fine.
-func Housekeeping(m *costmodel.Model) error {
+func Housekeeping(m *bn.Model) error {
 	if err := m.Validate(); err != nil {
 		return err
 	}

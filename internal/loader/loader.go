@@ -74,8 +74,8 @@ func New(store *modelstore.Store, engine *core.InferenceEngine) *Loader {
 // RefreshOnce installs every artifact whose timestamp is newer than the
 // installed version, returning how many models were (re)loaded. Invalid
 // artifacts are skipped (and reported) rather than aborting the sweep —
-// one bad model must not block the rest. Safe to call concurrently with
-// the background Run loop.
+// one bad model must not block the rest. Artifacts of a retired kind are
+// skipped silently. Safe to call concurrently with the background Run loop.
 func (l *Loader) RefreshOnce() (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -87,6 +87,9 @@ func (l *Loader) RefreshOnce() (int, error) {
 	loaded := 0
 	var firstErr error
 	for _, m := range manifests {
+		if m.Kind.Retired() {
+			continue
+		}
 		prev, ok := l.installed[m.Name]
 		if ok && !m.Timestamp.After(prev) {
 			continue

@@ -2,6 +2,7 @@ package loader
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"sync"
@@ -102,6 +103,65 @@ func TestRefreshSkipsCorruptArtifact(t *testing.T) {
 	}
 	if l.Health().LastError == nil {
 		t.Error("Health().LastError must record the failure")
+	}
+}
+
+// TestRefreshSkipsRetiredCostModel refreshes from a store written while the
+// learned cost model was still an Inference Engine kind: its artifact is
+// skipped, not reported, so every sweep succeeds and the loader stays
+// healthy.
+func TestRefreshSkipsRetiredCostModel(t *testing.T) {
+	ds := datagen.Toy(datagen.Config{Scale: 1, Seed: 61})
+	dir := t.TempDir()
+	store, err := modelstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forge := modelforge.New("toy", ds.DB, ds.Schema, store, modelforge.Config{
+		SampleRows: 500, BucketCount: 12,
+		RBX:  rbx.TrainConfig{Columns: 50, Epochs: 2, MaxPop: 5000, Seed: 1},
+		Seed: 1,
+	})
+	if _, err := forge.TrainAll(); err != nil {
+		t.Fatal(err)
+	}
+	// Put refuses the retired kind, so store the artifact under a live one
+	// and rewrite its manifest the way earlier versions wrote it.
+	if err := store.Put(core.Artifact{Name: "toy/costmodel", Kind: core.KindRBX, Timestamp: time.Now(), Data: []byte("model")}); err != nil {
+		t.Fatal(err)
+	}
+	paths, err := filepath.Glob(filepath.Join(dir, "*costmodel.json"))
+	if err != nil || len(paths) != 1 {
+		t.Fatalf("cost-model manifest: %v, %v", paths, err)
+	}
+	blob, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m modelstore.Manifest
+	if err := json.Unmarshal(blob, &m); err != nil {
+		t.Fatal(err)
+	}
+	m.Kind = "costmodel"
+	if blob, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(paths[0], blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	l := New(store, core.NewInferenceEngine(core.Options{}))
+	for i, want := range []int{4, 0} { // 2 BN + factorjoin + rbx, then nothing new
+		n, err := l.RefreshOnce()
+		if err != nil {
+			t.Fatalf("refresh %d: %v", i, err)
+		}
+		if n != want {
+			t.Errorf("refresh %d loaded %d, want %d", i, n, want)
+		}
+	}
+	if h := l.Health(); h.LastError != nil || h.ConsecutiveFailures != 0 {
+		t.Errorf("health = %+v, want clean", h)
 	}
 }
 

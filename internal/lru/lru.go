@@ -1,5 +1,6 @@
-// Package lru is the one bounded cache behind every tier of state derived
-// from loaded models: the estimator's join-vector/subset memo, the engine's
+// Package lru is the one bounded cache in the tree: behind the Inference
+// Engine's registry of loaded BN models and every tier of state derived
+// from them — the estimator's join-vector/subset memo, the engine's
 // template plan cache, and the residual corrector's bucket table. It owns
 // the decisions those tiers share — a single cost bound, cold-end eviction,
 // refusal of an entry that alone exceeds the bound, per-entry physical-table

@@ -19,7 +19,6 @@ import (
 	"bytecard/internal/bn"
 	"bytecard/internal/catalog"
 	"bytecard/internal/core"
-	"bytecard/internal/costmodel"
 	"bytecard/internal/modelstore"
 	"bytecard/internal/obs"
 	"bytecard/internal/par"
@@ -440,33 +439,6 @@ func (s *Service) ensureRBXLocked() ([]ModelReport, error) {
 		Name: RBXBaseName, Kind: core.KindRBX,
 		SizeBytes: int64(len(data)), TrainSeconds: model.TrainSeconds,
 	}}, nil
-}
-
-// TrainCostModel trains the learned cost model from runtime traces (the
-// query-driven path the paper plans for cost estimation: the warehouse
-// logs plan features and latencies; ModelForge trains on demand) and
-// stores the artifact for the loader.
-func (s *Service) TrainCostModel(traces []costmodel.Trace, cfg costmodel.TrainConfig) (*ModelReport, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	model, err := costmodel.Train(traces, cfg)
-	if err != nil {
-		return nil, err
-	}
-	data, err := model.Encode()
-	if err != nil {
-		return nil, err
-	}
-	name := s.dataset + "/costmodel"
-	if err := s.store.Put(core.Artifact{
-		Name: name, Kind: core.KindCost, Timestamp: s.cfg.Now(), Data: data,
-	}); err != nil {
-		return nil, err
-	}
-	return &ModelReport{
-		Name: name, Kind: core.KindCost,
-		SizeBytes: int64(len(data)), TrainSeconds: model.TrainSeconds,
-	}, nil
 }
 
 // NotifyIngest is the Data Ingestor signal: once enough rows accumulate

@@ -8,9 +8,7 @@ import (
 
 	"bytecard/internal/bn"
 	"bytecard/internal/core"
-	"bytecard/internal/costmodel"
 	"bytecard/internal/datagen"
-	enginePkg "bytecard/internal/engine"
 	"bytecard/internal/factorjoin"
 	"bytecard/internal/modelstore"
 	"bytecard/internal/rbx"
@@ -225,47 +223,6 @@ func TestHTTPRoundtrip(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTrainCostModelStoresArtifact(t *testing.T) {
-	svc, store, ds := newForge(t, 1)
-	exec := enginePkg.New(ds.DB, ds.Schema, enginePkg.HeuristicEstimator{})
-	var sqls []string
-	for i := 0; i < 12; i++ {
-		sqls = append(sqls, "SELECT COUNT(*) FROM fact WHERE val < 50")
-	}
-	traces, err := costmodel.CollectTraces(exec, sqls)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := svc.TrainCostModel(traces, costmodel.TrainConfig{Epochs: 10, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Kind != core.KindCost || rep.SizeBytes <= 0 {
-		t.Errorf("report = %+v", rep)
-	}
-	art, err := store.Get("toy/costmodel")
-	if err != nil {
-		t.Fatal(err)
-	}
-	infer := core.NewInferenceEngine(core.Options{})
-	if err := infer.LoadModel(art); err != nil {
-		t.Fatal(err)
-	}
-	if infer.CostModel() == nil {
-		t.Error("cost model not loaded")
-	}
-	if infer.Admin().State("costmodel").Timestamp.IsZero() {
-		t.Error("cost model timestamp missing")
-	}
-}
-
-func TestTrainCostModelTooFewTraces(t *testing.T) {
-	svc, _, _ := newForge(t, 1)
-	if _, err := svc.TrainCostModel(nil, costmodel.TrainConfig{}); err == nil {
-		t.Error("too few traces must fail")
 	}
 }
 

@@ -21,7 +21,7 @@ type EstimatorMetrics struct {
 	// (Model Monitor probes, executed plans).
 	QError Histogram
 	// Sources counts value-producing estimates by source ("bn",
-	// "factorjoin", "rbx", "costmodel", fallback estimator names).
+	// "factorjoin", "rbx", fallback estimator names).
 	Sources LabeledCounter
 }
 

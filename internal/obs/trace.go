@@ -16,7 +16,6 @@ const (
 	OpJoinBatch = "join_batch" // one DP rank of join subsets in a batch
 	OpGroupNDV  = "groupndv"   // group-key NDV estimation
 	OpVector    = "vec"        // FactorJoin bucket-vector fetch (BN joint)
-	OpCost      = "cost"       // learned cost-model prediction
 	OpResidual  = "residual"   // residual correction applied to an estimate
 )
 
@@ -57,11 +56,11 @@ type Span struct {
 	Op string `json:"op"`
 	// Tables lists the table bindings the operation covers.
 	Tables []string `json:"tables,omitempty"`
-	// Key is the model key consulted ("bn:<table>", "factorjoin", "rbx",
-	// "costmodel"); empty for fallback spans.
+	// Key is the model key consulted ("bn:<table>", "factorjoin", "rbx");
+	// empty for fallback spans.
 	Key string `json:"key,omitempty"`
-	// Source names what produced the value: "bn", "factorjoin", "rbx",
-	// "costmodel", or the fallback estimator's name ("sketch", ...).
+	// Source names what produced the value: "bn", "factorjoin", "rbx", or
+	// the fallback estimator's name ("sketch", ...).
 	Source string `json:"source"`
 	// Outcome classifies the call (Outcome* constants).
 	Outcome string `json:"outcome"`
