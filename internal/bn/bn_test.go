@@ -217,22 +217,25 @@ func TestJointWithColumnMatchesIndicators(t *testing.T) {
 	m := trainCorrelated(t, 4000)
 	ctx, _ := m.NewContext()
 	cons := []expr.Constraint{eqConstraint("c", 1)}
-	vec, err := ctx.JointWithColumn(cons, "b")
+	cols := []string{"b", "a"}
+	vecs, err := ctx.JointWithColumns(cons, cols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bi := m.ColIndex("b")
-	for b := 0; b < m.Cols[bi].Bins(); b++ {
-		weights := make([][]float64, len(m.Cols))
-		wc := make([]float64, m.Cols[m.ColIndex("c")].Bins())
-		wc[1] = 1
-		weights[m.ColIndex("c")] = wc
-		wb := make([]float64, m.Cols[bi].Bins())
-		wb[b] = 1
-		weights[bi] = wb
-		want := ctx.Prob(weights)
-		if math.Abs(vec[b]-want) > 1e-9*(1+want) {
-			t.Errorf("bucket %d: joint %g vs indicator %g", b, vec[b], want)
+	for k, col := range cols {
+		ci := m.ColIndex(col)
+		for b := 0; b < m.Cols[ci].Bins(); b++ {
+			weights := make([][]float64, len(m.Cols))
+			wc := make([]float64, m.Cols[m.ColIndex("c")].Bins())
+			wc[1] = 1
+			weights[m.ColIndex("c")] = wc
+			wb := make([]float64, m.Cols[ci].Bins())
+			wb[b] = 1
+			weights[ci] = wb
+			want := ctx.Prob(weights)
+			if math.Abs(vecs[k][b]-want) > 1e-9*(1+want) {
+				t.Errorf("%s bucket %d: joint %g vs indicator %g", col, b, vecs[k][b], want)
+			}
 		}
 	}
 }
@@ -437,7 +440,7 @@ func TestUnknownColumnErrors(t *testing.T) {
 	if _, err := ctx.SelectivityConj([]expr.Constraint{eqConstraint("zz", 1)}); err == nil {
 		t.Error("unknown column must error")
 	}
-	if _, err := ctx.JointWithColumn(nil, "zz"); err == nil {
+	if _, err := ctx.JointWithColumns(nil, []string{"a", "zz"}); err == nil {
 		t.Error("unknown key column must error")
 	}
 	if _, err := m.WeightsFor("zz", eqConstraint("zz", 1)); err == nil {
@@ -478,11 +481,11 @@ func TestForcedBounds(t *testing.T) {
 		t.Errorf("bins = %d, want 4", m.Cols[0].Bins())
 	}
 	ctx, _ := m.NewContext()
-	vec, err := ctx.JointWithColumn(nil, "k")
+	vecs, err := ctx.JointWithColumns(nil, []string{"k"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for b, v := range vec {
+	for b, v := range vecs[0] {
 		if math.Abs(v-0.25) > 0.03 {
 			t.Errorf("bucket %d probability %g, want ~0.25", b, v)
 		}

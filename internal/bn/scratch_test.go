@@ -101,12 +101,16 @@ func TestMarginalsScratchReuse(t *testing.T) {
 		pe, belief, pair := ctx.Marginals(w)
 		reference[i] = snap{pe, belief, pair}
 	}
-	// Interleave Prob/JointWithColumn (pooled) with fresh Marginals calls;
+	// Interleave Prob/JointWithColumns (pooled) with fresh Marginals calls;
 	// every Marginals result must match its first-run reference exactly.
 	for round := 0; round < 3; round++ {
 		for i, w := range evidence {
 			ctx.Prob(w)
-			if _, err := ctx.JointWithColumn(nil, m.Cols[0].Name); err != nil {
+			if _, err := ctx.JointWithColumns(nil, []string{m.Cols[0].Name}); err != nil {
+				t.Fatal(err)
+			}
+			cons := []expr.Constraint{eqConstraint(m.Cols[i%len(m.Cols)].Name, 1)}
+			if _, err := ctx.JointWithColumns(cons, []string{m.Cols[0].Name, m.Cols[len(m.Cols)-1].Name}); err != nil {
 				t.Fatal(err)
 			}
 			pe, belief, pair := ctx.Marginals(w)
@@ -202,6 +206,41 @@ func TestSelectivityConjAllocs(t *testing.T) {
 	// interface headers, nothing proportional to node count or bins.
 	if allocs > float64(len(cons))+2 {
 		t.Errorf("SelectivityConj allocates %.1f/op, want <= %d", allocs, len(cons)+2)
+	}
+}
+
+// TestJointWithColumnsAllocs bounds the bucket-vector API: the returned
+// vectors (one header slice, one backing array) and the compiled
+// per-constraint weight vectors allocate, nothing else.
+func TestJointWithColumnsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector; allocation counts are only meaningful without -race")
+	}
+	m := trainWide(t, 8, 4000)
+	ctx, err := m.NewContext()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cons := []expr.Constraint{eqConstraint("c2", 1), rangeConstraint("c5", expr.OpLe, 2)}
+	cols := []string{"c0", "c3", "c7"}
+	if _, err := ctx.JointWithColumns(cons, cols); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := ctx.JointWithColumns(cons, cols); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := float64(len(cons) + 2); allocs > want {
+		t.Errorf("JointWithColumns allocates %.1f/op, want <= %.0f", allocs, want)
+	}
+	free := testing.AllocsPerRun(200, func() {
+		if _, err := ctx.JointWithColumns(nil, cols); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if free > 2 {
+		t.Errorf("evidence-free JointWithColumns allocates %.1f/op, want <= 2", free)
 	}
 }
 

@@ -306,55 +306,6 @@ func (e *Estimator) EstimateConj(t *engine.QueryTable, preds []expr.Pred) float6
 	return sel.Float()
 }
 
-// jointVector returns the filtered per-bucket count vector of keyCol under
-// the table's filter tree, applying inclusion–exclusion for OR filters and
-// summing across shard models.
-func (e *Estimator) jointVector(t *engine.QueryTable, keyCol string, buckets int) ([]float64, error) {
-	ctxs, ok := e.Infer.BNContexts(t.Name)
-	if !ok {
-		return nil, &ModelError{Key: "bn:" + t.Name, Outcome: obs.OutcomeMissing, Msg: fmt.Sprintf("core: no BN for table %s", t.Name)}
-	}
-	enc := encoderFor(t)
-	terms := []expr.IETerm{{Sign: 1}}
-	if t.Filter != nil {
-		var err error
-		terms, err = t.Filter.InclusionExclusion()
-		if err != nil {
-			return nil, err
-		}
-	}
-	scale := float64(t.Table.NumRows())
-	var popRows float64
-	for _, ctx := range ctxs {
-		popRows += ctx.Model().Rows
-	}
-	if popRows == 0 {
-		return nil, fmt.Errorf("core: BN for %s has zero population", t.Name)
-	}
-	out := make([]float64, buckets)
-	for _, ctx := range ctxs {
-		weight := ctx.Model().Rows / popRows * scale
-		for _, term := range terms {
-			vec, err := ctx.JointWithColumn(expr.BuildConstraints(term.Preds, enc), keyCol)
-			if err != nil {
-				return nil, err
-			}
-			if len(vec) != buckets {
-				return nil, fmt.Errorf("core: BN key %s.%s has %d bins, buckets want %d", t.Name, keyCol, len(vec), buckets)
-			}
-			for b, v := range vec {
-				out[b] += term.Sign * weight * v
-			}
-		}
-	}
-	for b := range out {
-		if out[b] < 0 {
-			out[b] = 0
-		}
-	}
-	return out, nil
-}
-
 // correctFinal multiplies a sanitized model estimate by the residual
 // corrector's learned factor for the target's template, re-clamped into
 // the same [lo, hi] the guard enforced. Only final (whole-target) model

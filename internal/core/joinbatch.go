@@ -5,10 +5,12 @@ import (
 	"math"
 	"math/bits"
 	"strings"
+	"sync"
 	"time"
 
 	"bytecard/internal/engine"
 	"bytecard/internal/estimate"
+	"bytecard/internal/expr"
 	"bytecard/internal/factorjoin"
 	"bytecard/internal/obs"
 	"bytecard/internal/par"
@@ -31,6 +33,54 @@ type joinUniverse struct {
 	// it could not be.
 	graph *factorjoin.Graph
 	err   error
+	// keys[i] holds the bucket vectors of tables[i]'s join columns, laid
+	// out with the graph.
+	keys []keyVectors
+}
+
+// keyVectors is one table's filtered per-bucket counts for every column the
+// universe's conditions join it on. The graph's first request for any of
+// them runs one BN pass per (inclusion–exclusion term, shard) that yields
+// them all; requests racing it wait rather than repeat it, and its errors
+// are kept like its vectors.
+type keyVectors struct {
+	once sync.Once
+	cols []keyVector
+}
+
+// keyVector is one join column's bucket vector, or why it has none.
+type keyVector struct {
+	col string
+	cnt []float64
+	err error
+}
+
+// layOutKeys lists each table's distinct join columns in first-seen
+// condition order, all carved from one array.
+func (u *joinUniverse) layOutKeys() {
+	u.keys = make([]keyVectors, len(u.tables))
+	// Bindings are distinct, so each condition side lands in one table:
+	// the array never grows and the carved slices stay valid.
+	all := make([]keyVector, 0, 2*len(u.conds))
+	for i, t := range u.tables {
+		start := len(all)
+		for c := range u.conds {
+			cond := &u.conds[c]
+			for _, side := range [2][2]string{{cond.LeftTab, cond.LeftCol}, {cond.RightTab, cond.RightCol}} {
+				if side[0] != t.Binding {
+					continue
+				}
+				seen := false
+				for _, k := range all[start:] {
+					seen = seen || k.col == side[1]
+				}
+				if !seen {
+					all = append(all, keyVector{col: side[1]})
+				}
+			}
+		}
+		u.keys[i].cols = all[start:len(all):len(all)]
+	}
 }
 
 // place returns the masks selecting the item's tables and conditions from
@@ -170,6 +220,11 @@ func (u *joinUniverse) key(tables, conds uint64) string {
 // compileGraph builds u's factor graph against fj, fed by the tables'
 // Bayesian networks.
 func (e *Estimator) compileGraph(u *joinUniverse, fj *factorjoin.Model) {
+	u.compile(fj, e.keySource(u), e.JoinMode)
+}
+
+// compile builds u's factor graph against fj over src.
+func (u *joinUniverse) compile(fj *factorjoin.Model, src factorjoin.CountSource, mode factorjoin.Mode) {
 	tables := make([]factorjoin.QueryTable, len(u.tables))
 	for i, t := range u.tables {
 		tables[i] = factorjoin.QueryTable{Binding: t.Binding, Name: t.Name}
@@ -178,38 +233,158 @@ func (e *Estimator) compileGraph(u *joinUniverse, fj *factorjoin.Model) {
 	for i, j := range u.conds {
 		conds[i] = factorjoin.Cond{LBind: j.LeftTab, LCol: j.LeftCol, RBind: j.RightTab, RCol: j.RightCol}
 	}
-	src := func(binding, _, column string, bounds []float64) ([]float64, error) {
-		var t *engine.QueryTable
-		for _, c := range u.tables {
-			if c.Binding == binding {
-				t = c
-				break
-			}
-		}
+	u.graph, u.err = fj.Compile(tables, conds, src, mode)
+}
+
+// keySource is the CountSource of u's graph: a column's vector comes from
+// its table's one BN pass over all of the table's join columns.
+func (e *Estimator) keySource(u *joinUniverse) factorjoin.CountSource {
+	u.layOutKeys()
+	return func(binding, _, column string, bounds []float64) ([]float64, error) {
 		var vecStart time.Time
 		if e.trace != nil {
 			vecStart = time.Now()
 		}
-		vec, err := e.jointVector(t, column, len(bounds)-1)
-		if err != nil {
-			return nil, err
+		for i, t := range u.tables {
+			if t.Binding != binding {
+				continue
+			}
+			kv := &u.keys[i]
+			kv.once.Do(func() { e.bnKeyPass(t, kv.cols) })
+			for k := range kv.cols {
+				v := &kv.cols[k]
+				if v.col != column {
+					continue
+				}
+				if v.err != nil {
+					return nil, v.err
+				}
+				if len(v.cnt) != len(bounds)-1 {
+					return nil, fmt.Errorf("core: BN key %s.%s has %d bins, buckets want %d", t.Name, column, len(v.cnt), len(bounds)-1)
+				}
+				if e.trace != nil {
+					e.trace.Add(obs.Span{Op: obs.OpVector, Tables: []string{binding}, Key: "bn:" + t.Name, Source: "bn", Outcome: obs.OutcomeOK, Duration: time.Since(vecStart)})
+				}
+				return v.cnt, nil
+			}
 		}
-		if e.JoinMode == factorjoin.ModeEstimate {
-			// Sub-half-row bucket mass is smoothing noise, but a
-			// high-fanout bucket amplifies it by orders of magnitude;
-			// floor it (bound mode keeps every epsilon to stay sound).
-			for b, v := range vec {
-				if v < 0.5 {
-					vec[b] = 0
+		return nil, fmt.Errorf("core: %s.%s is not a join column of the compiled graph", binding, column)
+	}
+}
+
+// bnPassHook, when set (by tests), sees the table of every BN pass
+// bnKeyPass runs; an error it returns fails the pass.
+var bnPassHook func(table string) error
+
+// wholeTable is the inclusion–exclusion expansion of an absent filter.
+var wholeTable = []expr.IETerm{{Sign: 1}}
+
+// bnKeyPass fills cols with t's per-bucket counts of each column under its
+// filter tree: P(term ∧ col = b) from one JointWithColumns call per
+// (inclusion–exclusion term, shard) for all columns, each column summed in
+// shard → term order with the term's sign and the shard's population
+// share, negative sums clamped to zero and, in estimate mode, sub-half-row
+// buckets floored. A column fails alone where a shard's model lacks it.
+func (e *Estimator) bnKeyPass(t *engine.QueryTable, cols []keyVector) {
+	fail := func(err error) {
+		for k := range cols {
+			if cols[k].err == nil {
+				cols[k].err = err
+			}
+		}
+	}
+	ctxs, ok := e.Infer.BNContexts(t.Name)
+	if !ok {
+		fail(&ModelError{Key: "bn:" + t.Name, Outcome: obs.OutcomeMissing, Msg: fmt.Sprintf("core: no BN for table %s", t.Name)})
+		return
+	}
+	terms := wholeTable
+	var enc expr.Encoder
+	if t.Filter != nil {
+		var err error
+		if terms, err = t.Filter.InclusionExclusion(); err != nil {
+			fail(err)
+			return
+		}
+		enc = encoderFor(t)
+	}
+	scale := float64(t.Table.NumRows())
+	var popRows float64
+	for _, ctx := range ctxs {
+		popRows += ctx.Model().Rows
+	}
+	if popRows == 0 {
+		fail(fmt.Errorf("core: BN for %s has zero population", t.Name))
+		return
+	}
+	var nameBuf [4]string
+	var liveBuf [4]int
+	for _, ctx := range ctxs {
+		weight := ctx.Model().Rows / popRows * scale
+		names, live := nameBuf[:0], liveBuf[:0]
+		for k := range cols {
+			c := &cols[k]
+			if c.err != nil {
+				continue
+			}
+			if ctx.Model().ColIndex(c.col) < 0 {
+				c.err = fmt.Errorf("core: BN for %s has no column %q", t.Name, c.col)
+				continue
+			}
+			names, live = append(names, c.col), append(live, k)
+		}
+		if len(names) == 0 {
+			return
+		}
+		for _, term := range terms {
+			if bnPassHook != nil {
+				if err := bnPassHook(t.Name); err != nil {
+					fail(err)
+					return
+				}
+			}
+			vecs, err := ctx.JointWithColumns(expr.BuildConstraints(term.Preds, enc), names)
+			if err != nil {
+				fail(err)
+				return
+			}
+			for r, k := range live {
+				c := &cols[k]
+				vec := vecs[r]
+				switch {
+				case c.err != nil:
+				case c.cnt == nil:
+					// The first vector is fresh: it becomes the sum,
+					// zeroed as it is read so the sum starts from +0.
+					c.cnt = vec
+					for b, v := range vec {
+						vec[b] = 0
+						vec[b] += term.Sign * weight * v
+					}
+				case len(vec) != len(c.cnt):
+					c.err = fmt.Errorf("core: BN key %s.%s has %d bins in one shard, %d in another", t.Name, c.col, len(c.cnt), len(vec))
+				default:
+					for b, v := range vec {
+						c.cnt[b] += term.Sign * weight * v
+					}
 				}
 			}
 		}
-		if e.trace != nil {
-			e.trace.Add(obs.Span{Op: obs.OpVector, Tables: []string{binding}, Key: "bn:" + t.Name, Source: "bn", Outcome: obs.OutcomeOK, Duration: time.Since(vecStart)})
-		}
-		return vec, nil
 	}
-	u.graph, u.err = fj.Compile(tables, conds, src, e.JoinMode)
+	// Sub-half-row bucket mass is smoothing noise, but a high-fanout
+	// bucket amplifies it by orders of magnitude: estimate mode floors it
+	// (bound mode keeps every epsilon to stay sound).
+	floor := 0.0
+	if e.JoinMode == factorjoin.ModeEstimate {
+		floor = 0.5
+	}
+	for k := range cols {
+		for b, v := range cols[k].cnt {
+			if v < floor {
+				cols[k].cnt[b] = 0
+			}
+		}
+	}
 }
 
 // joinRequest is one batch item placed in its universe, and what became of

@@ -235,8 +235,9 @@ func TestBatchMatchesSequentialCalls(t *testing.T) {
 // TestWarmPlanAllocs gates the planner/estimator miss path: a 6-table
 // GROUP BY plan with pools and model-resident conditionals warm but the
 // subset memo cold (every subset runs inference), hubs listed first and
-// hubs listed last. Each measures 305 allocations; the per-subset
-// string-keyed graphs this replaced spent 2,139 on the hub-first plan.
+// hubs listed last. Each measures 295 allocations (301 before one BN pass
+// served all of a table's join columns); the per-subset string-keyed
+// graphs this replaced spent 2,139 on the hub-first plan.
 func TestWarmPlanAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector; allocation counts are only meaningful without -race")

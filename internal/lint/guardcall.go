@@ -45,7 +45,7 @@ var guardedEntryPoints = []guardedEntryPoint{
 	{"internal/bn", "Context", "Marginals"},
 	{"internal/bn", "Context", "SelectivityConj"},
 	{"internal/bn", "Context", "SelectivityNode"},
-	{"internal/bn", "Context", "JointWithColumn"},
+	{"internal/bn", "Context", "JointWithColumns"},
 	{"internal/bn", "TreeWalker", "Prob"},
 	{"internal/factorjoin", "Model", "Estimate"},
 	{"internal/rbx", "Model", "EstimateNDV"},
