@@ -74,9 +74,20 @@ func (c Config) scale(base int) int {
 // gen wraps a seeded RNG with the distribution helpers the generators use.
 type gen struct {
 	rng *rand.Rand
+	// zipfs memoizes one sampler per (s, maxVal): rand.NewZipf only
+	// precomputes constants from its parameters and draws nothing, so a
+	// reused sampler yields exactly the draws a fresh one per call would.
+	zipfs map[zipfParams]*rand.Zipf
 }
 
-func newGen(seed int64) *gen { return &gen{rng: rand.New(rand.NewSource(seed))} }
+type zipfParams struct {
+	s      float64
+	maxVal int64
+}
+
+func newGen(seed int64) *gen {
+	return &gen{rng: rand.New(rand.NewSource(seed)), zipfs: map[zipfParams]*rand.Zipf{}}
+}
 
 // zipf returns a value in [1, maxVal] with Zipf skew s (>1 skews harder).
 // Degenerate parameters degrade instead of panicking: a domain of one value
@@ -89,7 +100,12 @@ func (g *gen) zipf(s float64, maxVal int64) int64 {
 	if s <= 1 {
 		return g.uniform(1, maxVal)
 	}
-	z := rand.NewZipf(g.rng, s, 1, uint64(maxVal-1))
+	p := zipfParams{s, maxVal}
+	z, ok := g.zipfs[p]
+	if !ok {
+		z = rand.NewZipf(g.rng, s, 1, uint64(maxVal-1))
+		g.zipfs[p] = z
+	}
 	return int64(z.Uint64()) + 1
 }
 

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"bytecard/internal/expr"
@@ -16,15 +15,14 @@ import (
 // ids and lazily created block-accounted column readers shared by later
 // operators (late materialization reads land on the same readers — or on
 // sibling readers sharing their charge sets — so every block is charged at
-// most once per query).
+// most once per query). Readers are created only by sequential code: a
+// parallel phase binds the canonical readers it needs before dispatch and
+// hands each worker siblings of them.
 type scanState struct {
 	t       *QueryTable
 	rows    []int32
 	readers map[string]*storage.Reader
 	io      *storage.IOStats
-	// mu guards readers during parallel phases; sequential code (which
-	// never overlaps a parallel phase) uses reader/value lock-free.
-	mu sync.Mutex
 }
 
 func (s *scanState) reader(col string) *storage.Reader {
@@ -40,16 +38,39 @@ func (s *scanState) reader(col string) *storage.Reader {
 	return r
 }
 
-// sibling returns a worker-private reader sharing the canonical reader's
-// block-charge set. Safe to call from concurrent workers.
-func (s *scanState) sibling(col string) *storage.Reader {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.reader(col).Sibling()
+// bind returns the canonical readers of cols, in order.
+func (s *scanState) bind(cols []string) []*storage.Reader {
+	out := make([]*storage.Reader, len(cols))
+	for i, c := range cols {
+		out[i] = s.reader(c)
+	}
+	return out
 }
 
-func (s *scanState) value(col string, row int32) types.Datum {
-	return s.reader(col).Value(int(row))
+// scanStages compiles a conjunctive filter of t into the staged form every
+// constraint-driven scan takes: the constrained columns in evaluation
+// order (order, or the predicates' own column order when order is empty)
+// and, aligned with them, each column's constraint.
+func scanStages(t *QueryTable, preds []expr.Pred, order []string) ([]string, []expr.Constraint) {
+	col := t.Table.ColByName
+	constraints := expr.BuildConstraints(preds, func(c string, d types.Datum) (float64, bool) {
+		return col(c).EncodeDatum(d)
+	})
+	if len(order) == 0 {
+		order = distinctCols(preds)
+	}
+	var cols []string
+	var cons []expr.Constraint
+	for _, c := range order {
+		for _, k := range constraints {
+			if k.Col == c {
+				cols = append(cols, c)
+				cons = append(cons, k)
+				break
+			}
+		}
+	}
+	return cols, cons
 }
 
 // Execute runs a physical plan.
@@ -216,35 +237,12 @@ func (e *Engine) pushdownScan(st *scanState, sp *ScanPlan, n, limit int, ex *exe
 		st.rows = allRows(n)
 		return
 	}
-	col := st.t.Table.ColByName
-	constraints := expr.BuildConstraints(preds, func(c string, d types.Datum) (float64, bool) {
-		return col(c).EncodeDatum(d)
-	})
-	byCol := map[string]expr.Constraint{}
-	for _, c := range constraints {
-		byCol[c.Col] = c
-	}
-	order := sp.ColOrder
-	if len(order) == 0 {
-		order = distinctCols(preds)
-	}
-	opts := storage.ScanOptions{Limit: limit}
-	cols := make([]string, 0, len(order))
-	for _, c := range order {
-		cons, ok := byCol[c]
-		if !ok {
-			continue
-		}
-		opts.Constraints = append(opts.Constraints, cons)
-		cols = append(cols, c)
-	}
+	cols, cons := scanStages(st.t, preds, sp.ColOrder)
+	opts := storage.ScanOptions{Constraints: cons, Limit: limit}
+	readers := st.bind(cols)
 	if limit == 0 && ex.parallelFor(n, morselRows) {
-		st.rows = parallelPushdownScan(st, opts, cols, n, ex.workers)
+		st.rows = parallelPushdownScan(readers, opts, n, ex.workers)
 		return
-	}
-	readers := make([]*storage.Reader, len(cols))
-	for i, c := range cols {
-		readers[i] = st.reader(c)
 	}
 	st.rows = storage.BlockScan(readers, opts, 0, n, nil)
 }
@@ -273,29 +271,19 @@ func (e *Engine) singleStageScan(q *Query, st *scanState, sp *ScanPlan, n int, e
 			cols = append(cols, c)
 		}
 	}
+	readers := st.bind(cols)
+	if filter != nil && ex.parallelFor(n, morselRows) {
+		st.rows = parallelSingleStage(filter, cols, readers, n, ex.workers)
+		return
+	}
+	for _, r := range readers {
+		r.LoadAll()
+	}
 	if filter == nil {
-		for _, c := range cols {
-			st.reader(c).LoadAll()
-		}
 		st.rows = allRows(n)
 		return
 	}
-	if ex.parallelFor(n, morselRows) {
-		st.rows = parallelSingleStage(st, cols, n, ex.workers)
-		return
-	}
-	for _, c := range cols {
-		st.reader(c).LoadAll()
-	}
-	rows := make([]int32, 0, n/4+1)
-	for i := 0; i < n; i++ {
-		ii := int32(i)
-		ok := filter.Eval(func(_, col string) types.Datum { return st.value(col, ii) })
-		if ok {
-			rows = append(rows, ii)
-		}
-	}
-	st.rows = rows
+	st.rows = evalRange(filter, cols, readers, 0, n, make([]int32, 0, n/4+1))
 }
 
 // multiStageScan filters column by column in the planned order, touching
@@ -307,19 +295,13 @@ func (e *Engine) multiStageScan(st *scanState, sp *ScanPlan, n int, ex *execCtx)
 	if !ok {
 		return fmt.Errorf("engine: multi-stage reader requires a conjunctive filter")
 	}
-	col := st.t.Table.ColByName // shorthand
-	constraints := expr.BuildConstraints(preds, func(c string, d types.Datum) (float64, bool) {
-		return col(c).EncodeDatum(d)
-	})
-	byCol := map[string]expr.Constraint{}
-	for _, c := range constraints {
-		byCol[c.Col] = c
-	}
+	cols, cons := scanStages(st.t, preds, sp.ColOrder)
+	readers := st.bind(cols)
 	if ex.parallelFor(n, morselRows) {
-		st.rows = parallelMultiStage(st, sp.ColOrder, byCol, n, ex.workers)
+		st.rows = parallelMultiStage(readers, cons, n, ex.workers)
 		return nil
 	}
-	st.rows = stageFilter(st.reader, sp.ColOrder, byCol, allRows(n))
+	st.rows = stageFilter(readers, cons, allRows(n))
 	return nil
 }
 
@@ -418,11 +400,12 @@ func (e *Engine) scanForJoin(q *Query, p *Plan, states []*scanState, next int, s
 
 	// Stage 0: key-membership probe over the whole key column(s), morsel
 	// parallel when the table is large enough.
+	right := sip.rightKeyCols(st.reader)
 	var candidates []int32
 	if ex.parallelFor(n, morselRows) {
-		candidates = parallelSIPProbe(st, sip, n, ex.workers)
+		candidates = parallelSIPProbe(sip, right, n, ex.workers)
 	} else {
-		candidates = sip.filterRange(sip.rightKeyCols(st.reader), 0, n, make([]int32, 0, sip.keys.len()))
+		candidates = sip.filterRange(right, 0, n, make([]int32, 0, sip.keys.len()))
 	}
 	m.SIPPruned += int64(n - len(candidates))
 
@@ -434,83 +417,50 @@ func (e *Engine) scanForJoin(q *Query, p *Plan, states []*scanState, next int, s
 		m.RowsMaterialized += int64(len(st.rows))
 		return nil
 	}
+	parallel := ex.parallelFor(len(candidates), tupleChunk)
 	if preds, ok := filter.Conjunction(); ok {
-		col := t.Table.ColByName
-		constraints := expr.BuildConstraints(preds, func(c string, d types.Datum) (float64, bool) {
-			return col(c).EncodeDatum(d)
-		})
-		order := sp.ColOrder
-		if len(order) == 0 {
-			order = distinctCols(preds)
-		}
-		byCol := map[string]expr.Constraint{}
-		for _, c := range constraints {
-			byCol[c.Col] = c
-		}
-		if ex.parallelFor(len(candidates), tupleChunk) {
-			st.rows = parallelStageFilterRows(st, order, byCol, candidates, ex.workers)
+		cols, cons := scanStages(t, preds, sp.ColOrder)
+		readers := st.bind(cols)
+		if parallel {
+			st.rows = parallelStageFilterRows(readers, cons, candidates, ex.workers)
 		} else {
-			st.rows = stageFilter(st.reader, order, byCol, candidates)
+			st.rows = stageFilter(readers, cons, candidates)
 		}
 	} else {
-		if ex.parallelFor(len(candidates), tupleChunk) {
-			st.rows = parallelEvalFilterRows(st, filter, candidates, ex.workers)
+		cols := distinctCols(filter.Leaves())
+		readers := st.bind(cols)
+		if parallel {
+			st.rows = parallelEvalFilterRows(filter, cols, readers, candidates, ex.workers)
 		} else {
-			kept := candidates[:0]
-			for _, row := range candidates {
-				if filter.Eval(func(_, col string) types.Datum { return st.value(col, row) }) {
-					kept = append(kept, row)
-				}
-			}
-			st.rows = kept
+			st.rows = evalRows(filter, cols, readers, candidates)
 		}
 	}
 	m.RowsMaterialized += int64(len(st.rows))
 	return nil
 }
 
-func hashKey(key []types.Datum) uint64 {
-	var h uint64 = 1469598103934665603
-	for _, d := range key {
-		h = h*1099511628211 ^ d.Hash64()
-	}
-	return h
-}
-
-// keysEqual reports whether two key tuples are equal. Ragged lengths and
-// non-comparable kind pairs compare unequal instead of panicking (or
-// silently misjudging when a is a prefix of b).
-func keysEqual(a, b []types.Datum) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].K != b[i].K && !(a[i].IsNumeric() && b[i].IsNumeric()) {
-			return false
-		}
-		if !a[i].Equal(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // boundCol is a ColRef resolved against an intermediate: the column's
-// reader and the intermediate's row-id column of its table, bound once per
-// phase so no name is looked up per tuple.
+// reader under its own word codec, and the intermediate's row-id column of
+// its table, bound once per phase so no name is looked up per tuple.
 type boundCol struct {
-	r    *storage.Reader
+	wordCol
 	rows []int32
 }
 
-func (b boundCol) value(ti int) types.Datum { return b.r.Value(int(b.rows[ti])) }
+func (b *boundCol) value(ti int) types.Datum { return b.r.Value(int(b.rows[ti])) }
 
-// bindCol resolves ref against inter. reader supplies the table's readers:
-// scanState.reader sequentially, scanState.sibling for a parallel worker.
-func bindCol(q *Query, states []*scanState, inter *intermediate, ref ColRef, reader func(*scanState, string) *storage.Reader) boundCol {
+// key is tuple ti's value as a key word: two tuples' words are equal
+// exactly when their values are Datum-equal (selfCodec).
+func (b *boundCol) key(ti int) uint64 { return b.word(b.rows[ti]) }
+
+// bindCol resolves ref against inter through the scan states' canonical
+// readers.
+func bindCol(q *Query, states []*scanState, inter *intermediate, ref ColRef) boundCol {
 	for k, ti := range inter.tabs {
 		if q.Tables[ti].Binding == ref.Tab {
-			return boundCol{r: reader(states[ti], ref.Col), rows: inter.cols[k]}
+			st := states[ti]
+			codec := selfCodec(st.t.Table.ColByName(ref.Col).Kind())
+			return boundCol{wordCol: wordCol{r: st.reader(ref.Col), codec: codec}, rows: inter.cols[k]}
 		}
 	}
 	panic("engine: unresolved column " + ref.String())
@@ -518,53 +468,102 @@ func bindCol(q *Query, states []*scanState, inter *intermediate, ref ColRef, rea
 
 // aggInputs is a query's group keys and aggregate inputs bound to an
 // intermediate: group[i] serves q.GroupBy[i], aggs[a][c] serves
-// q.Aggs[a].Cols[c].
+// q.Aggs[a].Cols[c]. counts is the intermediate's multiplicities; groupKey
+// and distinctKey are the key-word scratch of one worker.
 type aggInputs struct {
-	group []boundCol
-	aggs  [][]boundCol
+	specs       []AggSpec
+	group       []boundCol
+	aggs        [][]boundCol
+	counts      []int64
+	groupKey    []uint64
+	distinctKey []uint64
 }
 
-func bindAggInputs(q *Query, states []*scanState, inter *intermediate, reader func(*scanState, string) *storage.Reader) aggInputs {
-	in := aggInputs{group: make([]boundCol, len(q.GroupBy)), aggs: make([][]boundCol, len(q.Aggs))}
+func bindAggInputs(q *Query, states []*scanState, inter *intermediate) *aggInputs {
+	in := &aggInputs{specs: q.Aggs, group: make([]boundCol, len(q.GroupBy)), aggs: make([][]boundCol, len(q.Aggs)), counts: inter.counts}
 	for i, g := range q.GroupBy {
-		in.group[i] = bindCol(q, states, inter, g, reader)
+		in.group[i] = bindCol(q, states, inter, g)
 	}
+	width := 0
 	for a, spec := range q.Aggs {
 		in.aggs[a] = make([]boundCol, len(spec.Cols))
 		for c, ref := range spec.Cols {
-			in.aggs[a][c] = bindCol(q, states, inter, ref, reader)
+			in.aggs[a][c] = bindCol(q, states, inter, ref)
+		}
+		if spec.Kind == AggCountDistinct {
+			width = max(width, len(spec.Cols))
 		}
 	}
+	in.groupKey = make([]uint64, len(in.group))
+	in.distinctKey = make([]uint64, width)
 	return in
 }
 
+// sibling returns a copy of in for one parallel worker: the same columns
+// read through sibling readers, and scratch of its own.
+func (in *aggInputs) sibling() *aggInputs {
+	sib := func(cols []boundCol) []boundCol {
+		out := make([]boundCol, len(cols))
+		for i, c := range cols {
+			c.r = c.r.Sibling()
+			out[i] = c
+		}
+		return out
+	}
+	out := &aggInputs{specs: in.specs, group: sib(in.group), aggs: make([][]boundCol, len(in.aggs)), counts: in.counts}
+	for a, cols := range in.aggs {
+		out.aggs[a] = sib(cols)
+	}
+	out.groupKey = make([]uint64, len(in.groupKey))
+	out.distinctKey = make([]uint64, len(in.distinctKey))
+	return out
+}
+
 // accumulate folds tuples [lo, hi) into accs (no GROUP BY).
-func (in *aggInputs) accumulate(accs []aggAcc, aggs []AggSpec, counts []int64, lo, hi int) {
-	ti := lo
-	fetch := func(a, c int) types.Datum { return in.aggs[a][c].value(ti) }
-	for ; ti < hi; ti++ {
-		updateAccs(accs, aggs, fetch, counts[ti])
+func (in *aggInputs) accumulate(accs []aggAcc, lo, hi int) {
+	for ti := lo; ti < hi; ti++ {
+		in.update(accs, ti)
 	}
 }
 
 // accumulateGroups folds tuples [lo, hi) into table by group key.
-func (in *aggInputs) accumulateGroups(table *aggTable, aggs []AggSpec, counts []int64, lo, hi int) {
-	ti := lo
-	fetch := func(a, c int) types.Datum { return in.aggs[a][c].value(ti) }
-	key := make([]types.Datum, len(in.group))
-	for ; ti < hi; ti++ {
-		for i, g := range in.group {
-			key[i] = g.value(ti)
+func (in *aggInputs) accumulateGroups(table *groupTable, lo, hi int) {
+	key := in.groupKey
+	for ti := lo; ti < hi; ti++ {
+		for i := range in.group {
+			key[i] = in.group[i].key(ti)
 		}
-		accs := table.lookup(key, func() []aggAcc { return newAccs(aggs) })
-		updateAccs(accs, aggs, fetch, counts[ti])
+		in.update(table.group(hashWords(key), key, int32(ti)), ti)
 	}
 }
 
-// executeAggregation folds the joined relation through the aggregation
-// hash table (or a single accumulator when there is no GROUP BY). When the
-// executor runs parallel, workers accumulate into per-worker tables sized
-// from the NDV estimate divided by the worker count, then merge.
+// update folds tuple ti, with its multiplicity, into accs.
+func (in *aggInputs) update(accs []aggAcc, ti int) {
+	mult := in.counts[ti]
+	for i, spec := range in.specs {
+		acc := &accs[i]
+		switch spec.Kind {
+		case AggCountStar:
+			acc.count += mult
+		case AggCountDistinct:
+			key := in.distinctKey[:len(in.aggs[i])]
+			for k := range key {
+				key[k] = in.aggs[i][k].key(ti)
+			}
+			acc.distinct.insert(hashWords(key), key)
+		case AggSum, AggAvg:
+			acc.sum += in.aggs[i][0].value(ti).AsFloat() * float64(mult)
+			acc.count += mult
+		case AggMin, AggMax:
+			acc.see(in.aggs[i][0].value(ti))
+		}
+	}
+}
+
+// executeAggregation folds the joined relation through the group table (or
+// a single accumulator block when there is no GROUP BY). When the executor
+// runs parallel, workers accumulate into per-worker tables sized from the
+// NDV estimate divided by the worker count, then merge.
 func (e *Engine) executeAggregation(q *Query, p *Plan, states []*scanState, inter *intermediate, m *Metrics, ex *execCtx) (*Result, error) {
 	res := &Result{}
 	for _, item := range q.Stmt.Items {
@@ -581,11 +580,10 @@ func (e *Engine) executeAggregation(q *Query, p *Plan, states []*scanState, inte
 			// so there is nothing to bind.
 			accs = newAccs(q.Aggs)
 		case ex.parallelFor(n, tupleChunk):
-			accs = parallelGlobalAgg(q, states, inter, ex.workers)
+			accs = parallelGlobalAgg(q, bindAggInputs(q, states, inter), n, ex.workers)
 		default:
 			accs = newAccs(q.Aggs)
-			in := bindAggInputs(q, states, inter, (*scanState).reader)
-			in.accumulate(accs, q.Aggs, inter.counts, 0, n)
+			bindAggInputs(q, states, inter).accumulate(accs, 0, n)
 		}
 		res.Rows = [][]types.Datum{buildOutputRow(q, nil, accs)}
 		return res, nil
@@ -595,22 +593,26 @@ func (e *Engine) executeAggregation(q *Query, p *Plan, states []*scanState, inte
 	if n == 0 {
 		return res, nil
 	}
-	var table *aggTable
+	in := bindAggInputs(q, states, inter)
+	var table *groupTable
 	if ex.parallelFor(n, tupleChunk) {
 		var resizes int64
-		table, resizes = parallelGroupedAgg(q, p, states, inter, ex.workers)
+		table, resizes = parallelGroupedAgg(q, p, in, n, ex.workers)
 		m.HashResizes += resizes
 	} else {
-		table = newAggTable(p.AggCapacity)
-		in := bindAggInputs(q, states, inter, (*scanState).reader)
-		in.accumulateGroups(table, q.Aggs, inter.counts, 0, n)
-		m.HashResizes += int64(table.resizes)
+		table = newGroupTable(len(q.GroupBy), p.AggCapacity, q.Aggs)
+		in.accumulateGroups(table, 0, n)
+		m.HashResizes += int64(table.keys.resizes)
 	}
 
-	for _, slot := range table.slots {
-		if slot.used {
-			res.Rows = append(res.Rows, buildOutputRow(q, slot.key, slot.accs))
+	// Group keys are read back as Datums once per group, from the tuple
+	// that opened it.
+	key := make([]types.Datum, len(in.group))
+	for g, rep := range table.reps {
+		for i := range in.group {
+			key[i] = in.group[i].value(int(rep))
 		}
+		res.Rows = append(res.Rows, buildOutputRow(q, key, table.accs(g)))
 	}
 	sortRows(res.Rows)
 	if q.Limit > 0 && len(res.Rows) > q.Limit {
@@ -634,7 +636,7 @@ func (e *Engine) executeProjection(q *Query, states []*scanState, inter *interme
 	}
 	bound := make([]boundCol, len(q.Select))
 	for i, ref := range q.Select {
-		bound[i] = bindCol(q, states, inter, ref, (*scanState).reader)
+		bound[i] = bindCol(q, states, inter, ref)
 	}
 	for ti, count := range inter.counts {
 		for c := count; c > 0; c-- {
@@ -682,93 +684,42 @@ func sortRows(rows [][]types.Datum) {
 	})
 }
 
-// distinctSet is an exact COUNT DISTINCT accumulator: keys are grouped by
-// 64-bit hash but the actual datums are chained and compared on collision,
-// so colliding datums never silently undercount the exact answer.
-type distinctSet struct {
-	groups map[uint64][][]types.Datum
-	n      int
-}
-
-func newDistinctSet() *distinctSet {
-	return &distinctSet{groups: map[uint64][][]types.Datum{}}
-}
-
-// add inserts key (copied) under hash h if no equal key is chained there.
-func (s *distinctSet) add(h uint64, key []types.Datum) {
-	for _, k := range s.groups[h] {
-		if keysEqual(k, key) {
-			return
-		}
-	}
-	cp := make([]types.Datum, len(key))
-	copy(cp, key)
-	s.groups[h] = append(s.groups[h], cp)
-	s.n++
-}
-
-// merge folds another set's members into s.
-func (s *distinctSet) merge(o *distinctSet) {
-	//bytecard:unordered-ok groups are keyed by hash; each hash chain merges independently and set semantics ignore insertion order
-	for h, chain := range o.groups {
-		for _, k := range chain {
-			s.add(h, k)
-		}
-	}
-}
-
-// aggAcc accumulates one aggregate for one group.
+// aggAcc accumulates one aggregate for one group. COUNT DISTINCT keeps its
+// members as key words, one per column; MIN and MAX keep Datums, because
+// dictionary codes are not in string order.
 type aggAcc struct {
 	count    int64
 	sum      float64
 	min, max types.Datum
 	seen     bool
-	distinct *distinctSet
+	distinct *wordTable
 }
 
-func newAccs(aggs []AggSpec) []aggAcc {
-	accs := make([]aggAcc, len(aggs))
-	for i, a := range aggs {
+// appendAccs appends one fresh accumulator per aggregate to accs.
+func appendAccs(accs []aggAcc, aggs []AggSpec) []aggAcc {
+	for _, a := range aggs {
+		var acc aggAcc
 		if a.Kind == AggCountDistinct {
-			accs[i].distinct = newDistinctSet()
+			acc.distinct = newWordTable(len(a.Cols), 0)
 		}
+		accs = append(accs, acc)
 	}
 	return accs
 }
 
-// updateAccs folds one tuple of multiplicity mult into accs; fetch(a, c)
-// returns the tuple's value of aggs[a].Cols[c].
-func updateAccs(accs []aggAcc, aggs []AggSpec, fetch func(a, c int) types.Datum, mult int64) {
-	for i := range aggs {
-		acc := &accs[i]
-		switch aggs[i].Kind {
-		case AggCountStar:
-			acc.count += mult
-		case AggCountDistinct:
-			key := make([]types.Datum, len(aggs[i].Cols))
-			var h uint64 = 1469598103934665603
-			for k := range aggs[i].Cols {
-				key[k] = fetch(i, k)
-				h = h*1099511628211 ^ key[k].Hash64()
-			}
-			acc.distinct.add(h, key)
-		case AggSum, AggAvg:
-			v := fetch(i, 0)
-			acc.sum += v.AsFloat() * float64(mult)
-			acc.count += mult
-		case AggMin, AggMax:
-			v := fetch(i, 0)
-			if !acc.seen {
-				acc.min, acc.max, acc.seen = v, v, true
-			} else {
-				if v.Less(acc.min) {
-					acc.min = v
-				}
-				if acc.max.Less(v) {
-					acc.max = v
-				}
-			}
-		}
+func newAccs(aggs []AggSpec) []aggAcc { return appendAccs(make([]aggAcc, 0, len(aggs)), aggs) }
+
+// see folds v into a MIN/MAX accumulator.
+func (a *aggAcc) see(v types.Datum) {
+	if !a.seen {
+		a.min, a.max, a.seen = v, v, true
+		return
+	}
+	if v.Less(a.min) {
+		a.min = v
+	}
+	if a.max.Less(v) {
+		a.max = v
 	}
 }
 
@@ -777,7 +728,7 @@ func (a *aggAcc) result(kind AggKind) types.Datum {
 	case AggCountStar:
 		return types.Int(a.count)
 	case AggCountDistinct:
-		return types.Int(int64(a.distinct.n))
+		return types.Int(int64(a.distinct.len()))
 	case AggSum:
 		return types.Float(a.sum)
 	case AggAvg:
@@ -794,87 +745,6 @@ func (a *aggAcc) result(kind AggKind) types.Datum {
 	}
 }
 
-// aggTable is an open-addressing hash table with linear probing that counts
-// its resize events — the observable the paper's aggregation optimization
-// reduces by presizing from RBX's NDV estimate.
-type aggTable struct {
-	slots   []aggSlot
-	used    int
-	resizes int
-}
-
-type aggSlot struct {
-	h    uint64
-	key  []types.Datum
-	accs []aggAcc
-	used bool
-}
-
-// aggLoadFactor triggers growth.
-const aggLoadFactor = 0.7
-
-func newAggTable(expectedGroups int) *aggTable {
-	if expectedGroups < 1 {
-		expectedGroups = 1
-	}
-	n := nextPow2(int(float64(expectedGroups)/aggLoadFactor) + 1)
-	if n < 16 {
-		n = 16
-	}
-	return &aggTable{slots: make([]aggSlot, n)}
-}
-
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
-// lookup finds or inserts the group for key, copying the key on insert.
-func (t *aggTable) lookup(key []types.Datum, mk func() []aggAcc) []aggAcc {
-	return t.lookupHash(hashKey(key), key, mk)
-}
-
-// lookupHash is lookup with a caller-supplied hash — the merge phase
-// reuses stored slot hashes, and tests inject colliding hashes to exercise
-// chain behaviour.
-func (t *aggTable) lookupHash(h uint64, key []types.Datum, mk func() []aggAcc) []aggAcc {
-	if float64(t.used+1) > aggLoadFactor*float64(len(t.slots)) {
-		t.grow()
-	}
-	mask := uint64(len(t.slots) - 1)
-	i := h & mask
-	for {
-		s := &t.slots[i]
-		if !s.used {
-			kc := make([]types.Datum, len(key))
-			copy(kc, key)
-			*s = aggSlot{h: h, key: kc, accs: mk(), used: true}
-			t.used++
-			return s.accs
-		}
-		if s.h == h && keysEqual(s.key, key) {
-			return s.accs
-		}
-		i = (i + 1) & mask
-	}
-}
-
-// absorb merges another table's groups into t (the parallel aggregation's
-// merge phase), combining accumulators group by group.
-func (t *aggTable) absorb(o *aggTable, aggs []AggSpec) {
-	for i := range o.slots {
-		s := &o.slots[i]
-		if !s.used {
-			continue
-		}
-		accs := t.lookupHash(s.h, s.key, func() []aggAcc { return newAccs(aggs) })
-		mergeAccs(accs, s.accs, aggs)
-	}
-}
-
 // mergeAccs combines src's accumulators into dst (dst may be freshly
 // zeroed, in which case the merge equals a copy).
 func mergeAccs(dst, src []aggAcc, aggs []AggSpec) {
@@ -884,7 +754,7 @@ func mergeAccs(dst, src []aggAcc, aggs []AggSpec) {
 		case AggCountStar:
 			d.count += s.count
 		case AggCountDistinct:
-			d.distinct.merge(s.distinct)
+			d.distinct.absorb(s.distinct)
 		case AggSum, AggAvg:
 			d.sum += s.sum
 			d.count += s.count
@@ -906,23 +776,63 @@ func mergeAccs(dst, src []aggAcc, aggs []AggSpec) {
 	}
 }
 
-// grow doubles the table and rehashes every entry — the resize cost the
-// presizing optimization avoids.
-func (t *aggTable) grow() {
-	t.resizes++
-	old := t.slots
-	t.slots = make([]aggSlot, len(old)*2)
-	t.used = 0
-	mask := uint64(len(t.slots) - 1)
-	for _, s := range old {
-		if !s.used {
-			continue
-		}
-		i := s.h & mask
-		for t.slots[i].used {
-			i = (i + 1) & mask
-		}
-		t.slots[i] = s
-		t.used++
+// aggLoadFactor triggers a group table's growth.
+const aggLoadFactor = 0.7
+
+// groupTable is GROUP BY's hash table. Group keys are key words interned
+// in a wordTable that doubles past aggLoadFactor and counts its doublings —
+// the resize events the paper's aggregation optimization avoids by
+// presizing from RBX's NDV estimate. Each group's accumulators (one per
+// aggregate) and the tuple that opened it are stored by group id.
+type groupTable struct {
+	keys *wordTable
+	aggs []AggSpec
+	acc  []aggAcc
+	reps []int32
+}
+
+// newGroupTable sizes the table for expectedGroups at aggLoadFactor (16
+// slots at least).
+func newGroupTable(width, expectedGroups int, aggs []AggSpec) *groupTable {
+	if expectedGroups < 1 {
+		expectedGroups = 1
+	}
+	n := nextPow2(int(float64(expectedGroups)/aggLoadFactor) + 1)
+	if n < 16 {
+		n = 16
+	}
+	return &groupTable{keys: newLoadedWordTable(width, n, aggLoadFactor), aggs: aggs}
+}
+
+func nextPow2(n int) int {
+	p := 1
+	for p < n {
+		p <<= 1
+	}
+	return p
+}
+
+// group returns the accumulators of the group keyed by key (hash h),
+// opening it with representative tuple rep when absent.
+func (t *groupTable) group(h uint64, key []uint64, rep int32) []aggAcc {
+	id, added := t.keys.insert(h, key)
+	if added {
+		t.acc = appendAccs(t.acc, t.aggs)
+		t.reps = append(t.reps, rep)
+	}
+	return t.accs(int(id))
+}
+
+// accs returns group g's accumulators.
+func (t *groupTable) accs(g int) []aggAcc {
+	n := len(t.aggs)
+	return t.acc[g*n : (g+1)*n]
+}
+
+// absorb merges o's groups into t in o's group order, under o's stored
+// hashes and words (the parallel aggregation's merge phase).
+func (t *groupTable) absorb(o *groupTable) {
+	for g, h := range o.keys.hashes {
+		mergeAccs(t.group(h, o.keys.key(int32(g)), o.reps[g]), o.accs(g), t.aggs)
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -281,5 +282,60 @@ func TestSIPPrunesAndPreservesResults(t *testing.T) {
 	c, _ := slow.ScalarInt()
 	if a != c {
 		t.Fatalf("SIP result %d != naive %d", a, c)
+	}
+}
+
+// TestSIPFirstTailsAtAnyWorkerCount drives the SIP-first scan's later
+// stages — a conjunctive tail (staged constraints) and a disjunctive one
+// (tree evaluation) — over candidate lists longer than one tuple chunk, so
+// they run parallel at 2 and 4 workers. Results must equal the oracle's,
+// and rows and blocks must not depend on the worker count.
+func TestSIPFirstTailsAtAnyWorkerCount(t *testing.T) {
+	s := storage.NewBuilder("s", []storage.ColumnSpec{{Name: "id", Kind: types.KindInt64}})
+	for i := 0; i < 100; i++ {
+		s.Append([]types.Datum{types.Int(int64(i))})
+	}
+	b := storage.NewBuilder("b", []storage.ColumnSpec{
+		{Name: "k", Kind: types.KindInt64},
+		{Name: "x", Kind: types.KindInt64},
+		{Name: "y", Kind: types.KindInt64},
+	})
+	for i := 0; i < 10000; i++ {
+		b.Append([]types.Datum{types.Int(int64(i % 200)), types.Int(int64(i % 13)), types.Int(int64(i % 5))})
+	}
+	db := storage.NewDatabase()
+	db.Add(s.Build())
+	db.Add(b.Build())
+	e := New(db, catalog.NewSchema(), HeuristicEstimator{})
+	for _, sql := range []string{
+		"SELECT COUNT(*), SUM(b.x) FROM s, b WHERE s.id = b.k AND b.x < 7 AND b.y > 1",
+		"SELECT COUNT(*), SUM(b.x) FROM s, b WHERE s.id = b.k AND (b.x = 3 OR b.y = 1)",
+	} {
+		oracle, err := e.RunNaive(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var first *Result
+		for _, workers := range []int{1, 2, 4} {
+			e.Parallelism = workers
+			res, err := e.Run(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.Metrics.ReaderStrategy["b"]; !strings.HasPrefix(got, "sip+") {
+				t.Fatalf("%s: b scanned as %q, want a SIP-first scan", sql, got)
+			}
+			assertResultsEqual(t, res, oracle)
+			if first == nil {
+				first = res
+				continue
+			}
+			if !sameResult(first, res) || res.Metrics.RowsMaterialized != first.Metrics.RowsMaterialized {
+				t.Errorf("%s: %d workers differ from one worker", sql, workers)
+			}
+			if !reflect.DeepEqual(res.Metrics.ScanBlocks, first.Metrics.ScanBlocks) {
+				t.Errorf("%s: %d workers read %v, one worker %v", sql, workers, res.Metrics.ScanBlocks, first.Metrics.ScanBlocks)
+			}
+		}
 	}
 }

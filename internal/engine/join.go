@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"bytecard/internal/par"
 	"bytecard/internal/storage"
 	"bytecard/internal/types"
 )
@@ -179,15 +178,22 @@ func mixWord(h, w uint64) uint64 {
 
 // wordTable is an open-addressing (linear probing) table from fixed-width
 // word keys to dense ids handed out in insertion order. It is the one hash
-// structure of the join pipeline: the intermediate's distinct join keys
-// (which double as the SIP set and as the index the next table's rows are
-// grouped by) and the compress table are both wordTables. Keys, hashes and
-// slots are flat pointer-free arrays.
+// structure of the executor: the intermediate's distinct join keys (which
+// double as the SIP set and as the index the next table's rows are grouped
+// by), the compress table, the GROUP BY table and every COUNT DISTINCT
+// accumulator are wordTables. Keys, hashes and slots are flat pointer-free
+// arrays.
 type wordTable struct {
 	width  int
 	slots  []int32 // id+1, 0 = empty
 	hashes []uint64
 	words  []uint64 // width words per id
+	// load is the fill fraction past which the table doubles; limit is the
+	// entry count it allows at the current size.
+	load  float64
+	limit int
+	// resizes counts doublings.
+	resizes int
 }
 
 // wordTableMaxPresize caps the slots allocated up front: the hint is a
@@ -195,6 +201,8 @@ type wordTable struct {
 // one cheap rehash (hashes are stored) per doubling.
 const wordTableMaxPresize = 1 << 16
 
+// newWordTable returns a join-pipeline table at load 1/2, presized for
+// hint keys.
 func newWordTable(width, hint int) *wordTable {
 	n := nextPow2(2 * hint)
 	if n < 16 {
@@ -203,7 +211,13 @@ func newWordTable(width, hint int) *wordTable {
 	if n > wordTableMaxPresize {
 		n = wordTableMaxPresize
 	}
-	return &wordTable{width: width, slots: make([]int32, n)}
+	return newLoadedWordTable(width, n, 0.5)
+}
+
+// newLoadedWordTable returns a table of slots slots (a power of two) that
+// doubles once an insert would take it past load.
+func newLoadedWordTable(width, slots int, load float64) *wordTable {
+	return &wordTable{width: width, slots: make([]int32, slots), load: load, limit: int(load * float64(slots))}
 }
 
 func (t *wordTable) len() int { return len(t.hashes) }
@@ -213,7 +227,7 @@ func (t *wordTable) key(id int32) []uint64 {
 	return t.words[int(id)*t.width : (int(id)+1)*t.width]
 }
 
-// match compares words only: at load ≤ 1/2 most probes land on the key
+// match compares words only: at low load most probes land on the key
 // itself, so checking the stored hash first would just touch a second array.
 func (t *wordTable) match(id int32, key []uint64) bool {
 	for i, w := range t.key(id) {
@@ -239,9 +253,11 @@ func (t *wordTable) find(h uint64, key []uint64) int32 {
 	}
 }
 
-// insert returns the id of key, adding it (words copied) when absent.
+// insert returns the id of key, adding it (words copied) when absent. The
+// growth check runs before the lookup, on hits too, so a table's doublings
+// depend only on its sequence of inserts.
 func (t *wordTable) insert(h uint64, key []uint64) (id int32, added bool) {
-	if 2*(len(t.hashes)+1) > len(t.slots) {
+	if len(t.hashes) >= t.limit {
 		t.grow()
 	}
 	mask := uint64(len(t.slots) - 1)
@@ -260,8 +276,17 @@ func (t *wordTable) insert(h uint64, key []uint64) (id int32, added bool) {
 	}
 }
 
+// absorb inserts o's keys into t under o's stored hashes, in o's id order.
+func (t *wordTable) absorb(o *wordTable) {
+	for id, h := range o.hashes {
+		t.insert(h, o.key(int32(id)))
+	}
+}
+
 func (t *wordTable) grow() {
+	t.resizes++
 	t.slots = make([]int32, 2*len(t.slots))
+	t.limit = int(t.load * float64(len(t.slots)))
 	mask := uint64(len(t.slots) - 1)
 	for id, h := range t.hashes {
 		i := h & mask
@@ -647,17 +672,17 @@ func (js *joinStep) probe(remaining []int, m *Metrics, ex *execCtx) (*intermedia
 
 // parallelMerge runs merge over chunks of the intermediate's tuples into
 // per-chunk tables, then absorbs those in chunk order — byte-identical to
-// the sequential merge (see mergeTable.absorb).
+// the sequential merge (see mergeTable.absorb). Each worker reads the
+// signature columns through siblings it binds once.
 func (js *joinStep) parallelMerge(sigL, sigR []wordCol, workers int) *mergeTable {
-	n := js.inter.len()
-	chunks := numChunks(n, tupleChunk)
-	parts := make([]*mergeTable, chunks)
-	par.Chunks(workers, chunks, func(_, c int) {
-		lo, hi := chunkBounds(n, tupleChunk, c)
-		mt := newMergeTable(len(sigL)+len(sigR), tupleChunk/4)
-		js.merge(lo, hi, siblingCols(sigL), siblingCols(sigR), mt)
-		parts[c] = mt
-	})
+	type view struct{ l, r []wordCol }
+	parts := morsels(js.inter.len(), tupleChunk, workers,
+		func() view { return view{siblingCols(sigL), siblingCols(sigR)} },
+		func(v view, lo, hi int) *mergeTable {
+			mt := newMergeTable(len(sigL)+len(sigR), tupleChunk/4)
+			js.merge(lo, hi, v.l, v.r, mt)
+			return mt
+		})
 	mt := parts[0]
 	for _, p := range parts[1:] {
 		mt.absorb(p)

@@ -73,34 +73,37 @@ func (e *Engine) RunNaive(sql string) (*Result, error) {
 	}
 	rec(0, nil)
 
-	// Aggregate with plain maps.
+	// Aggregate with plain Datum accumulators of the oracle's own.
 	at := func(ref ColRef, tuple []int32) types.Datum {
 		i := bindingIndex(q, ref.Tab)
 		return valueAt(q, i, tuple[i], ref.Col)
 	}
-	var tuple []int32
-	fetch := func(a, c int) types.Datum { return at(q.Aggs[a].Cols[c], tuple) }
+	fold := func(accs []naiveAcc, tuple []int32) {
+		for i := range accs {
+			accs[i].add(q.Aggs[i], func(c int) types.Datum { return at(q.Aggs[i].Cols[c], tuple) })
+		}
+	}
 	res := &Result{}
 	for _, item := range q.Stmt.Items {
 		res.Columns = append(res.Columns, item.String())
 	}
 	if len(q.GroupBy) == 0 {
-		accs := newAccs(q.Aggs)
-		for _, tuple = range match {
-			updateAccs(accs, q.Aggs, fetch, 1)
+		accs := newNaiveAccs(q.Aggs)
+		for _, tuple := range match {
+			fold(accs, tuple)
 		}
-		res.Rows = [][]types.Datum{buildOutputRow(q, nil, accs)}
+		res.Rows = [][]types.Datum{naiveOutputRow(q, nil, accs)}
 		return res, nil
 	}
 	type group struct {
 		key  []types.Datum
-		accs []aggAcc
+		accs []naiveAcc
 	}
 	// Groups chain under their key's hash and are told apart by keysEqual:
 	// the oracle never lets a hash stand in for equality.
 	var groups []*group
 	byHash := map[uint64][]*group{}
-	for _, tuple = range match {
+	for _, tuple := range match {
 		key := make([]types.Datum, len(q.GroupBy))
 		for i, g := range q.GroupBy {
 			key[i] = at(g, tuple)
@@ -114,17 +117,135 @@ func (e *Engine) RunNaive(sql string) (*Result, error) {
 			}
 		}
 		if g == nil {
-			g = &group{key: key, accs: newAccs(q.Aggs)}
+			g = &group{key: key, accs: newNaiveAccs(q.Aggs)}
 			byHash[h] = append(byHash[h], g)
 			groups = append(groups, g)
 		}
-		updateAccs(g.accs, q.Aggs, fetch, 1)
+		fold(g.accs, tuple)
 	}
 	for _, g := range groups {
-		res.Rows = append(res.Rows, buildOutputRow(q, g.key, g.accs))
+		res.Rows = append(res.Rows, naiveOutputRow(q, g.key, g.accs))
 	}
 	sortRows(res.Rows)
 	return res, nil
+}
+
+// naiveAcc is the oracle's accumulator for one aggregate of one group,
+// over plain Datums: COUNT DISTINCT chains key tuples under their hash and
+// compares them with keysEqual.
+type naiveAcc struct {
+	count    int64
+	sum      float64
+	min, max types.Datum
+	seen     bool
+	distinct map[uint64][][]types.Datum
+	ndv      int64
+}
+
+func newNaiveAccs(aggs []AggSpec) []naiveAcc {
+	accs := make([]naiveAcc, len(aggs))
+	for i, a := range aggs {
+		if a.Kind == AggCountDistinct {
+			accs[i].distinct = map[uint64][][]types.Datum{}
+		}
+	}
+	return accs
+}
+
+// add folds one tuple into a; col(c) is the tuple's value of spec.Cols[c].
+func (a *naiveAcc) add(spec AggSpec, col func(c int) types.Datum) {
+	switch spec.Kind {
+	case AggCountStar:
+		a.count++
+	case AggCountDistinct:
+		key := make([]types.Datum, len(spec.Cols))
+		for c := range key {
+			key[c] = col(c)
+		}
+		h := hashKey(key)
+		for _, k := range a.distinct[h] {
+			if keysEqual(k, key) {
+				return
+			}
+		}
+		a.distinct[h] = append(a.distinct[h], key)
+		a.ndv++
+	case AggSum, AggAvg:
+		a.sum += col(0).AsFloat()
+		a.count++
+	case AggMin, AggMax:
+		v := col(0)
+		if !a.seen {
+			a.min, a.max, a.seen = v, v, true
+			return
+		}
+		if v.Less(a.min) {
+			a.min = v
+		}
+		if a.max.Less(v) {
+			a.max = v
+		}
+	}
+}
+
+func (a *naiveAcc) result(kind AggKind) types.Datum {
+	switch kind {
+	case AggCountStar:
+		return types.Int(a.count)
+	case AggCountDistinct:
+		return types.Int(a.ndv)
+	case AggSum:
+		return types.Float(a.sum)
+	case AggAvg:
+		if a.count == 0 {
+			return types.Float(0)
+		}
+		return types.Float(a.sum / float64(a.count))
+	case AggMin:
+		return a.min
+	case AggMax:
+		return a.max
+	default:
+		panic("engine: unknown aggregate kind")
+	}
+}
+
+func naiveOutputRow(q *Query, key []types.Datum, accs []naiveAcc) []types.Datum {
+	row := make([]types.Datum, len(q.outPlan))
+	for i, item := range q.outPlan {
+		if item.isAgg {
+			row[i] = accs[item.aggIdx].result(q.Aggs[item.aggIdx].Kind)
+		} else {
+			row[i] = key[item.groupIdx]
+		}
+	}
+	return row
+}
+
+func hashKey(key []types.Datum) uint64 {
+	var h uint64 = 1469598103934665603
+	for _, d := range key {
+		h = h*1099511628211 ^ d.Hash64()
+	}
+	return h
+}
+
+// keysEqual reports whether two key tuples are equal. Ragged lengths and
+// non-comparable kind pairs compare unequal instead of panicking (or
+// silently misjudging when a is a prefix of b).
+func keysEqual(a, b []types.Datum) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].K != b[i].K && !(a[i].IsNumeric() && b[i].IsNumeric()) {
+			return false
+		}
+		if !a[i].Equal(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func bindingIndex(q *Query, binding string) int {

@@ -5,10 +5,13 @@
 // per-worker hash tables merged in worker order. Workers read through
 // sibling storage.Readers that share an atomic block-charge set, so
 // IOStats.BlocksRead is identical to the sequential path; chunk-indexed
-// outputs make Result rows byte-identical.
+// outputs make Result rows byte-identical. A worker binds its siblings once
+// per phase, on the first morsel it claims, and a pushed-down scan
+// dispatches only the blocks its zone maps cannot prune.
 package engine
 
 import (
+	"slices"
 	"time"
 
 	"bytecard/internal/expr"
@@ -84,48 +87,53 @@ func concatRows(parts [][]int32) []int32 {
 	return out
 }
 
-// workerView is one worker's private window onto a scanState: sibling
-// readers (created under the state's lock, used lock-free afterwards) that
-// share the canonical readers' block-charge sets.
-type workerView struct {
-	st      *scanState
-	readers map[string]*storage.Reader
-}
-
-func newWorkerView(st *scanState) *workerView {
-	return &workerView{st: st, readers: map[string]*storage.Reader{}}
-}
-
-func (w *workerView) reader(col string) *storage.Reader {
-	if r, ok := w.readers[col]; ok {
-		return r
-	}
-	r := w.st.sibling(col)
-	w.readers[col] = r
-	return r
-}
-
-func (w *workerView) value(col string, row int32) types.Datum {
-	return w.reader(col).Value(int(row))
-}
-
-// stageFilter applies the staged (multi-stage reader) constraint order to
-// rows, filtering in place and touching each column's blocks only where
-// candidates remain. reader supplies the column readers — the canonical
-// scanState readers sequentially, a workerView's siblings in parallel.
-func stageFilter(reader func(string) *storage.Reader, order []string, byCol map[string]expr.Constraint, rows []int32) []int32 {
-	for _, c := range order {
-		cons, ok := byCol[c]
-		if !ok {
-			continue
+// morsels runs scan over the size-item chunks of [0, n), dispatched
+// dynamically across workers, and returns the outputs indexed by chunk.
+// Each worker's view — its sibling readers — is built by bind on the first
+// chunk the worker claims and reused for every later one, so set-up is paid
+// per worker, not per morsel.
+func morsels[V, P any](n, size, workers int, bind func() V, scan func(view V, lo, hi int) P) []P {
+	chunks := numChunks(n, size)
+	parts := make([]P, chunks)
+	views := make([]V, min(workers, chunks))
+	bound := make([]bool, len(views))
+	par.Chunks(workers, chunks, func(w, c int) {
+		if !bound[w] {
+			views[w], bound[w] = bind(), true
 		}
-		if cons.Empty {
+		lo, hi := chunkBounds(n, size, c)
+		parts[c] = scan(views[w], lo, hi)
+	})
+	return parts
+}
+
+// scanMorsels is morsels for row scans: each worker reads through its own
+// siblings of readers (the canonical readers, bound before dispatch;
+// Sibling only reads its receiver, so workers may call it concurrently),
+// and the chunks' rows are concatenated in chunk order.
+func scanMorsels(readers []*storage.Reader, n, size, workers int, scan func(rs []*storage.Reader, lo, hi int) []int32) []int32 {
+	bind := func() []*storage.Reader {
+		out := make([]*storage.Reader, len(readers))
+		for i, r := range readers {
+			out[i] = r.Sibling()
+		}
+		return out
+	}
+	return concatRows(morsels(n, size, workers, bind, scan))
+}
+
+// stageFilter applies staged constraints to rows — cons[i] over
+// readers[i], in order — filtering in place and touching each column's
+// blocks only where candidates remain.
+func stageFilter(readers []*storage.Reader, cons []expr.Constraint, rows []int32) []int32 {
+	for i, c := range cons {
+		if c.Empty {
 			return nil
 		}
-		r := reader(c)
+		r := readers[i]
 		kept := rows[:0]
 		for _, row := range rows {
-			if cons.Contains(r.Numeric(int(row))) {
+			if c.Contains(r.Numeric(int(row))) {
 				kept = append(kept, row)
 			}
 		}
@@ -137,29 +145,47 @@ func stageFilter(reader func(string) *storage.Reader, order []string, byCol map[
 	return rows
 }
 
+// rowValues is the column lookup filter.Eval reads row *row through: column
+// cols[i] is read by readers[i].
+func rowValues(cols []string, readers []*storage.Reader, row *int32) func(_, col string) types.Datum {
+	return func(_, col string) types.Datum { return readers[slices.Index(cols, col)].Value(int(*row)) }
+}
+
+// evalRange appends to dst the rows of [lo, hi) that satisfy filter.
+func evalRange(filter *expr.Node, cols []string, readers []*storage.Reader, lo, hi int, dst []int32) []int32 {
+	var row int32
+	get := rowValues(cols, readers, &row)
+	for row = int32(lo); row < int32(hi); row++ {
+		if filter.Eval(get) {
+			dst = append(dst, row)
+		}
+	}
+	return dst
+}
+
+// evalRows filters rows in place against filter.
+func evalRows(filter *expr.Node, cols []string, readers []*storage.Reader, rows []int32) []int32 {
+	var row int32
+	get := rowValues(cols, readers, &row)
+	kept := rows[:0]
+	for _, row = range rows {
+		if filter.Eval(get) {
+			kept = append(kept, row)
+		}
+	}
+	return kept
+}
+
 // parallelSingleStage is singleStageScan's morsel-parallel form: every
 // worker loads the blocks of its morsel for each touched column (the union
 // across morsels equals LoadAll) and evaluates the filter row-at-a-time.
-func parallelSingleStage(st *scanState, cols []string, n, workers int) []int32 {
-	filter := st.t.Filter
-	chunks := numChunks(n, morselRows)
-	parts := make([][]int32, chunks)
-	par.Chunks(workers, chunks, func(_, c int) {
-		lo, hi := chunkBounds(n, morselRows, c)
-		view := newWorkerView(st)
-		for _, col := range cols {
-			view.reader(col).LoadRange(lo, hi)
+func parallelSingleStage(filter *expr.Node, cols []string, readers []*storage.Reader, n, workers int) []int32 {
+	return scanMorsels(readers, n, morselRows, workers, func(rs []*storage.Reader, lo, hi int) []int32 {
+		for _, r := range rs {
+			r.LoadRange(lo, hi)
 		}
-		rows := make([]int32, 0, (hi-lo)/4+1)
-		for i := lo; i < hi; i++ {
-			ii := int32(i)
-			if filter.Eval(func(_, col string) types.Datum { return view.value(col, ii) }) {
-				rows = append(rows, ii)
-			}
-		}
-		parts[c] = rows
+		return evalRange(filter, cols, rs, lo, hi, make([]int32, 0, (hi-lo)/4+1))
 	})
-	return concatRows(parts)
 }
 
 // parallelMultiStage is multiStageScan's morsel-parallel form: each worker
@@ -167,115 +193,119 @@ func parallelSingleStage(st *scanState, cols []string, n, workers int) []int32 {
 // row-local, so the surviving set — and the set of blocks holding
 // survivors, which is what later stages touch — is identical to the
 // sequential pass.
-func parallelMultiStage(st *scanState, order []string, byCol map[string]expr.Constraint, n, workers int) []int32 {
-	chunks := numChunks(n, morselRows)
-	parts := make([][]int32, chunks)
-	par.Chunks(workers, chunks, func(_, c int) {
-		lo, hi := chunkBounds(n, morselRows, c)
+func parallelMultiStage(readers []*storage.Reader, cons []expr.Constraint, n, workers int) []int32 {
+	return scanMorsels(readers, n, morselRows, workers, func(rs []*storage.Reader, lo, hi int) []int32 {
 		rows := make([]int32, hi-lo)
 		for i := range rows {
 			rows[i] = int32(lo + i)
 		}
-		view := newWorkerView(st)
-		parts[c] = stageFilter(view.reader, order, byCol, rows)
+		return stageFilter(rs, cons, rows)
 	})
-	return concatRows(parts)
 }
 
-// parallelPushdownScan is pushdownScan's morsel-parallel form: each worker
-// runs storage.BlockScan over its block-aligned morsel through sibling
-// readers. Zone-map and charge decisions are block-local and the shared
-// charge/skip sets count each (column, block) once, so blocks read and
-// skipped — and the surviving rows, concatenated in chunk order — are
-// identical to the sequential scan at any worker count.
-func parallelPushdownScan(st *scanState, opts storage.ScanOptions, cols []string, n, workers int) []int32 {
-	chunks := numChunks(n, morselRows)
-	parts := make([][]int32, chunks)
-	par.Chunks(workers, chunks, func(_, c int) {
-		lo, hi := chunkBounds(n, morselRows, c)
-		view := newWorkerView(st)
-		readers := make([]*storage.Reader, len(cols))
-		for i, col := range cols {
-			readers[i] = view.reader(col)
+// parallelPushdownScan is pushdownScan's morsel-parallel form. Zone maps
+// are consulted once per block, sequentially, on the canonical readers: a
+// pruned block is marked skipped on every constrained reader, as
+// storage.BlockScan marks it, and only the surviving blocks are split into
+// morsels of MorselBlocks. At most one morsel's worth of survivors is
+// scanned inline; otherwise each worker scans its morsels through its own
+// siblings. Block decisions are block-local and outputs concatenate in
+// block order, so rows, blocks read and blocks skipped equal the
+// sequential scan's at any worker count.
+func parallelPushdownScan(readers []*storage.Reader, opts storage.ScanOptions, n, workers int) []int32 {
+	for _, c := range opts.Constraints {
+		if c.Empty {
+			return nil
 		}
-		parts[c] = storage.BlockScan(readers, opts, lo, hi, nil)
+	}
+	nb := numChunks(n, storage.BlockSize)
+	survivors := make([]int32, 0, nb)
+	for b := 0; b < nb; b++ {
+		if zoneSurvives(readers, opts.Constraints, b) {
+			survivors = append(survivors, int32(b))
+			continue
+		}
+		for _, r := range readers {
+			r.MarkSkipped(b)
+		}
+	}
+	scan := func(rs []*storage.Reader, blocks []int32) []int32 {
+		var dst []int32
+		for _, b := range blocks {
+			lo := int(b) * storage.BlockSize
+			dst = storage.BlockScan(rs, opts, lo, lo+storage.BlockSize, dst)
+		}
+		return dst
+	}
+	if len(survivors) <= MorselBlocks {
+		return scan(readers, survivors)
+	}
+	return scanMorsels(readers, len(survivors), MorselBlocks, workers, func(rs []*storage.Reader, lo, hi int) []int32 {
+		return scan(rs, survivors[lo:hi])
 	})
-	return concatRows(parts)
+}
+
+// zoneSurvives reports whether block b may hold a row satisfying every
+// constraint: metadata only, nothing is charged.
+func zoneSurvives(readers []*storage.Reader, cons []expr.Constraint, b int) bool {
+	for i, r := range readers {
+		if !r.ZoneOverlaps(b, cons[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // parallelSIPProbe is the morsel-parallel key-membership stage of a
 // SIP-first scan: workers probe the shared read-only key table over their
-// morsels and emit surviving candidates in row order.
-func parallelSIPProbe(st *scanState, sip *joinStep, n, workers int) []int32 {
-	chunks := numChunks(n, morselRows)
-	parts := make([][]int32, chunks)
-	par.Chunks(workers, chunks, func(_, c int) {
-		lo, hi := chunkBounds(n, morselRows, c)
-		parts[c] = sip.filterRange(sip.rightKeyCols(newWorkerView(st).reader), lo, hi, nil)
-	})
-	return concatRows(parts)
+// morsels and emit surviving candidates in row order. right is the right
+// key columns bound to the canonical readers.
+func parallelSIPProbe(sip *joinStep, right []wordCol, n, workers int) []int32 {
+	return concatRows(morsels(n, morselRows, workers,
+		func() []wordCol { return siblingCols(right) },
+		func(cols []wordCol, lo, hi int) []int32 { return sip.filterRange(cols, lo, hi, nil) }))
 }
 
 // parallelStageFilterRows runs stageFilter over disjoint chunks of an
 // arbitrary candidate list (the SIP-first scan's later stages; candidates
 // are ascending but not block aligned — exactly-once charging is carried
 // by the shared charge sets).
-func parallelStageFilterRows(st *scanState, order []string, byCol map[string]expr.Constraint, candidates []int32, workers int) []int32 {
-	n := len(candidates)
-	chunks := numChunks(n, tupleChunk)
-	parts := make([][]int32, chunks)
-	par.Chunks(workers, chunks, func(_, c int) {
-		lo, hi := chunkBounds(n, tupleChunk, c)
-		view := newWorkerView(st)
-		parts[c] = stageFilter(view.reader, order, byCol, candidates[lo:hi])
+func parallelStageFilterRows(readers []*storage.Reader, cons []expr.Constraint, candidates []int32, workers int) []int32 {
+	return scanMorsels(readers, len(candidates), tupleChunk, workers, func(rs []*storage.Reader, lo, hi int) []int32 {
+		return stageFilter(rs, cons, candidates[lo:hi])
 	})
-	return concatRows(parts)
 }
 
 // parallelEvalFilterRows evaluates an arbitrary filter tree over disjoint
 // chunks of a candidate list (the SIP-first scan's non-conjunctive tail).
-func parallelEvalFilterRows(st *scanState, filter *expr.Node, candidates []int32, workers int) []int32 {
-	n := len(candidates)
-	chunks := numChunks(n, tupleChunk)
-	parts := make([][]int32, chunks)
-	par.Chunks(workers, chunks, func(_, c int) {
-		lo, hi := chunkBounds(n, tupleChunk, c)
-		view := newWorkerView(st)
-		kept := candidates[lo:lo]
-		for _, row := range candidates[lo:hi] {
-			if filter.Eval(func(_, col string) types.Datum { return view.value(col, row) }) {
-				kept = append(kept, row)
-			}
-		}
-		parts[c] = kept
+func parallelEvalFilterRows(filter *expr.Node, cols []string, readers []*storage.Reader, candidates []int32, workers int) []int32 {
+	return scanMorsels(readers, len(candidates), tupleChunk, workers, func(rs []*storage.Reader, lo, hi int) []int32 {
+		return evalRows(filter, cols, rs, candidates[lo:hi])
 	})
-	return concatRows(parts)
 }
 
-// parallelGroupedAgg accumulates the joined relation into per-worker
-// aggregation tables — each presized to the NDV estimate divided by the
-// worker count — then merges them in worker order. The per-table resize
-// counters (own growth plus merge-phase growth) sum into
-// Metrics.HashResizes, keeping the presizing experiment meaningful under
-// parallelism.
-func parallelGroupedAgg(q *Query, p *Plan, states []*scanState, inter *intermediate, workers int) (*aggTable, int64) {
-	n := inter.len()
+// parallelGroupedAgg accumulates the joined relation into per-worker group
+// tables — each presized to the NDV estimate divided by the worker count —
+// then merges them in worker order. The per-table resize counters (own
+// growth plus merge-phase growth) sum into Metrics.HashResizes, keeping the
+// presizing experiment meaningful under parallelism.
+func parallelGroupedAgg(q *Query, p *Plan, in *aggInputs, n, workers int) (*groupTable, int64) {
 	chunks := numChunks(n, tupleChunk)
 	if workers > chunks {
 		workers = chunks
 	}
 	perWorkerCap := p.AggCapacity / workers
-	tables := make([]*aggTable, workers)
-	inputs := make([]aggInputs, workers)
+	tables := make([]*groupTable, workers)
+	inputs := make([]*aggInputs, workers)
 	par.Strided(workers, chunks, func(w, c int) {
 		if tables[w] == nil {
-			tables[w] = newAggTable(perWorkerCap)
-			inputs[w] = bindAggInputs(q, states, inter, (*scanState).sibling)
+			tables[w] = newGroupTable(len(q.GroupBy), perWorkerCap, q.Aggs)
+			inputs[w] = in.sibling()
 		}
 		lo, hi := chunkBounds(n, tupleChunk, c)
-		inputs[w].accumulateGroups(tables[w], q.Aggs, inter.counts, lo, hi)
+		inputs[w].accumulateGroups(tables[w], lo, hi)
 	})
-	var final *aggTable
+	var final *groupTable
 	var resizes int64
 	for _, t := range tables {
 		if t == nil {
@@ -285,32 +315,31 @@ func parallelGroupedAgg(q *Query, p *Plan, states []*scanState, inter *intermedi
 			final = t
 			continue
 		}
-		resizes += int64(t.resizes)
-		final.absorb(t, q.Aggs)
+		resizes += int64(t.keys.resizes)
+		final.absorb(t)
 	}
 	if final == nil {
-		final = newAggTable(p.AggCapacity)
+		final = newGroupTable(len(q.GroupBy), p.AggCapacity, q.Aggs)
 	}
-	return final, resizes + int64(final.resizes)
+	return final, resizes + int64(final.keys.resizes)
 }
 
 // parallelGlobalAgg accumulates the no-GROUP-BY aggregates into per-worker
 // accumulator blocks merged in worker order.
-func parallelGlobalAgg(q *Query, states []*scanState, inter *intermediate, workers int) []aggAcc {
-	n := inter.len()
+func parallelGlobalAgg(q *Query, in *aggInputs, n, workers int) []aggAcc {
 	chunks := numChunks(n, tupleChunk)
 	if workers > chunks {
 		workers = chunks
 	}
 	blocks := make([][]aggAcc, workers)
-	inputs := make([]aggInputs, workers)
+	inputs := make([]*aggInputs, workers)
 	par.Strided(workers, chunks, func(w, c int) {
 		if blocks[w] == nil {
 			blocks[w] = newAccs(q.Aggs)
-			inputs[w] = bindAggInputs(q, states, inter, (*scanState).sibling)
+			inputs[w] = in.sibling()
 		}
 		lo, hi := chunkBounds(n, tupleChunk, c)
-		inputs[w].accumulate(blocks[w], q.Aggs, inter.counts, lo, hi)
+		inputs[w].accumulate(blocks[w], lo, hi)
 	})
 	out := newAccs(q.Aggs)
 	for _, accs := range blocks {

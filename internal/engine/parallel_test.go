@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -117,139 +116,154 @@ func TestKeysEqualRaggedLengths(t *testing.T) {
 	}
 }
 
+// distinctAcc returns a fresh COUNT DISTINCT accumulator over width columns.
+func distinctAcc(width int) *wordTable {
+	return newAccs([]AggSpec{{Kind: AggCountDistinct, Cols: make([]ColRef, width)}})[0].distinct
+}
+
 // TestDistinctSetCollisions is the regression test for the COUNT DISTINCT
-// accumulator: two different key tuples forced onto the same 64-bit hash
-// must count as two distinct values, and re-adding either must not.
+// accumulator: two different keys forced onto the same hash must count as
+// two distinct values, and re-adding either must not.
 func TestDistinctSetCollisions(t *testing.T) {
-	s := newDistinctSet()
+	s := distinctAcc(2)
 	const h = uint64(0xdeadbeef)
-	s.add(h, []types.Datum{types.Int(1)})
-	s.add(h, []types.Datum{types.Int(2)}) // colliding hash, different datum
-	s.add(h, []types.Datum{types.Int(1)}) // duplicate
-	s.add(h, []types.Datum{types.Str("1")})
-	if s.n != 3 {
-		t.Errorf("distinct count = %d, want 3 (collisions must not dedup different datums)", s.n)
+	s.insert(h, []uint64{1, 0})
+	s.insert(h, []uint64{2, 0}) // colliding hash, different key
+	s.insert(h, []uint64{1, 0}) // duplicate
+	s.insert(h, []uint64{0, 1}) // same words, other columns
+	if s.len() != 3 {
+		t.Errorf("distinct count = %d, want 3 (collisions must not dedup different keys)", s.len())
 	}
 	// The inserted keys must be copies: mutating the caller's buffer must
 	// not corrupt the set.
-	buf := []types.Datum{types.Int(7)}
-	s.add(h, buf)
-	buf[0] = types.Int(8)
-	s.add(h, buf)
-	if s.n != 5 {
-		t.Errorf("distinct count = %d, want 5 (keys must be copied on insert)", s.n)
+	buf := []uint64{7, 7}
+	s.insert(h, buf)
+	buf[0] = 8
+	s.insert(h, buf)
+	if s.len() != 5 {
+		t.Errorf("distinct count = %d, want 5 (keys must be copied on insert)", s.len())
 	}
 }
 
 func TestDistinctSetMerge(t *testing.T) {
-	a, b := newDistinctSet(), newDistinctSet()
-	a.add(1, []types.Datum{types.Int(10)})
-	a.add(2, []types.Datum{types.Int(20)})
-	b.add(2, []types.Datum{types.Int(20)}) // shared member
-	b.add(2, []types.Datum{types.Int(21)}) // colliding with it
-	b.add(3, []types.Datum{types.Int(30)})
-	a.merge(b)
-	if a.n != 4 {
-		t.Errorf("merged distinct count = %d, want 4", a.n)
+	a, b := distinctAcc(1), distinctAcc(1)
+	a.insert(1, []uint64{10})
+	a.insert(2, []uint64{20})
+	b.insert(2, []uint64{20}) // shared member
+	b.insert(2, []uint64{21}) // colliding with it
+	b.insert(3, []uint64{30})
+	a.absorb(b)
+	if a.len() != 4 {
+		t.Errorf("merged distinct count = %d, want 4", a.len())
+	}
+	for _, k := range []uint64{20, 21} {
+		if a.find(2, []uint64{k}) < 0 {
+			t.Errorf("merged set lost key %d", k)
+		}
 	}
 }
 
-// TestAggTableAllCollidingHashes drives the aggregation table with every
-// key hashed to the same value, across enough inserts to force several
+// TestAggTableAllCollidingHashes drives the group table with every key
+// hashed to the same value, across enough inserts to force several
 // resizes — lookups must still resolve each key to its own group.
 func TestAggTableAllCollidingHashes(t *testing.T) {
-	tab := newAggTable(1)
 	aggs := []AggSpec{{Kind: AggCountStar}}
+	tab := newGroupTable(1, 1, aggs)
 	const n = 200
 	for round := 0; round < 3; round++ {
 		for i := 0; i < n; i++ {
-			key := []types.Datum{types.Int(int64(i))}
-			accs := tab.lookupHash(0, key, func() []aggAcc { return newAccs(aggs) })
-			accs[0].count++
+			tab.group(0, []uint64{uint64(i)}, int32(i))[0].count++
 		}
 	}
-	if tab.used != n {
-		t.Fatalf("groups = %d, want %d", tab.used, n)
+	if tab.keys.len() != n {
+		t.Fatalf("groups = %d, want %d", tab.keys.len(), n)
 	}
-	if tab.resizes == 0 {
+	if tab.keys.resizes == 0 {
 		t.Error("expected resizes growing 200 groups from capacity 16")
 	}
-	for i := range tab.slots {
-		s := &tab.slots[i]
-		if s.used && s.accs[0].count != 3 {
-			t.Errorf("group %v count = %d, want 3", s.key, s.accs[0].count)
+	for g := range tab.reps {
+		if c := tab.accs(g)[0].count; c != 3 {
+			t.Errorf("group %v count = %d, want 3", tab.keys.key(int32(g)), c)
+		}
+		if tab.reps[g] != int32(g) {
+			t.Errorf("group %d representative = %d, want the tuple that opened it", g, tab.reps[g])
 		}
 	}
 }
 
 // TestAggTableDuplicateKeysAcrossResizes interleaves re-used keys with
 // fresh ones so lookups must keep finding existing groups while the table
-// rehashes underneath them.
+// rehashes underneath them, and pins the resize rule: from 16 slots at load
+// 0.7, 500 groups take six doublings.
 func TestAggTableDuplicateKeysAcrossResizes(t *testing.T) {
-	tab := newAggTable(1)
 	aggs := []AggSpec{{Kind: AggCountStar}}
+	tab := newGroupTable(2, 1, aggs)
 	const n = 500
+	lookup := func(k int64) []aggAcc {
+		key := []uint64{uint64(k), uint64(k % 3)}
+		return tab.group(hashWords(key), key, int32(k))
+	}
 	for i := 0; i < n; i++ {
 		for _, k := range []int64{int64(i), int64(i % 7)} {
-			key := []types.Datum{types.Int(k), types.Str(fmt.Sprint(k % 3))}
-			accs := tab.lookup(key, func() []aggAcc { return newAccs(aggs) })
-			accs[0].count++
+			lookup(k)[0].count++
 		}
 	}
-	if tab.used != n {
-		t.Fatalf("groups = %d, want %d", tab.used, n)
+	if tab.keys.len() != n {
+		t.Fatalf("groups = %d, want %d", tab.keys.len(), n)
+	}
+	if tab.keys.resizes != 6 {
+		t.Errorf("resizes = %d, want 6 (16 → 1024 slots)", tab.keys.resizes)
 	}
 	var total int64
-	for i := range tab.slots {
-		if tab.slots[i].used {
-			total += tab.slots[i].accs[0].count
-		}
+	for g := range tab.reps {
+		total += tab.accs(g)[0].count
 	}
 	if total != 2*n {
 		t.Errorf("total count = %d, want %d", total, 2*n)
 	}
 	// Keys 0..6 absorbed the duplicate stream: n/7-ish extra counts each.
-	key0 := []types.Datum{types.Int(0), types.Str("0")}
-	if got := tab.lookup(key0, func() []aggAcc { return newAccs(aggs) })[0].count; got != 1+(n+6)/7 {
+	if got := lookup(0)[0].count; got != 1+(n+6)/7 {
 		t.Errorf("key 0 count = %d, want %d", got, 1+(n+6)/7)
 	}
 }
 
 func TestAggTableAbsorb(t *testing.T) {
 	aggs := []AggSpec{{Kind: AggCountStar}, {Kind: AggSum}}
-	mk := func() []aggAcc { return newAccs(aggs) }
-	a, b := newAggTable(4), newAggTable(4)
-	for i := 0; i < 10; i++ {
-		accs := a.lookup([]types.Datum{types.Int(int64(i % 4))}, mk)
-		accs[0].count++
-		accs[1].sum += float64(i)
+	a, b := newGroupTable(1, 4, aggs), newGroupTable(1, 4, aggs)
+	fill := func(tab *groupTable, mod int) {
+		for i := 0; i < 10; i++ {
+			key := []uint64{uint64(i % mod)}
+			accs := tab.group(hashWords(key), key, int32(i))
+			accs[0].count++
+			accs[1].sum += float64(i)
+		}
 	}
-	for i := 0; i < 10; i++ {
-		accs := b.lookup([]types.Datum{types.Int(int64(i % 5))}, mk)
-		accs[0].count++
-		accs[1].sum += float64(i)
-	}
-	a.absorb(b, aggs)
-	if a.used != 5 {
-		t.Fatalf("merged groups = %d, want 5", a.used)
+	fill(a, 4)
+	fill(b, 5)
+	a.absorb(b)
+	if a.keys.len() != 5 {
+		t.Fatalf("merged groups = %d, want 5", a.keys.len())
 	}
 	var count int64
 	var sum float64
-	for i := range a.slots {
-		if a.slots[i].used {
-			count += a.slots[i].accs[0].count
-			sum += a.slots[i].accs[1].sum
-		}
+	for g := range a.reps {
+		count += a.accs(g)[0].count
+		sum += a.accs(g)[1].sum
 	}
 	if count != 20 || sum != 90 {
 		t.Errorf("merged totals = (%d, %g), want (20, 90)", count, sum)
+	}
+	// Groups a already held keep a's representative; the one only b held
+	// (key 4, opened by b's tuple 4) arrives with b's.
+	if a.reps[4] != 4 || a.keys.key(4)[0] != 4 {
+		t.Errorf("absorbed group = key %d, representative %d; want 4, 4", a.keys.key(4)[0], a.reps[4])
 	}
 }
 
 func TestMergeAccs(t *testing.T) {
 	aggs := []AggSpec{
 		{Kind: AggCountStar},
-		{Kind: AggCountDistinct},
+		{Kind: AggCountDistinct, Cols: make([]ColRef, 1)},
 		{Kind: AggSum},
 		{Kind: AggAvg},
 		{Kind: AggMin},
@@ -258,9 +272,9 @@ func TestMergeAccs(t *testing.T) {
 	dst, src := newAccs(aggs), newAccs(aggs)
 	dst[0].count = 3
 	src[0].count = 4
-	dst[1].distinct.add(1, []types.Datum{types.Int(1)})
-	src[1].distinct.add(1, []types.Datum{types.Int(1)})
-	src[1].distinct.add(2, []types.Datum{types.Int(2)})
+	dst[1].distinct.insert(1, []uint64{1})
+	src[1].distinct.insert(1, []uint64{1})
+	src[1].distinct.insert(1, []uint64{2}) // colliding hash
 	dst[2].sum = 1.5
 	src[2].sum = 2.5
 	dst[3].sum, dst[3].count = 10, 2
@@ -274,8 +288,8 @@ func TestMergeAccs(t *testing.T) {
 	if dst[0].count != 7 {
 		t.Errorf("count = %d, want 7", dst[0].count)
 	}
-	if dst[1].distinct.n != 2 {
-		t.Errorf("distinct = %d, want 2", dst[1].distinct.n)
+	if dst[1].distinct.len() != 2 {
+		t.Errorf("distinct = %d, want 2", dst[1].distinct.len())
 	}
 	if dst[2].sum != 4 {
 		t.Errorf("sum = %g, want 4", dst[2].sum)

@@ -10,6 +10,7 @@ import (
 	"bytecard/internal/obs"
 	"bytecard/internal/sqlparse"
 	"bytecard/internal/storage"
+	"bytecard/internal/types"
 )
 
 // tsEngine builds an engine over the timeseries dataset — the
@@ -298,5 +299,121 @@ func TestExplainPredictedVsActualBlocks(t *testing.T) {
 	}
 	if sb := res.Metrics.ScanBlocks["readings"]; scan.ActualBlocks != sb.Read {
 		t.Errorf("annotated %d != metrics %d", scan.ActualBlocks, sb.Read)
+	}
+}
+
+// windowEngine builds an engine over one table w of the given number of
+// blocks: w.ts is the row id, so a ts window's zone maps keep exactly the
+// blocks the window overlaps, and w.v cycles through 0..6.
+func windowEngine(t testing.TB, blocks int) *Engine {
+	t.Helper()
+	b := storage.NewBuilder("w", []storage.ColumnSpec{
+		{Name: "ts", Kind: types.KindInt64},
+		{Name: "v", Kind: types.KindInt64},
+	})
+	for i := 0; i < blocks*storage.BlockSize; i++ {
+		b.Append([]types.Datum{types.Int(int64(i)), types.Int(int64(i % 7))})
+	}
+	db := storage.NewDatabase()
+	db.Add(b.Build())
+	return New(db, catalog.NewSchema(), HeuristicEstimator{})
+}
+
+// blockWindow is the filter over w.ts selecting rows [lo, hi] of blocks
+// first..last.
+func blockWindow(first, last int) string {
+	return "w.ts >= " + strconv.Itoa(first*storage.BlockSize+3) + " AND w.ts <= " + strconv.Itoa(last*storage.BlockSize+200)
+}
+
+// TestPushdownDispatchMatchesBlockScan pins prune-before-dispatch: windows
+// keeping no block, one block, exactly MorselBlocks, one morsel more and
+// many blocks, an Empty constraint and a LIMIT, at 1, 2 and 4 workers, must
+// return the rows a single sequential storage.BlockScan returns and charge
+// and skip exactly its blocks.
+func TestPushdownDispatchMatchesBlockScan(t *testing.T) {
+	const blocks = 40
+	e := windowEngine(t, blocks)
+	queries := []string{
+		"SELECT w.ts FROM w WHERE w.ts >= " + strconv.Itoa(blocks*storage.BlockSize+5),
+		"SELECT w.ts FROM w WHERE " + blockWindow(5, 5),
+		"SELECT w.ts FROM w WHERE " + blockWindow(5, 5+MorselBlocks-1),
+		"SELECT w.ts FROM w WHERE " + blockWindow(5, 5+MorselBlocks) + " AND w.v = 3",
+		"SELECT w.ts FROM w WHERE " + blockWindow(2, 30) + " AND w.v = 3",
+		"SELECT w.ts FROM w WHERE w.ts >= 10 AND w.ts <= 5",
+		"SELECT w.ts FROM w WHERE " + blockWindow(3, 20) + " LIMIT 10",
+	}
+	for _, sql := range queries {
+		q := analyze(t, e, sql)
+		p, err := e.Plan(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp := p.Scans[0]
+		if !sp.Pushdown {
+			t.Fatalf("%s: not pushed down", sql)
+		}
+		preds, _ := q.Tables[0].Filter.Conjunction()
+		cols, cons := scanStages(q.Tables[0], preds, sp.ColOrder)
+		readers := make([]*storage.Reader, len(cols))
+		for i, c := range cols {
+			readers[i] = q.Tables[0].Table.ColByName(c).NewReader(nil)
+		}
+		wantRows := storage.BlockScan(readers, storage.ScanOptions{Constraints: cons, Limit: q.Limit}, 0, blocks*storage.BlockSize, nil)
+		var want ScanBlockStats
+		for _, r := range readers {
+			want.Read += r.BlocksCharged()
+			want.Skipped += r.BlocksSkipped()
+		}
+		for _, workers := range []int{1, 2, 4} {
+			e.Parallelism = workers
+			res, err := e.Run(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) != len(wantRows) {
+				t.Fatalf("%s, %d workers: %d rows, BlockScan keeps %d", sql, workers, len(res.Rows), len(wantRows))
+			}
+			for i, row := range res.Rows {
+				if row[0].I != int64(wantRows[i]) {
+					t.Fatalf("%s, %d workers: row %d is %d, BlockScan's is %d", sql, workers, i, row[0].I, wantRows[i])
+				}
+			}
+			if got := res.Metrics.ScanBlocks["w"]; got != want {
+				t.Errorf("%s, %d workers: blocks %+v, BlockScan's %+v", sql, workers, got, want)
+			}
+		}
+	}
+}
+
+// TestWindowedScanAllocs is the dispatch allocation gate: a windowed
+// COUNT(*) and COUNT(DISTINCT) at four workers allocate the same count on
+// a table ten times larger, so nothing the executor allocates scales with
+// the pruned blocks.
+func TestWindowedScanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates; allocation counts are only meaningful without -race")
+	}
+	for _, sql := range []string{
+		"SELECT COUNT(*) FROM w WHERE " + blockWindow(5, 9),
+		"SELECT COUNT(DISTINCT w.v) FROM w WHERE " + blockWindow(5, 9),
+	} {
+		var allocs [2]float64
+		for i, blocks := range []int{20, 200} {
+			e := windowEngine(t, blocks)
+			e.Parallelism = 4
+			p, err := e.Plan(analyze(t, e, sql))
+			if err != nil {
+				t.Fatal(err)
+			}
+			allocs[i] = testing.AllocsPerRun(20, func() {
+				if _, err := e.Execute(p); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		t.Logf("%s: %.0f allocs at 20 blocks, %.0f at 200", sql, allocs[0], allocs[1])
+		if allocs[1] != allocs[0] {
+			t.Errorf("%s: allocations grow with the table: %.0f at 20 blocks, %.0f at 200", sql, allocs[0], allocs[1])
+		}
 	}
 }
