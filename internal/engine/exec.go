@@ -48,29 +48,26 @@ func (s *scanState) bind(cols []string) []*storage.Reader {
 }
 
 // scanStages compiles a conjunctive filter of t into the staged form every
-// constraint-driven scan takes: the constrained columns in evaluation
-// order (order, or the predicates' own column order when order is empty)
-// and, aligned with them, each column's constraint.
-func scanStages(t *QueryTable, preds []expr.Pred, order []string) ([]string, []expr.Constraint) {
-	col := t.Table.ColByName
-	constraints := expr.BuildConstraints(preds, func(c string, d types.Datum) (float64, bool) {
-		return col(c).EncodeDatum(d)
-	})
+// kernel-driven scan takes: the constrained columns in evaluation order
+// (order, or the predicates' own column order when order is empty) and,
+// aligned with them, each column's compiled kernel.
+func scanStages(t *QueryTable, preds []expr.Pred, order []string) ([]string, []storage.Kernel) {
+	compiled := storage.Compile(t.Table, preds)
 	if len(order) == 0 {
-		order = distinctCols(preds)
+		return distinctCols(preds), compiled
 	}
 	var cols []string
-	var cons []expr.Constraint
+	var kernels []storage.Kernel
 	for _, c := range order {
-		for _, k := range constraints {
-			if k.Col == c {
+		for _, k := range compiled {
+			if k.Column().Name() == c {
 				cols = append(cols, c)
-				cons = append(cons, k)
+				kernels = append(kernels, k)
 				break
 			}
 		}
 	}
-	return cols, cons
+	return cols, kernels
 }
 
 // Execute runs a physical plan.
@@ -237,8 +234,8 @@ func (e *Engine) pushdownScan(st *scanState, sp *ScanPlan, n, limit int, ex *exe
 		st.rows = allRows(n)
 		return
 	}
-	cols, cons := scanStages(st.t, preds, sp.ColOrder)
-	opts := storage.ScanOptions{Constraints: cons, Limit: limit}
+	cols, kernels := scanStages(st.t, preds, sp.ColOrder)
+	opts := storage.ScanOptions{Kernels: kernels, Limit: limit}
 	readers := st.bind(cols)
 	if limit == 0 && ex.parallelFor(n, morselRows) {
 		st.rows = parallelPushdownScan(readers, opts, n, ex.workers)
@@ -295,13 +292,13 @@ func (e *Engine) multiStageScan(st *scanState, sp *ScanPlan, n int, ex *execCtx)
 	if !ok {
 		return fmt.Errorf("engine: multi-stage reader requires a conjunctive filter")
 	}
-	cols, cons := scanStages(st.t, preds, sp.ColOrder)
+	cols, kernels := scanStages(st.t, preds, sp.ColOrder)
 	readers := st.bind(cols)
 	if ex.parallelFor(n, morselRows) {
-		st.rows = parallelMultiStage(readers, cons, n, ex.workers)
+		st.rows = parallelMultiStage(readers, kernels, n, ex.workers)
 		return nil
 	}
-	st.rows = stageFilter(readers, cons, allRows(n))
+	st.rows = stageFilter(readers, kernels, allRows(n))
 	return nil
 }
 
@@ -419,12 +416,12 @@ func (e *Engine) scanForJoin(q *Query, p *Plan, states []*scanState, next int, s
 	}
 	parallel := ex.parallelFor(len(candidates), tupleChunk)
 	if preds, ok := filter.Conjunction(); ok {
-		cols, cons := scanStages(t, preds, sp.ColOrder)
+		cols, kernels := scanStages(t, preds, sp.ColOrder)
 		readers := st.bind(cols)
 		if parallel {
-			st.rows = parallelStageFilterRows(readers, cons, candidates, ex.workers)
+			st.rows = parallelStageFilterRows(readers, kernels, candidates, ex.workers)
 		} else {
-			st.rows = stageFilter(readers, cons, candidates)
+			st.rows = stageFilter(readers, kernels, candidates)
 		}
 	} else {
 		cols := distinctCols(filter.Leaves())

@@ -9,7 +9,7 @@ import (
 	"bytecard/internal/expr"
 	"bytecard/internal/obs"
 	"bytecard/internal/sqlparse"
-	"bytecard/internal/types"
+	"bytecard/internal/storage"
 )
 
 // TraceableEstimator is satisfied by estimators that can derive a
@@ -260,10 +260,11 @@ func (e *Engine) ExplainStmt(sql string, stmt *sqlparse.SelectStmt) (*ExplainRes
 	return res, nil
 }
 
-// predictedScanBlocks evaluates the scan's constraints against the zone
-// maps at plan time: the number of blocks whose zone ranges every
-// constraint overlaps, times the constrained-column count — the blocks a
-// pushed-down scan will charge at most. Metadata only; nothing is read.
+// predictedScanBlocks runs the scan's kernels' zone test at plan time: the
+// number of blocks no kernel's zone map rules out, times the
+// constrained-column count — the blocks a pushed-down scan will charge at
+// most (exactly, for one constrained column and no LIMIT). Metadata only;
+// nothing is read.
 func predictedScanBlocks(t *QueryTable, sp *ScanPlan) int {
 	if !sp.Pushdown {
 		return 0
@@ -272,29 +273,8 @@ func predictedScanBlocks(t *QueryTable, sp *ScanPlan) int {
 	if !ok || len(preds) == 0 {
 		return 0
 	}
-	col := t.Table.ColByName
-	constraints := expr.BuildConstraints(preds, func(c string, d types.Datum) (float64, bool) {
-		return col(c).EncodeDatum(d)
-	})
-	if len(constraints) == 0 {
-		return 0
-	}
-	nb := col(constraints[0].Col).NumBlocks()
-	surviving := 0
-	for b := 0; b < nb; b++ {
-		live := true
-		for _, cons := range constraints {
-			lo, hi := col(cons.Col).ZoneRange(b)
-			if !cons.OverlapsRange(lo, hi) {
-				live = false
-				break
-			}
-		}
-		if live {
-			surviving++
-		}
-	}
-	return surviving * len(constraints)
+	kernels := storage.Compile(t.Table, preds)
+	return len(storage.Survivors(kernels, nil)) * len(kernels)
 }
 
 // AnnotateExecution fills each scan node's ActualBlocks from an executed

@@ -409,6 +409,15 @@ func compress(q *Query, bindingIdx map[string]int, inter *intermediate, states [
 		return inter
 	}
 	sig := bindSignature(liveColumns(q, bindingIdx, inter.tabs, remaining), states, inter.tabs)
+	if len(sig) == 0 {
+		// Every tuple merges into the first, as the merge table would
+		// merge them: its row ids carry the summed multiplicity.
+		out := &intermediate{tabs: inter.tabs, cols: make([][]int32, len(inter.cols)), counts: []int64{inter.size()}}
+		for k, col := range inter.cols {
+			out.cols[k] = col[:1:1]
+		}
+		return out
+	}
 	mt := newMergeTable(len(sig), n/4)
 	words := make([]uint64, len(sig))
 	for i := 0; i < n; i++ {

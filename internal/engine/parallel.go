@@ -122,23 +122,12 @@ func scanMorsels(readers []*storage.Reader, n, size, workers int, scan func(rs [
 	return concatRows(morsels(n, size, workers, bind, scan))
 }
 
-// stageFilter applies staged constraints to rows — cons[i] over
+// stageFilter applies staged kernels to rows — kernels[i] over
 // readers[i], in order — filtering in place and touching each column's
 // blocks only where candidates remain.
-func stageFilter(readers []*storage.Reader, cons []expr.Constraint, rows []int32) []int32 {
-	for i, c := range cons {
-		if c.Empty {
-			return nil
-		}
-		r := readers[i]
-		kept := rows[:0]
-		for _, row := range rows {
-			if c.Contains(r.Numeric(int(row))) {
-				kept = append(kept, row)
-			}
-		}
-		rows = kept
-		if len(rows) == 0 {
+func stageFilter(readers []*storage.Reader, kernels []storage.Kernel, rows []int32) []int32 {
+	for i := range kernels {
+		if rows = readers[i].Filter(&kernels[i], rows); len(rows) == 0 {
 			break
 		}
 	}
@@ -193,41 +182,34 @@ func parallelSingleStage(filter *expr.Node, cols []string, readers []*storage.Re
 // row-local, so the surviving set — and the set of blocks holding
 // survivors, which is what later stages touch — is identical to the
 // sequential pass.
-func parallelMultiStage(readers []*storage.Reader, cons []expr.Constraint, n, workers int) []int32 {
+func parallelMultiStage(readers []*storage.Reader, kernels []storage.Kernel, n, workers int) []int32 {
 	return scanMorsels(readers, n, morselRows, workers, func(rs []*storage.Reader, lo, hi int) []int32 {
 		rows := make([]int32, hi-lo)
 		for i := range rows {
 			rows[i] = int32(lo + i)
 		}
-		return stageFilter(rs, cons, rows)
+		return stageFilter(rs, kernels, rows)
 	})
 }
 
 // parallelPushdownScan is pushdownScan's morsel-parallel form. Zone maps
-// are consulted once per block, sequentially, on the canonical readers: a
-// pruned block is marked skipped on every constrained reader, as
-// storage.BlockScan marks it, and only the surviving blocks are split into
-// morsels of MorselBlocks. At most one morsel's worth of survivors is
-// scanned inline; otherwise each worker scans its morsels through its own
-// siblings. Block decisions are block-local and outputs concatenate in
+// are consulted once per block, sequentially (storage.Survivors): every
+// pruned block is marked skipped on each constrained reader, as
+// storage.BlockScan marks it, with one IOStats update per reader, and
+// only the surviving blocks are split into morsels of MorselBlocks. At
+// most one morsel's worth of survivors is scanned inline; otherwise each
+// worker scans its morsels through its own siblings. Block decisions are block-local and outputs concatenate in
 // block order, so rows, blocks read and blocks skipped equal the
 // sequential scan's at any worker count.
 func parallelPushdownScan(readers []*storage.Reader, opts storage.ScanOptions, n, workers int) []int32 {
-	for _, c := range opts.Constraints {
-		if c.Empty {
+	for i := range opts.Kernels {
+		if opts.Kernels[i].Empty() {
 			return nil
 		}
 	}
-	nb := numChunks(n, storage.BlockSize)
-	survivors := make([]int32, 0, nb)
-	for b := 0; b < nb; b++ {
-		if zoneSurvives(readers, opts.Constraints, b) {
-			survivors = append(survivors, int32(b))
-			continue
-		}
-		for _, r := range readers {
-			r.MarkSkipped(b)
-		}
+	survivors := storage.Survivors(opts.Kernels, make([]int32, 0, numChunks(n, storage.BlockSize)))
+	for _, r := range readers {
+		r.SkipAllBut(survivors)
 	}
 	scan := func(rs []*storage.Reader, blocks []int32) []int32 {
 		var dst []int32
@@ -245,17 +227,6 @@ func parallelPushdownScan(readers []*storage.Reader, opts storage.ScanOptions, n
 	})
 }
 
-// zoneSurvives reports whether block b may hold a row satisfying every
-// constraint: metadata only, nothing is charged.
-func zoneSurvives(readers []*storage.Reader, cons []expr.Constraint, b int) bool {
-	for i, r := range readers {
-		if !r.ZoneOverlaps(b, cons[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // parallelSIPProbe is the morsel-parallel key-membership stage of a
 // SIP-first scan: workers probe the shared read-only key table over their
 // morsels and emit surviving candidates in row order. right is the right
@@ -270,9 +241,9 @@ func parallelSIPProbe(sip *joinStep, right []wordCol, n, workers int) []int32 {
 // arbitrary candidate list (the SIP-first scan's later stages; candidates
 // are ascending but not block aligned — exactly-once charging is carried
 // by the shared charge sets).
-func parallelStageFilterRows(readers []*storage.Reader, cons []expr.Constraint, candidates []int32, workers int) []int32 {
+func parallelStageFilterRows(readers []*storage.Reader, kernels []storage.Kernel, candidates []int32, workers int) []int32 {
 	return scanMorsels(readers, len(candidates), tupleChunk, workers, func(rs []*storage.Reader, lo, hi int) []int32 {
-		return stageFilter(rs, cons, candidates[lo:hi])
+		return stageFilter(rs, kernels, candidates[lo:hi])
 	})
 }
 

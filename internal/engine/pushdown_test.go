@@ -353,12 +353,12 @@ func TestPushdownDispatchMatchesBlockScan(t *testing.T) {
 			t.Fatalf("%s: not pushed down", sql)
 		}
 		preds, _ := q.Tables[0].Filter.Conjunction()
-		cols, cons := scanStages(q.Tables[0], preds, sp.ColOrder)
+		cols, kernels := scanStages(q.Tables[0], preds, sp.ColOrder)
 		readers := make([]*storage.Reader, len(cols))
 		for i, c := range cols {
 			readers[i] = q.Tables[0].Table.ColByName(c).NewReader(nil)
 		}
-		wantRows := storage.BlockScan(readers, storage.ScanOptions{Constraints: cons, Limit: q.Limit}, 0, blocks*storage.BlockSize, nil)
+		wantRows := storage.BlockScan(readers, storage.ScanOptions{Kernels: kernels, Limit: q.Limit}, 0, blocks*storage.BlockSize, nil)
 		var want ScanBlockStats
 		for _, r := range readers {
 			want.Read += r.BlocksCharged()

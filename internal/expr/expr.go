@@ -432,25 +432,6 @@ func (c Constraint) Unconstrained() bool {
 	return !c.Empty && math.IsInf(c.Lo, -1) && math.IsInf(c.Hi, 1) && len(c.Ne) == 0
 }
 
-// OverlapsRange conservatively reports whether any value in the closed
-// range [lo, hi] can satisfy the constraint — the zone-map pruning test.
-// Ne exclusions are ignored (a block whose zone range intersects the
-// interval is read even if every value in it is excluded; the per-row
-// filter stays exact), so a false result proves no row in the range
-// matches while a true result only means the range cannot be skipped.
-func (c Constraint) OverlapsRange(lo, hi float64) bool {
-	if c.Empty {
-		return false
-	}
-	if hi < c.Lo || (hi == c.Lo && !c.LoIncl) {
-		return false
-	}
-	if lo > c.Hi || (lo == c.Hi && !c.HiIncl) {
-		return false
-	}
-	return true
-}
-
 // Contains reports whether value v satisfies the constraint.
 func (c Constraint) Contains(v float64) bool {
 	if c.Empty {

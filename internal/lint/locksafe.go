@@ -307,7 +307,7 @@ func classifyLockedIO(fn *types.Func) (string, bool) {
 	switch {
 	case pathHasSuffix(path, "internal/storage"):
 		switch {
-		case recv == "Reader" && (name == "Value" || name == "Numeric" || name == "LoadAll" || name == "LoadRange"),
+		case recv == "Reader" && (name == "Value" || name == "Numeric" || name == "LoadAll" || name == "LoadRange" || name == "Filter"),
 			recv == "Column" && (name == "Value" || name == "Numeric" || name == "NumericAll"),
 			recv == "" && name == "BlockScan":
 			return "storage block read (storage." + callName(recv, name) + ")", true

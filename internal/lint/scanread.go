@@ -14,7 +14,7 @@ import (
 // call from internal/engine silently under-reports I/O and can diverge
 // between worker counts. Engine code must read through the blessed scan
 // entry points that share per-column charge state: storage.Reader
-// (Value/Numeric/LoadAll/LoadRange) or storage.BlockScan. The brute-force
+// (Value/Numeric/LoadAll/LoadRange/Filter) or storage.BlockScan. The brute-force
 // reference executor deliberately bypasses accounting (it is the
 // correctness oracle, not a measured path) and carries
 // //bytecard:rawscan-ok annotations.
@@ -29,8 +29,8 @@ var ScanRead = &Analyzer{
 }
 
 // scanReadMethods is the unaccounted data-reading surface of storage.Column.
-// Metadata accessors (Name, Kind, Len, NumBlocks, ZoneRange, DictSize) read
-// no block data and stay free.
+// Metadata accessors (Name, Kind, Len, NumBlocks, DictSize) read no block
+// data and stay free.
 var scanReadMethods = map[string]bool{
 	"Value":      true,
 	"Numeric":    true,

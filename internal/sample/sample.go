@@ -146,7 +146,7 @@ func (f *Frame) Table() *storage.Table { return f.tab }
 
 // Select appends to dst[:0] the ids of the frame rows satisfying filter, in
 // ascending order; a nil filter selects every row. A conjunction compiles
-// once into per-column constraints and runs through storage.BlockScan;
+// once into per-column kernels and runs through storage.BlockScan;
 // any other tree is the union of its DNF terms' scans, and a DNF wider
 // than expr.MaxDNFTerms is an error.
 func (f *Frame) Select(filter *expr.Node, dst []int32) ([]int32, error) {
@@ -192,14 +192,12 @@ func (f *Frame) scan(preds []expr.Pred, dst []int32) ([]int32, error) {
 			return dst, fmt.Errorf("sample: unknown column %s", p.Col)
 		}
 	}
-	cons := expr.BuildConstraints(preds, func(col string, d types.Datum) (float64, bool) {
-		return f.tab.ColByName(col).EncodeDatum(d)
-	})
-	readers := make([]*storage.Reader, len(cons))
-	for i, c := range cons {
-		readers[i] = f.tab.ColByName(c.Col).NewReader(nil)
+	kernels := storage.Compile(f.tab, preds)
+	readers := make([]*storage.Reader, len(kernels))
+	for i := range kernels {
+		readers[i] = kernels[i].Column().NewReader(nil)
 	}
-	return storage.BlockScan(readers, storage.ScanOptions{Constraints: cons}, 0, f.Len(), dst), nil
+	return storage.BlockScan(readers, storage.ScanOptions{Kernels: kernels}, 0, f.Len(), dst), nil
 }
 
 // Profile is a frequency profile: Freq[j-1] counts the distinct (composite)

@@ -7,10 +7,10 @@ package storage
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
-	"bytecard/internal/expr"
 	"bytecard/internal/types"
 )
 
@@ -35,9 +35,9 @@ func (s *IOStats) AddBlock(bytes int64) {
 	s.bytesRead.Add(bytes)
 }
 
-// AddSkipped records one block pruned by its zone map before any value was
-// fetched — the read that never happened.
-func (s *IOStats) AddSkipped() { s.blocksSkipped.Add(1) }
+// AddSkipped records n blocks pruned by their zone maps before any value
+// was fetched — the reads that never happened.
+func (s *IOStats) AddSkipped(n int64) { s.blocksSkipped.Add(n) }
 
 // BlocksRead returns the number of blocks fetched.
 func (s *IOStats) BlocksRead() int64 { return s.blocksRead.Load() }
@@ -70,11 +70,19 @@ type Column struct {
 	floats []float64
 	codes  []int32
 	dict   []string
-	// zoneLo/zoneHi are the per-block min/max of the numeric image,
-	// computed at Build time. For strings these are dictionary codes, and
-	// because the dictionary is sorted the code range is the string range.
-	zoneLo []float64
-	zoneHi []float64
+	// zones are the per-block zone maps, computed at Build time.
+	zones []zone
+}
+
+// zone is one block's zone map. INT64 columns keep int64 bounds, so big
+// ints prune exactly; dictionary columns keep code bounds, and because the
+// dictionary is sorted the code range is the string range. FLOAT64 columns
+// keep bounds over the block's non-NaN cells and whether it holds a NaN,
+// so a predicate NaN satisfies never prunes a block holding one.
+type zone struct {
+	lo, hi   int64
+	flo, fhi float64
+	nan      bool
 }
 
 // Name returns the column name.
@@ -197,65 +205,30 @@ func MergeDicts(a, b *Column) (ra, rb []int32) {
 // buildZones computes the per-block zone maps. Called once from Build,
 // after string dictionaries are sorted and codes remapped.
 func (c *Column) buildZones() {
-	nb := c.NumBlocks()
-	c.zoneLo = make([]float64, nb)
-	c.zoneHi = make([]float64, nb)
-	for b := 0; b < nb; b++ {
-		lo, hi := b*BlockSize, (b+1)*BlockSize
-		if n := c.Len(); hi > n {
-			hi = n
-		}
-		zlo, zhi := math.Inf(1), math.Inf(-1)
+	c.zones = make([]zone, c.NumBlocks())
+	for b := range c.zones {
+		lo, hi := b*BlockSize, min((b+1)*BlockSize, c.Len())
+		z := zone{lo: math.MaxInt64, hi: math.MinInt64, flo: math.Inf(1), fhi: math.Inf(-1)}
 		switch c.kind {
 		case types.KindInt64:
 			for _, v := range c.ints[lo:hi] {
-				f := float64(v)
-				if f < zlo {
-					zlo = f
-				}
-				if f > zhi {
-					zhi = f
-				}
+				z.lo, z.hi = min(z.lo, v), max(z.hi, v)
 			}
 		case types.KindFloat64:
 			for _, v := range c.floats[lo:hi] {
-				if v < zlo {
-					zlo = v
+				if math.IsNaN(v) {
+					z.nan = true
+					continue
 				}
-				if v > zhi {
-					zhi = v
-				}
+				z.flo, z.fhi = min(z.flo, v), max(z.fhi, v)
 			}
 		default:
 			for _, v := range c.codes[lo:hi] {
-				f := float64(v)
-				if f < zlo {
-					zlo = f
-				}
-				if f > zhi {
-					zhi = f
-				}
+				z.lo, z.hi = min(z.lo, int64(v)), max(z.hi, int64(v))
 			}
 		}
-		c.zoneLo[b], c.zoneHi[b] = zlo, zhi
+		c.zones[b] = z
 	}
-}
-
-// ZoneRange returns block b's [min, max] numeric-image range. Zone maps
-// are metadata: consulting them charges nothing to any IOStats.
-func (c *Column) ZoneRange(b int) (lo, hi float64) { return c.zoneLo[b], c.zoneHi[b] }
-
-// ZoneSurvivors counts the blocks whose zone range overlaps cons — the
-// exact number of blocks a pushed-down range stage on this column would
-// read, computable at plan time from metadata alone.
-func (c *Column) ZoneSurvivors(cons expr.Constraint) int {
-	n := 0
-	for b := range c.zoneLo {
-		if cons.OverlapsRange(c.zoneLo[b], c.zoneHi[b]) {
-			n++
-		}
-	}
-	return n
 }
 
 // blockCharges is the cross-reader record of which blocks of one column
@@ -415,148 +388,163 @@ func (r *Reader) BlocksSkipped() int {
 	return n
 }
 
-// ZoneOverlaps reports whether block b's zone range can satisfy cons.
-// Metadata only: nothing is charged.
-func (r *Reader) ZoneOverlaps(b int, cons expr.Constraint) bool {
-	return cons.OverlapsRange(r.col.zoneLo[b], r.col.zoneHi[b])
-}
-
-// MarkSkipped records block b as zone-map pruned, charging one skip to the
-// IOStats the first time any sibling marks it. A pruned block holds no
-// surviving row, so later operators never read it — the skip and read sets
-// of one (column, query) pair stay disjoint.
-func (r *Reader) MarkSkipped(b int) {
-	if r.charges.skip(b) && r.io != nil {
-		r.io.AddSkipped()
+// SkipAllBut marks every block of the column outside survivors (ascending
+// block ids) zone-map pruned, and adds the blocks no sibling had marked to
+// the IOStats in one step. A pruned block holds no surviving row, so later
+// operators never read it — the skip and read sets of one (column, query)
+// pair stay disjoint.
+func (r *Reader) SkipAllBut(survivors []int32) {
+	var n int64
+	for b := 0; b < r.col.NumBlocks(); b++ {
+		if len(survivors) > 0 && int(survivors[0]) == b {
+			survivors = survivors[1:]
+			continue
+		}
+		if r.charges.skip(b) {
+			n++
+		}
+	}
+	if n > 0 && r.io != nil {
+		r.io.AddSkipped(n)
 	}
 }
 
-// filterRange appends to dst the row ids in [lo, hi) whose values satisfy
-// cons, reading the column storage directly in one typed pass (no Datum
-// boxing). The caller guarantees [lo, hi) lies within a single block,
-// which is charged before any value is examined.
-func (r *Reader) filterRange(lo, hi int, cons expr.Constraint, dst []int32) []int32 {
+// markSkipped records block b as zone-map pruned, charging one skip to the
+// IOStats the first time any sibling marks it.
+func (r *Reader) markSkipped(b int) {
+	if r.charges.skip(b) && r.io != nil {
+		r.io.AddSkipped(1)
+	}
+}
+
+// filterRange appends to dst the row ids in [lo, hi) whose cells pass k,
+// reading the column storage directly in one typed pass. The caller
+// guarantees [lo, hi) lies within a single block, which is charged before
+// any value is examined; dst grows once, by the block's row count, never
+// per match.
+func (r *Reader) filterRange(k *Kernel, lo, hi int, dst []int32) []int32 {
 	if lo >= hi {
 		return dst
 	}
 	r.touch(lo)
+	if k.none {
+		return dst
+	}
+	n := len(dst)
+	dst = slices.Grow(dst, hi-lo)
+	out := dst[n : n+hi-lo]
 	switch r.col.kind {
 	case types.KindInt64:
-		for i, v := range r.col.ints[lo:hi] {
-			if cons.Contains(float64(v)) {
-				dst = append(dst, int32(lo+i))
-			}
-		}
+		n += selectRange(k, r.col.ints[lo:hi], int32(lo), out)
 	case types.KindFloat64:
-		for i, v := range r.col.floats[lo:hi] {
-			if cons.Contains(v) {
-				dst = append(dst, int32(lo+i))
-			}
-		}
+		n += selectFloatRange(k, r.col.floats[lo:hi], int32(lo), out)
 	default:
-		for i, v := range r.col.codes[lo:hi] {
-			if cons.Contains(float64(v)) {
-				dst = append(dst, int32(lo+i))
-			}
-		}
+		n += selectRange(k, r.col.codes[lo:hi], int32(lo), out)
 	}
-	return dst
+	return dst[:n]
 }
 
-// filterRows filters a selection vector in place against cons, reading the
+// filterRows filters a selection vector in place against k, reading the
 // column storage directly. The caller guarantees all rows lie within a
 // single block, charged once up front.
-func (r *Reader) filterRows(rows []int32, cons expr.Constraint) []int32 {
+func (r *Reader) filterRows(k *Kernel, rows []int32) []int32 {
 	if len(rows) == 0 {
 		return rows
 	}
 	r.touch(int(rows[0]))
-	kept := rows[:0]
+	if k.none {
+		return rows[:0]
+	}
+	var n int
 	switch r.col.kind {
 	case types.KindInt64:
-		for _, i := range rows {
-			if cons.Contains(float64(r.col.ints[i])) {
-				kept = append(kept, i)
-			}
-		}
+		n = selectRows(k, r.col.ints, rows)
 	case types.KindFloat64:
-		for _, i := range rows {
-			if cons.Contains(r.col.floats[i]) {
-				kept = append(kept, i)
-			}
-		}
+		n = selectFloatRows(k, r.col.floats, rows)
 	default:
-		for _, i := range rows {
-			if cons.Contains(float64(r.col.codes[i])) {
-				kept = append(kept, i)
-			}
-		}
+		n = selectRows(k, r.col.codes, rows)
 	}
-	return kept
+	return rows[:n]
+}
+
+// Filter filters rows — ids of any blocks, ascending or not — in place
+// against k: the executor's one conjunctive row filter. The rows are cut
+// into runs that share a block and each run is filtered by the kernel, so
+// a block is charged exactly when a row lies in it. An empty kernel keeps
+// nothing and charges nothing.
+func (r *Reader) Filter(k *Kernel, rows []int32) []int32 {
+	r.mustServe(k)
+	if k.empty {
+		return rows[:0]
+	}
+	n := 0
+	for start := 0; start < len(rows); {
+		b := BlockOf(int(rows[start]))
+		end := start + 1
+		for end < len(rows) && BlockOf(int(rows[end])) == b {
+			end++
+		}
+		n += copy(rows[n:], r.filterRows(k, rows[start:end]))
+		start = end
+	}
+	return rows[:n]
+}
+
+// mustServe panics unless k was compiled for r's column.
+func (r *Reader) mustServe(k *Kernel) {
+	if k.col != r.col {
+		panic(fmt.Sprintf("storage: kernel for column %s used on a reader of %s", k.col.name, r.col.name))
+	}
 }
 
 // ScanOptions is the pushed-down scan contract: the engine compiles a
-// conjunctive filter into per-column constraints (at most one per column,
-// in staged evaluation order) and, for limit-bearing projections, the
-// match count at which the scan may stop early. Projection pushdown is
-// implicit — only the constrained columns are ever handed to BlockScan, so
+// conjunctive filter into per-column kernels (at most one per column, in
+// staged evaluation order) and, for limit-bearing projections, the match
+// count at which the scan may stop early. Projection pushdown is implicit
+// — only the constrained columns are ever handed to BlockScan, so
 // unreferenced columns are simply never read.
 type ScanOptions struct {
-	// Constraints are evaluated in order per block: the first runs as a
-	// dense range stage over the whole block, the rest refine the
-	// surviving selection vector.
-	Constraints []expr.Constraint
+	// Kernels are evaluated in order per block: the first runs as a dense
+	// range stage over the whole block, the rest refine the surviving
+	// selection vector.
+	Kernels []Kernel
 	// Limit, when positive, stops the scan once that many rows matched.
 	Limit int
 }
 
 // BlockScan is the blessed pushdown scan entry point: it evaluates opts
 // over rows [lo, hi) of one table, appending matching row ids to dst.
-// readers aligns with opts.Constraints (reader i serves constraint i's
-// column). Per block, every constrained column's zone map is consulted
-// first — one miss prunes the block for all constrained columns without
-// charging a read — then survivors are refined stage by stage, vectorized
-// per block, in place at the tail of dst: the scan needs no scratch, so a
-// caller that passes a dst with room allocates nothing. All decisions are
-// block-local, so morsel-parallel callers scanning disjoint block-aligned
-// ranges read and skip exactly the blocks the sequential scan would.
+// readers aligns with opts.Kernels (reader i serves kernel i's column).
+// Per block, every kernel's zone test runs first — one miss prunes the
+// block for all constrained columns without charging a read — then
+// survivors are refined stage by stage, vectorized per block, in place at
+// the tail of dst: the scan needs no scratch, so a caller whose dst has
+// room for every row of [lo, hi) past its length allocates nothing. All
+// decisions are block-local, so morsel-parallel callers scanning disjoint
+// block-aligned ranges read and skip exactly the blocks the sequential
+// scan would. An empty kernel reads and skips nothing.
 func BlockScan(readers []*Reader, opts ScanOptions, lo, hi int, dst []int32) []int32 {
-	if len(readers) == 0 || len(readers) != len(opts.Constraints) {
-		panic("storage: BlockScan needs one reader per constraint")
+	if len(readers) == 0 || len(readers) != len(opts.Kernels) {
+		panic("storage: BlockScan needs one reader per kernel")
 	}
-	for _, cons := range opts.Constraints {
-		if cons.Empty {
+	for i := range opts.Kernels {
+		readers[i].mustServe(&opts.Kernels[i])
+		if opts.Kernels[i].empty {
 			return dst
 		}
 	}
-	if n := readers[0].col.Len(); hi > n {
-		hi = n
-	}
+	hi = min(hi, readers[0].col.Len())
 	for b := BlockOf(lo); b*BlockSize < hi; b++ {
-		blo, bhi := b*BlockSize, (b+1)*BlockSize
-		if blo < lo {
-			blo = lo
-		}
-		if bhi > hi {
-			bhi = hi
-		}
-		pruned := false
-		for i := range readers {
-			if !readers[i].ZoneOverlaps(b, opts.Constraints[i]) {
-				pruned = true
-				break
-			}
-		}
-		if pruned {
+		if !zonePasses(opts.Kernels, b) {
 			for _, r := range readers {
-				r.MarkSkipped(b)
+				r.markSkipped(b)
 			}
 			continue
 		}
 		start := len(dst)
-		dst = readers[0].filterRange(blo, bhi, opts.Constraints[0], dst)
+		dst = readers[0].filterRange(&opts.Kernels[0], max(b*BlockSize, lo), min((b+1)*BlockSize, hi), dst)
 		for i := 1; i < len(readers) && len(dst) > start; i++ {
-			dst = dst[:start+len(readers[i].filterRows(dst[start:], opts.Constraints[i]))]
+			dst = dst[:start+len(readers[i].filterRows(&opts.Kernels[i], dst[start:]))]
 		}
 		if opts.Limit > 0 && len(dst) >= opts.Limit {
 			return dst[:opts.Limit]

@@ -346,8 +346,8 @@ func TestGather(t *testing.T) {
 			t.Errorf("EncodeDatum(%q): gathered %g/%v, base %g/%v", s, gv, gok, bv, bok)
 		}
 	}
-	if lo, hi := g.ColByName("id").ZoneRange(0); lo != 4 || hi != float64(2*BlockSize+7) {
-		t.Errorf("gathered id zone = [%g, %g], want [4, %d]", lo, hi, 2*BlockSize+7)
+	if z := g.ColByName("id").zones[0]; z.lo != 4 || z.hi != 2*BlockSize+7 {
+		t.Errorf("gathered id zone = [%d, %d], want [4, %d]", z.lo, z.hi, 2*BlockSize+7)
 	}
 	if empty := base.Gather(nil); empty.NumRows() != 0 || empty.Col(0).NumBlocks() != 0 {
 		t.Errorf("empty gather: %d rows, %d blocks", empty.NumRows(), empty.Col(0).NumBlocks())
@@ -359,14 +359,14 @@ func TestGather(t *testing.T) {
 // with room is not reallocated.
 func TestBlockScanRefinesInPlace(t *testing.T) {
 	tab := buildTestTable(t, 2*BlockSize+100)
-	tagCode, _ := tab.ColByName("tag").EncodeDatum(types.Str("mid"))
-	cons := []expr.Constraint{expr.NewConstraint("score"), expr.NewConstraint("tag")}
-	cons[0].Add(expr.OpGe, 100, true)
-	cons[1].Add(expr.OpEq, tagCode, true)
+	kernels := Compile(tab, []expr.Pred{
+		{Col: "score", Op: expr.OpGe, Val: types.Int(100)},
+		{Col: "tag", Op: expr.OpEq, Val: types.Str("mid")},
+	})
 	readers := []*Reader{tab.ColByName("score").NewReader(nil), tab.ColByName("tag").NewReader(nil)}
 	dst := make([]int32, 1, tab.NumRows()+1)
 	dst[0] = -1
-	got := BlockScan(readers, ScanOptions{Constraints: cons}, 0, tab.NumRows(), dst)
+	got := BlockScan(readers, ScanOptions{Kernels: kernels}, 0, tab.NumRows(), dst)
 	want := []int32{-1}
 	for i := 0; i < tab.NumRows(); i++ {
 		if float64(i)/2 >= 100 && i%3 == 2 {

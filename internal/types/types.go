@@ -147,8 +147,9 @@ func (d Datum) AsFloat() float64 {
 
 // Compare orders two datums: -1 if d < o, 0 if equal, +1 if d > o.
 // Numeric kinds compare by value with int/float coercion; strings compare
-// lexicographically. Comparing a string with a numeric datum panics — the
-// analyzer rejects such predicates before execution.
+// lexicographically. The order is total: NaN equals NaN and sorts above
+// +Inf, as PostgreSQL orders it. Comparing a string with a numeric datum
+// panics — the analyzer rejects such predicates before execution.
 func (d Datum) Compare(o Datum) int {
 	if !d.IsNumeric() || !o.IsNumeric() {
 		if d.K != o.K {
@@ -179,8 +180,17 @@ func (d Datum) Compare(o Datum) int {
 		return -1
 	case a > b:
 		return 1
-	default:
+	case a == b:
 		return 0
+	}
+	// At least one side is NaN.
+	switch an, bn := math.IsNaN(a), math.IsNaN(b); {
+	case an && bn:
+		return 0
+	case an:
+		return 1
+	default:
+		return -1
 	}
 }
 

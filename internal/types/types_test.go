@@ -79,6 +79,20 @@ func TestDatumCompareMixedNumeric(t *testing.T) {
 	}
 }
 
+// TestDatumCompareNaN: the order is total — NaN equals NaN, whatever its
+// bits, and sorts above every number, +Inf and the int64 extremes too.
+func TestDatumCompareNaN(t *testing.T) {
+	nan, other := Float(math.NaN()), Float(math.Float64frombits(0x7ff8000000000002))
+	if nan.Compare(other) != 0 || other.Compare(nan) != 0 {
+		t.Error("NaN must equal NaN")
+	}
+	for _, d := range []Datum{Float(math.Inf(1)), Float(math.Inf(-1)), Float(0), Int(math.MaxInt64), Int(math.MinInt64)} {
+		if nan.Compare(d) != 1 || d.Compare(nan) != -1 {
+			t.Errorf("NaN must sort above %v", d)
+		}
+	}
+}
+
 func TestDatumCompareStrings(t *testing.T) {
 	if Str("a").Compare(Str("b")) != -1 || Str("b").Compare(Str("a")) != 1 || Str("x").Compare(Str("x")) != 0 {
 		t.Error("string comparison broken")
