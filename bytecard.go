@@ -64,9 +64,8 @@ type Options struct {
 	// "sketch", "sample", or "heuristic".
 	Estimator string
 	// Parallelism is the executor's morsel-driven worker count (scans,
-	// hash-join probes, aggregation). Zero defers to the
-	// BYTECARD_PARALLELISM environment variable, then runtime.GOMAXPROCS;
-	// 1 forces the sequential executor.
+	// hash-join probes, aggregation). Zero defers to runtime.GOMAXPROCS.
+	// Results and block counts are the same at every worker count.
 	Parallelism int
 	// Guard tunes the inference guard around every model call (panic
 	// recovery, latency budget, estimate sanitization). The zero value
@@ -89,7 +88,8 @@ type Options struct {
 	// skipping, predicate/projection/limit pushdown, late
 	// materialization). Zero or positive is on (the default); negative
 	// disables pushdown, restoring the pre-contract scan path byte for
-	// byte.
+	// byte. It stays only because the benchmark's reference oracle pins
+	// the pre-contract path; no command-line flag sets it.
 	Pushdown int
 	// ResidualCorrection enables the online residual corrector: executed
 	// queries feed (estimate, truth) pairs into a per-template

@@ -26,26 +26,20 @@ func main() {
 		scale       = flag.Float64("scale", 0.05, "dataset scale factor")
 		seed        = flag.Int64("seed", 1, "generator seed")
 		estimator   = flag.String("estimator", "bytecard", "optimizer estimator: bytecard, sketch, sample, heuristic")
-		parallelism = flag.Int("parallelism", 0, "executor worker count (0 = BYTECARD_PARALLELISM env, then GOMAXPROCS; 1 = sequential)")
+		parallelism = flag.Int("parallelism", 0, "executor worker count (0 = GOMAXPROCS)")
 		residualFl  = flag.Bool("residual", false, "enable the online residual corrector (executed truth feeds back into estimates)")
-		pushdown    = flag.Bool("pushdown", true, "enable the pushdown scan contract: zone-map block skipping, predicate/projection/limit pushdown")
 	)
 	flag.Parse()
-	pd := 0
-	if !*pushdown {
-		pd = -1 // Options.Pushdown: negative disables, zero is the default (on)
-	}
-	if err := run(*dataset, *scale, *seed, *estimator, *parallelism, *residualFl, pd); err != nil {
+	if err := run(*dataset, *scale, *seed, *estimator, *parallelism, *residualFl); err != nil {
 		fmt.Fprintln(os.Stderr, "bytehouse-cli:", err)
 		os.Exit(1)
 	}
 }
 
-func run(dataset string, scale float64, seed int64, estimator string, parallelism int, residualOn bool, pd int) error {
+func run(dataset string, scale float64, seed int64, estimator string, parallelism int, residualOn bool) error {
 	fmt.Printf("opening %s (scale %.3g) and training ByteCard models...\n", dataset, scale)
 	sys, err := bytecard.Open(bytecard.Options{
 		Dataset: dataset, Scale: scale, Seed: seed, Estimator: estimator, Parallelism: parallelism,
-		Pushdown:           pd,
 		ResidualCorrection: residualOn,
 		RBX:                rbx.TrainConfig{Columns: 200, Epochs: 8, MaxPop: 30000, Seed: seed + 9},
 	})

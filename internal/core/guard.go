@@ -57,6 +57,13 @@ type GuardConfig struct {
 	LatencyBudget time.Duration
 }
 
+// maxWatchers caps a guard's outstanding watchers: the goroutines running
+// budgeted calls, abandoned ones included, until their calls return. A
+// model that stalls for good strands one watcher per call; at the cap a
+// call fails as a timeout at once, without spawning, and the breaker and
+// fallback estimator answer as they do for any timeout.
+const maxWatchers = 64
+
 // Guard wraps every learned-model call (BN selectivity, FactorJoin, RBX)
 // with the protections the deployment contract requires: a
 // panicking model must not crash the query goroutine, a stalled model must
@@ -74,6 +81,8 @@ type Guard struct {
 	timeouts atomic.Int64
 	invalid  atomic.Int64
 	clamped  atomic.Int64
+	// watchers counts outstanding watchers (see maxWatchers).
+	watchers atomic.Int64
 }
 
 // NewGuard creates a guard.
@@ -138,12 +147,18 @@ func (g *Guard) Do(key string, fn func() (float64, error)) (float64, error) {
 	if g.cfg.LatencyBudget <= 0 {
 		return run()
 	}
+	if g.watchers.Add(1) > maxWatchers {
+		g.watchers.Add(-1)
+		g.timeouts.Add(1)
+		return 0, &ModelError{Key: key, Outcome: obs.OutcomeTimeout, Msg: fmt.Sprintf("core: model %s not called: %d guarded calls still running", key, maxWatchers)}
+	}
 	type result struct {
 		v   float64
 		err error
 	}
 	ch := make(chan result, 1)
 	go func() { //bytecard:goroutine-ok latency-budget watcher must outlive the abandoned call; a pooled job would block the pool slot
+		defer g.watchers.Add(-1)
 		v, err := run()
 		ch <- result{v, err}
 	}()

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"bytecard/internal/obs"
 )
 
 type testHook struct {
@@ -79,6 +81,59 @@ func TestGuardLatencyBudget(t *testing.T) {
 	v, err := g.Do("bn:t", func() (float64, error) { return 2, nil })
 	if err != nil || v != 2 {
 		t.Errorf("fast call = %v, %v", v, err)
+	}
+}
+
+// TestGuardCapsWatchers stalls every model call for good: the first
+// maxWatchers calls time out and leave their watchers running, and every
+// later call times out at once without starting another.
+func TestGuardCapsWatchers(t *testing.T) {
+	g := NewGuard(GuardConfig{LatencyBudget: time.Millisecond})
+	const extra = 5
+	entered := make(chan struct{}, maxWatchers+extra) // one send per started model call
+	release := make(chan struct{})
+	g.SetHook(testHook{before: func(string) {
+		entered <- struct{}{}
+		<-release
+	}})
+	for i := 0; i < maxWatchers+extra; i++ {
+		if i == maxWatchers {
+			// A call past the cap must not wait for its budget at all.
+			g.cfg.LatencyBudget = time.Minute
+		}
+		start := time.Now()
+		_, err := g.Do("bn:t", func() (float64, error) { return 1, nil })
+		if OutcomeOf(err) != obs.OutcomeTimeout {
+			t.Fatalf("call %d: err = %v, want a timeout", i, err)
+		}
+		if i >= maxWatchers && time.Since(start) > time.Second {
+			t.Errorf("call %d past the cap waited %v", i, time.Since(start))
+		}
+	}
+	if got := g.watchers.Load(); got != maxWatchers {
+		t.Errorf("outstanding watchers = %d, want %d", got, maxWatchers)
+	}
+	if got := g.Stats().Timeouts; got != maxWatchers+extra {
+		t.Errorf("timeouts = %d, want %d", got, maxWatchers+extra)
+	}
+	for i := 0; i < maxWatchers; i++ {
+		select {
+		case <-entered:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("only %d of %d watchers reached the model", i, maxWatchers)
+		}
+	}
+	// Released watchers return their slots.
+	close(release)
+	for deadline := time.Now().Add(5 * time.Second); g.watchers.Load() > 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if len(entered) != 0 {
+		t.Errorf("%d model calls started past the cap", len(entered))
+	}
+	g.SetHook(nil)
+	if v, err := g.Do("bn:t", func() (float64, error) { return 2, nil }); err != nil || v != 2 {
+		t.Errorf("call after release = %v, %v", v, err)
 	}
 }
 

@@ -2,11 +2,8 @@ package engine
 
 import (
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
-	"strconv"
-	"sync"
 	"time"
 
 	"bytecard/internal/catalog"
@@ -54,9 +51,9 @@ type Engine struct {
 	// DisableSIP turns off sideways information passing (ablation hook).
 	DisableSIP bool
 	// Parallelism is the executor's worker count for morsel-driven scans,
-	// hash-join probes, and aggregation. Zero takes the BYTECARD_PARALLELISM
-	// environment variable if set, else runtime.GOMAXPROCS(0); 1 forces the
-	// sequential path.
+	// hash-join probes, and aggregation; zero takes runtime.GOMAXPROCS(0).
+	// One worker runs every phase once over all of its input, on the
+	// calling goroutine.
 	Parallelism int
 	// Pushdown selects the pushed-down scan path (zone-map block skipping,
 	// vectorized predicate evaluation, projection/limit pushdown). Zero
@@ -103,25 +100,10 @@ func (e *Engine) defaultAggCapacity() int {
 	return DefaultAggCapacity
 }
 
-// envParallelism reads BYTECARD_PARALLELISM once — the hook CI uses to
-// force the parallel executor paths under the race detector even on
-// engines that never set Parallelism explicitly.
-var envParallelism = sync.OnceValue(func() int {
-	if s := os.Getenv("BYTECARD_PARALLELISM"); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v > 0 {
-			return v
-		}
-	}
-	return 0
-})
-
 // workers resolves the executor worker count for one query.
 func (e *Engine) workers() int {
 	if e.Parallelism > 0 {
 		return e.Parallelism
-	}
-	if v := envParallelism(); v > 0 {
-		return v
 	}
 	return runtime.GOMAXPROCS(0)
 }

@@ -15,9 +15,9 @@ import (
 // ids and lazily created block-accounted column readers shared by later
 // operators (late materialization reads land on the same readers — or on
 // sibling readers sharing their charge sets — so every block is charged at
-// most once per query). Readers are created only by sequential code: a
-// parallel phase binds the canonical readers it needs before dispatch and
-// hands each worker siblings of them.
+// most once per query). Readers are created only outside dispatch: a phase
+// binds the canonical readers it needs first, and the dispatcher hands
+// every worker but a lone one siblings of them.
 type scanState struct {
 	t       *QueryTable
 	rows    []int32
@@ -220,34 +220,55 @@ func (e *Engine) executeScan(q *Query, sp *ScanPlan, m *Metrics, ex *execCtx, li
 
 // pushdownScan routes one table scan through the storage.BlockScan
 // contract. Only the constrained columns are handed to storage (projection
-// pushdown: unreferenced columns are never read here), zone maps prune
-// whole blocks before any charge, and survivors come back as a selection
-// vector — downstream operators materialize lazily through the shared-
-// charge readers. Block decisions are block-local, so the morsel-parallel
-// form reads and skips exactly the blocks the sequential form does.
+// pushdown: unreferenced columns are never read here), and survivors come
+// back as a selection vector — downstream operators materialize lazily
+// through the shared-charge readers. Zone maps are consulted once per
+// block before dispatch (storage.Survivors): every pruned block is marked
+// skipped on each constrained reader with one IOStats update per reader,
+// and only the surviving blocks are split into morsels of MorselBlocks.
+// Block decisions are block-local and outputs concatenate in block order,
+// so rows, blocks read and blocks skipped do not depend on the worker
+// count. A LIMIT scan stops at its limit-th match, so it stays one
+// sequential BlockScan.
 func (e *Engine) pushdownScan(st *scanState, sp *ScanPlan, n, limit int, ex *execCtx) {
 	preds, _ := st.t.Filter.Conjunction() // planScan sets Pushdown only for conjunctions
 	if len(preds) == 0 {
 		if limit > 0 && limit < n {
 			n = limit
 		}
-		st.rows = allRows(n)
+		st.rows = rowRange(0, n)
 		return
 	}
 	cols, kernels := scanStages(st.t, preds, sp.ColOrder)
 	opts := storage.ScanOptions{Kernels: kernels, Limit: limit}
 	readers := st.bind(cols)
-	if limit == 0 && ex.parallelFor(n, morselRows) {
-		st.rows = parallelPushdownScan(readers, opts, n, ex.workers)
+	if limit > 0 {
+		st.rows = storage.BlockScan(readers, opts, 0, n, nil)
 		return
 	}
-	st.rows = storage.BlockScan(readers, opts, 0, n, nil)
+	for i := range kernels {
+		if kernels[i].Empty() {
+			return // reads and skips nothing, as BlockScan would
+		}
+	}
+	survivors := storage.Survivors(kernels, make([]int32, 0, numChunks(n, storage.BlockSize)))
+	for _, r := range readers {
+		r.SkipAllBut(survivors)
+	}
+	st.rows = scanMorsels(readers, len(survivors), MorselBlocks, ex.workers, func(rs []*storage.Reader, lo, hi int) []int32 {
+		var dst []int32
+		for _, b := range survivors[lo:hi] {
+			start := int(b) * storage.BlockSize
+			dst = storage.BlockScan(rs, opts, start, start+storage.BlockSize, dst)
+		}
+		return dst
+	})
 }
 
 // singleStageScan loads every block of every touched column up front (early
-// materialization) and evaluates the full filter tree row-at-a-time,
-// splitting the row space into block-aligned morsels when the executor
-// runs parallel.
+// materialization) and evaluates the full filter tree row-at-a-time over
+// block-aligned morsels: each morsel loads its own blocks of every touched
+// column, so the union across morsels is every block.
 func (e *Engine) singleStageScan(q *Query, st *scanState, sp *ScanPlan, n int, ex *execCtx) {
 	filter := st.t.Filter
 	// Touch predicate columns plus downstream columns: the one-pass reader
@@ -268,44 +289,40 @@ func (e *Engine) singleStageScan(q *Query, st *scanState, sp *ScanPlan, n int, e
 			cols = append(cols, c)
 		}
 	}
-	readers := st.bind(cols)
-	if filter != nil && ex.parallelFor(n, morselRows) {
-		st.rows = parallelSingleStage(filter, cols, readers, n, ex.workers)
-		return
-	}
-	for _, r := range readers {
-		r.LoadAll()
-	}
-	if filter == nil {
-		st.rows = allRows(n)
-		return
-	}
-	st.rows = evalRange(filter, cols, readers, 0, n, make([]int32, 0, n/4+1))
+	st.rows = scanMorsels(st.bind(cols), n, morselRows, ex.workers, func(rs []*storage.Reader, lo, hi int) []int32 {
+		for _, r := range rs {
+			r.LoadRange(lo, hi)
+		}
+		if filter == nil {
+			return rowRange(lo, hi)
+		}
+		return evalRange(filter, cols, rs, lo, hi, make([]int32, 0, (hi-lo)/4+1))
+	})
 }
 
 // multiStageScan filters column by column in the planned order, touching
 // later columns only for candidate rows (the staged reader whose I/O wins
-// Figure 6a measures). Under parallel execution each worker runs the full
-// column order within its block-aligned morsel.
+// Figure 6a measures). Each morsel runs the full column order over its
+// block-aligned rows; filters are row-local, so the surviving set — and the
+// set of blocks holding survivors, which is what later stages touch — does
+// not depend on how the rows are split.
 func (e *Engine) multiStageScan(st *scanState, sp *ScanPlan, n int, ex *execCtx) error {
 	preds, ok := st.t.Filter.Conjunction()
 	if !ok {
 		return fmt.Errorf("engine: multi-stage reader requires a conjunctive filter")
 	}
 	cols, kernels := scanStages(st.t, preds, sp.ColOrder)
-	readers := st.bind(cols)
-	if ex.parallelFor(n, morselRows) {
-		st.rows = parallelMultiStage(readers, kernels, n, ex.workers)
-		return nil
-	}
-	st.rows = stageFilter(readers, kernels, allRows(n))
+	st.rows = scanMorsels(st.bind(cols), n, morselRows, ex.workers, func(rs []*storage.Reader, lo, hi int) []int32 {
+		return stageFilter(rs, kernels, rowRange(lo, hi))
+	})
 	return nil
 }
 
-func allRows(n int) []int32 {
-	rows := make([]int32, n)
+// rowRange returns the row ids lo, lo+1, ..., hi-1.
+func rowRange(lo, hi int) []int32 {
+	rows := make([]int32, hi-lo)
 	for i := range rows {
-		rows[i] = int32(i)
+		rows[i] = int32(lo + i)
 	}
 	return rows
 }
@@ -364,7 +381,7 @@ func (e *Engine) joinNext(q *Query, p *Plan, states []*scanState, inter *interme
 		return nil, err
 	}
 	js.groupRight()
-	return js.probe(remaining, m, ex)
+	return js.probe(remaining, m, ex.workers)
 }
 
 // sipFirstFraction bounds when SIP runs before the table filter: a key set
@@ -395,15 +412,9 @@ func (e *Engine) scanForJoin(q *Query, p *Plan, states []*scanState, next int, s
 	states[next] = st
 	m.ReaderStrategy[t.Binding] = "sip+" + sp.Strategy
 
-	// Stage 0: key-membership probe over the whole key column(s), morsel
-	// parallel when the table is large enough.
-	right := sip.rightKeyCols(st.reader)
-	var candidates []int32
-	if ex.parallelFor(n, morselRows) {
-		candidates = parallelSIPProbe(sip, right, n, ex.workers)
-	} else {
-		candidates = sip.filterRange(right, 0, n, make([]int32, 0, sip.keys.len()))
-	}
+	// Stage 0: key-membership probe over the whole key column(s).
+	probe := keyProbe{sip, sip.rightKeyCols(st.reader), sip.keys.len()}
+	candidates := morsels(n, morselRows, ex.workers, probe, keyProbe.sibling, keyProbe.filterRange, concatRows)
 	m.SIPPruned += int64(n - len(candidates))
 
 	// Stage 1..k: the table's own filter over the surviving candidates,
@@ -414,23 +425,18 @@ func (e *Engine) scanForJoin(q *Query, p *Plan, states []*scanState, next int, s
 		m.RowsMaterialized += int64(len(st.rows))
 		return nil
 	}
-	parallel := ex.parallelFor(len(candidates), tupleChunk)
+	// Candidates are ascending but not block aligned: exactly-once charging
+	// is carried by the shared charge sets.
 	if preds, ok := filter.Conjunction(); ok {
 		cols, kernels := scanStages(t, preds, sp.ColOrder)
-		readers := st.bind(cols)
-		if parallel {
-			st.rows = parallelStageFilterRows(readers, kernels, candidates, ex.workers)
-		} else {
-			st.rows = stageFilter(readers, kernels, candidates)
-		}
+		st.rows = scanMorsels(st.bind(cols), len(candidates), tupleChunk, ex.workers, func(rs []*storage.Reader, lo, hi int) []int32 {
+			return stageFilter(rs, kernels, candidates[lo:hi])
+		})
 	} else {
 		cols := distinctCols(filter.Leaves())
-		readers := st.bind(cols)
-		if parallel {
-			st.rows = parallelEvalFilterRows(filter, cols, readers, candidates, ex.workers)
-		} else {
-			st.rows = evalRows(filter, cols, readers, candidates)
-		}
+		st.rows = scanMorsels(st.bind(cols), len(candidates), tupleChunk, ex.workers, func(rs []*storage.Reader, lo, hi int) []int32 {
+			return evalRows(filter, cols, rs, candidates[lo:hi])
+		})
 	}
 	m.RowsMaterialized += int64(len(st.rows))
 	return nil
@@ -496,7 +502,7 @@ func bindAggInputs(q *Query, states []*scanState, inter *intermediate) *aggInput
 	return in
 }
 
-// sibling returns a copy of in for one parallel worker: the same columns
+// sibling returns a copy of in for one aggregation worker: the same columns
 // read through sibling readers, and scratch of its own.
 func (in *aggInputs) sibling() *aggInputs {
 	sib := func(cols []boundCol) []boundCol {
@@ -558,9 +564,12 @@ func (in *aggInputs) update(accs []aggAcc, ti int) {
 }
 
 // executeAggregation folds the joined relation through the group table (or
-// a single accumulator block when there is no GROUP BY). When the executor
-// runs parallel, workers accumulate into per-worker tables sized from the
-// NDV estimate divided by the worker count, then merge.
+// a single accumulator block when there is no GROUP BY). Workers
+// accumulate into per-worker accumulators — group tables sized from the
+// NDV estimate divided by the worker count — merged in worker order. Every
+// group table's own growth, and the first table's growth while absorbing
+// the others, sums into Metrics.HashResizes, keeping the presizing
+// experiment meaningful at any worker count.
 func (e *Engine) executeAggregation(q *Query, p *Plan, states []*scanState, inter *intermediate, m *Metrics, ex *execCtx) (*Result, error) {
 	res := &Result{}
 	for _, item := range q.Stmt.Items {
@@ -570,19 +579,18 @@ func (e *Engine) executeAggregation(q *Query, p *Plan, states []*scanState, inte
 
 	if len(q.GroupBy) == 0 {
 		m.InitialAggCapacity = 0
-		var accs []aggAcc
-		switch {
-		case n == 0:
+		if n == 0 {
 			// The join stopped early; its later tables were never scanned,
 			// so there is nothing to bind.
-			accs = newAccs(q.Aggs)
-		case ex.parallelFor(n, tupleChunk):
-			accs = parallelGlobalAgg(q, bindAggInputs(q, states, inter), n, ex.workers)
-		default:
-			accs = newAccs(q.Aggs)
-			bindAggInputs(q, states, inter).accumulate(accs, 0, n)
+			res.Rows = [][]types.Datum{buildOutputRow(q, nil, newAccs(q.Aggs))}
+			return res, nil
 		}
-		res.Rows = [][]types.Datum{buildOutputRow(q, nil, accs)}
+		parts := strided(bindAggInputs(q, states, inter), n, ex.workers,
+			func(int) []aggAcc { return newAccs(q.Aggs) }, (*aggInputs).accumulate)
+		for _, accs := range parts[1:] {
+			mergeAccs(parts[0], accs, q.Aggs)
+		}
+		res.Rows = [][]types.Datum{buildOutputRow(q, nil, parts[0])}
 		return res, nil
 	}
 
@@ -591,16 +599,15 @@ func (e *Engine) executeAggregation(q *Query, p *Plan, states []*scanState, inte
 		return res, nil
 	}
 	in := bindAggInputs(q, states, inter)
-	var table *groupTable
-	if ex.parallelFor(n, tupleChunk) {
-		var resizes int64
-		table, resizes = parallelGroupedAgg(q, p, in, n, ex.workers)
-		m.HashResizes += resizes
-	} else {
-		table = newGroupTable(len(q.GroupBy), p.AggCapacity, q.Aggs)
-		in.accumulateGroups(table, 0, n)
-		m.HashResizes += int64(table.keys.resizes)
+	tables := strided(in, n, ex.workers, func(workers int) *groupTable {
+		return newGroupTable(len(q.GroupBy), p.AggCapacity/workers, q.Aggs)
+	}, (*aggInputs).accumulateGroups)
+	table := tables[0]
+	for _, t := range tables[1:] {
+		m.HashResizes += int64(t.keys.resizes)
+		table.absorb(t)
 	}
+	m.HashResizes += int64(table.keys.resizes)
 
 	// Group keys are read back as Datums once per group, from the tuple
 	// that opened it.

@@ -308,8 +308,8 @@ type mergeTable struct {
 	counts      []int64
 }
 
-func newMergeTable(width, hint int) *mergeTable {
-	return &mergeTable{sigs: newWordTable(width, hint)}
+func newMergeTable(width, hint int) mergeTable {
+	return mergeTable{sigs: newWordTable(width, hint)}
 }
 
 func (m *mergeTable) add(h uint64, sig []uint64, left, right int32, count int64) {
@@ -324,7 +324,7 @@ func (m *mergeTable) add(h uint64, sig []uint64, left, right int32, count int64)
 }
 
 // absorb merges o's entries into m in o's order. Absorbing per-chunk tables
-// in chunk order therefore leaves m exactly as one sequential pass over all
+// in chunk order therefore leaves m exactly as one pass over all
 // chunks would: an entry's position and representative are those of its
 // first occurrence, and integer multiplicities sum the same in any order.
 func (m *mergeTable) absorb(o *mergeTable) {
@@ -525,16 +525,29 @@ func (js *joinStep) rightKeyCols(reader func(string) *storage.Reader) []wordCol 
 	return cols
 }
 
-// filterRange is sideways information passing's key-membership stage: it
-// appends to dst the right-table rows in [lo, hi) whose key some tuple
-// carries. right comes from rightKeyCols.
-func (js *joinStep) filterRange(right []wordCol, lo, hi int, dst []int32) []int32 {
-	key := make([]uint64, len(right))
+// keyProbe is one worker's view of sideways information passing's
+// key-membership stage: the right key columns (from rightKeyCols) and the
+// capacity each of its candidate lists starts with.
+type keyProbe struct {
+	js    *joinStep
+	right []wordCol
+	hint  int
+}
+
+// sibling is the view of one more probe worker: siblings of the key
+// columns, and candidate lists that start empty.
+func (p keyProbe) sibling() keyProbe { return keyProbe{p.js, siblingCols(p.right), 0} }
+
+// filterRange returns the right-table rows in [lo, hi) whose key some
+// tuple carries.
+func (p keyProbe) filterRange(lo, hi int) []int32 {
+	dst := make([]int32, 0, p.hint)
+	key := make([]uint64, len(p.right))
 	for i := lo; i < hi; i++ {
-		for k := range right {
-			key[k] = right[k].word(int32(i))
+		for k := range p.right {
+			key[k] = p.right[k].word(int32(i))
 		}
-		if js.keys.find(hashWords(key), key) >= 0 {
+		if p.js.keys.find(hashWords(key), key) >= 0 {
 			dst = append(dst, int32(i))
 		}
 	}
@@ -615,11 +628,28 @@ func (js *joinStep) gather(tabs []int, left, right []int32, counts []int64) *int
 	return out
 }
 
-// merge is the fused probe → compress: the matches of tuples [lo, hi)
-// stream, in emit's order, straight into mt under the signature of the
-// joined relation's live columns (sigL over the intermediate, sigR over the
-// right table), so the exploded join output is never built.
-func (js *joinStep) merge(lo, hi int, sigL, sigR []wordCol, mt *mergeTable) {
+// mergeView is one worker's view of the fused probe → compress: the
+// signature of the joined relation's live columns (sigL over the
+// intermediate, sigR over the right table) and the size hint of the merge
+// tables it fills.
+type mergeView struct {
+	js         *joinStep
+	sigL, sigR []wordCol
+	hint       int
+}
+
+// sibling is the view of one more merge worker: siblings of the signature
+// columns, filling one table per chunk of tupleChunk tuples.
+func (v mergeView) sibling() mergeView {
+	return mergeView{v.js, siblingCols(v.sigL), siblingCols(v.sigR), tupleChunk / 4}
+}
+
+// merge returns the merge table of tuples [lo, hi): their matches stream,
+// in emit's order, straight into it under the signature, so the exploded
+// join output is never built.
+func (v mergeView) merge(lo, hi int) mergeTable {
+	js, sigL, sigR := v.js, v.sigL, v.sigR
+	mt := newMergeTable(len(sigL)+len(sigR), v.hint)
 	sig := make([]uint64, len(sigL)+len(sigR))
 	for i := lo; i < hi; i++ {
 		rows := js.matches(i)
@@ -649,13 +679,18 @@ func (js *joinStep) merge(lo, hi int, sigL, sigR []wordCol, mt *mergeTable) {
 			mt.add(h, sig, int32(i), r, count)
 		}
 	}
+	return mt
 }
 
 // probe produces the step's output relation. Aggregate queries whose join
 // output reaches compressThreshold take the fused path; everything else
 // (projections, small outputs) is emitted as is. remaining lists the tables
-// still to be joined after this step.
-func (js *joinStep) probe(remaining []int, m *Metrics, ex *execCtx) (*intermediate, error) {
+// still to be joined after this step. The fused path merges chunks of the
+// intermediate's tuples into per-chunk tables across workers, each reading
+// the signature columns through siblings it binds once, and absorbs them in
+// chunk order — the table one pass over every tuple would build (see
+// mergeTable.absorb).
+func (js *joinStep) probe(remaining []int, m *Metrics, workers int) (*intermediate, error) {
 	total := js.matchCount()
 	if total > MaxIntermediateRows {
 		return nil, fmt.Errorf("engine: join intermediate exceeds %d rows", int64(MaxIntermediateRows))
@@ -668,35 +703,18 @@ func (js *joinStep) probe(remaining []int, m *Metrics, ex *execCtx) (*intermedia
 	live := liveColumns(js.q, js.bindingIdx, tabs, remaining)
 	sigL := bindSignature(live, js.states, js.inter.tabs)
 	sigR := bindSignature(live, js.states, []int{js.next})
-	n := js.inter.len()
-	var mt *mergeTable
-	if ex.parallelFor(n, tupleChunk) {
-		mt = js.parallelMerge(sigL, sigR, ex.workers)
-	} else {
-		mt = newMergeTable(len(sigL)+len(sigR), int(total/4))
-		js.merge(0, n, sigL, sigR, mt)
-	}
+	mt := morsels(js.inter.len(), tupleChunk, workers, mergeView{js, sigL, sigR, int(total / 4)},
+		mergeView.sibling, mergeView.merge, absorbInOrder)
 	return js.gather(tabs, mt.left, mt.right, mt.counts), nil
 }
 
-// parallelMerge runs merge over chunks of the intermediate's tuples into
-// per-chunk tables, then absorbs those in chunk order — byte-identical to
-// the sequential merge (see mergeTable.absorb). Each worker reads the
-// signature columns through siblings it binds once.
-func (js *joinStep) parallelMerge(sigL, sigR []wordCol, workers int) *mergeTable {
-	type view struct{ l, r []wordCol }
-	parts := morsels(js.inter.len(), tupleChunk, workers,
-		func() view { return view{siblingCols(sigL), siblingCols(sigR)} },
-		func(v view, lo, hi int) *mergeTable {
-			mt := newMergeTable(len(sigL)+len(sigR), tupleChunk/4)
-			js.merge(lo, hi, v.l, v.r, mt)
-			return mt
-		})
-	mt := parts[0]
-	for _, p := range parts[1:] {
-		mt.absorb(p)
+// absorbInOrder absorbs per-chunk merge tables into the first, in chunk
+// order.
+func absorbInOrder(parts []mergeTable) mergeTable {
+	for i := range parts[1:] {
+		parts[0].absorb(&parts[1+i])
 	}
-	return mt
+	return parts[0]
 }
 
 // maxJoinSize bounds JoinSize's multiplicities, well inside int64.
@@ -745,7 +763,7 @@ func JoinSize(tables []*QueryTable, rows [][]int32, joins []JoinCond) (int64, er
 		if widest > 0 && inter.size() > maxJoinSize/widest {
 			return 0, fmt.Errorf("engine: join size may exceed 2^62")
 		}
-		if inter, err = js.probe(order[next+1:], &m, nil); err != nil {
+		if inter, err = js.probe(order[next+1:], &m, 1); err != nil {
 			return 0, err
 		}
 		if inter.len() == 0 {

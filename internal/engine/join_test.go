@@ -150,18 +150,18 @@ func TestMergeTableAbsorbKeepsSequentialOrder(t *testing.T) {
 	}
 	seq := newMergeTable(1, 0)
 	for i := range stream {
-		add(seq, i)
+		add(&seq, i)
 	}
 	var merged *mergeTable
 	for lo := 0; lo < len(stream); lo += 128 {
 		part := newMergeTable(1, 0)
 		for i := lo; i < lo+128 && i < len(stream); i++ {
-			add(part, i)
+			add(&part, i)
 		}
 		if merged == nil {
-			merged = part
+			merged = &part
 		} else {
-			merged.absorb(part)
+			merged.absorb(&part)
 		}
 	}
 	if !reflect.DeepEqual(seq.left, merged.left) || !reflect.DeepEqual(seq.right, merged.right) ||
@@ -627,7 +627,7 @@ func TestJoinSizeMatchesNaive(t *testing.T) {
 func TestJoinSizeErrors(t *testing.T) {
 	base := joinSizeBase(rand.New(rand.NewSource(1)), "p", "a", 20)
 	tab := func(b string) *QueryTable { return &QueryTable{Binding: b, Name: "p", Table: base} }
-	all := allRows(base.NumRows())
+	all := rowRange(0, base.NumRows())
 	chain := []JoinCond{{LeftTab: "a", LeftCol: "i", RightTab: "c", RightCol: "i"}, {LeftTab: "c", LeftCol: "j", RightTab: "b", RightCol: "j"}}
 	abc := []*QueryTable{tab("a"), tab("b"), tab("c")}
 	for _, rows := range [][][]int32{{all, all, all}, {nil, all, all}} {
@@ -656,7 +656,7 @@ func TestJoinSizeErrors(t *testing.T) {
 	var starJoins []JoinCond
 	for k := 0; k < 7; k++ {
 		star = append(star, &QueryTable{Binding: fmt.Sprintf("s%d", k), Name: "flat", Table: ft})
-		starRows = append(starRows, allRows(1000))
+		starRows = append(starRows, rowRange(0, 1000))
 		if k > 0 {
 			starJoins = append(starJoins, JoinCond{LeftTab: "s0", LeftCol: "k", RightTab: star[k].Binding, RightCol: "k"})
 		}

@@ -4,69 +4,172 @@ import (
 	"reflect"
 	"testing"
 
+	"bytecard/internal/catalog"
 	"bytecard/internal/datagen"
+	"bytecard/internal/storage"
 	"bytecard/internal/types"
 )
 
-// TestParallelMatchesSequential is the tentpole invariant: for every query
-// shape the executor supports, the morsel-driven parallel path must produce
-// byte-identical result rows and charge exactly the same block I/O as the
-// sequential path.
+// TestParallelMatchesSequential is the executor's worker-count invariant:
+// for every query shape the executor supports, 2 and 4 workers must produce
+// byte-identical result rows, and charge exactly the same blocks read and
+// skipped, rows materialized, SIP-pruned rows and hash-table resizes, as
+// one worker. The boundary cases put each dispatched phase at exactly one
+// chunk and at one chunk + 1, where the dispatcher stops calling the phase
+// body once and starts splitting it.
 func TestParallelMatchesSequential(t *testing.T) {
 	datasets := map[string]*datagen.Dataset{
-		"imdb":  datagen.IMDB(datagen.Config{Scale: 0.2, Seed: 31}),
-		"stats": datagen.STATS(datagen.Config{Scale: 0.1, Seed: 32}),
+		"imdb":     datagen.IMDB(datagen.Config{Scale: 0.2, Seed: 31}),
+		"stats":    datagen.STATS(datagen.Config{Scale: 0.1, Seed: 32}),
+		"boundary": boundaryDataset(),
 	}
-	queries := map[string][]string{
+	type parityCase struct {
+		sql    string
+		reader string // ForceReader; empty plans the reader
+	}
+	queries := map[string][]parityCase{
 		"imdb": {
-			"SELECT COUNT(*) FROM title",
-			"SELECT COUNT(*) FROM title WHERE title.production_year > 2005",
-			"SELECT COUNT(*), SUM(ci.person_id), MIN(ci.person_id), MAX(ci.person_id), AVG(ci.person_id) FROM cast_info ci WHERE ci.role_id < 4",
-			"SELECT COUNT(*) FROM title t, cast_info ci WHERE ci.movie_id = t.id AND t.production_year > 1995",
-			"SELECT t.kind_id, COUNT(*), SUM(t.production_year) FROM title t GROUP BY t.kind_id",
-			"SELECT COUNT(DISTINCT ci.person_id) FROM cast_info ci WHERE ci.role_id = 1",
-			"SELECT t.kind_id, COUNT(*), COUNT(DISTINCT ci.role_id) FROM title t, cast_info ci WHERE ci.movie_id = t.id GROUP BY t.kind_id",
+			{sql: "SELECT COUNT(*) FROM title"},
+			{sql: "SELECT COUNT(*) FROM title WHERE title.production_year > 2005"},
+			{sql: "SELECT COUNT(*), SUM(ci.person_id), MIN(ci.person_id), MAX(ci.person_id), AVG(ci.person_id) FROM cast_info ci WHERE ci.role_id < 4"},
+			{sql: "SELECT COUNT(*) FROM title t, cast_info ci WHERE ci.movie_id = t.id AND t.production_year > 1995"},
+			{sql: "SELECT t.kind_id, COUNT(*), SUM(t.production_year) FROM title t GROUP BY t.kind_id"},
+			{sql: "SELECT COUNT(DISTINCT ci.person_id) FROM cast_info ci WHERE ci.role_id = 1"},
+			{sql: "SELECT t.kind_id, COUNT(*), COUNT(DISTINCT ci.role_id) FROM title t, cast_info ci WHERE ci.movie_id = t.id GROUP BY t.kind_id"},
 		},
 		"stats": {
-			"SELECT COUNT(*) FROM votes WHERE votes.vote_type = 2 OR votes.creation_year > 2012",
-			"SELECT COUNT(*) FROM posts p, users u WHERE p.owner_user_id = u.id AND u.reputation > 50",
-			"SELECT c.creation_year, COUNT(*), SUM(c.score), MIN(c.score), MAX(c.score) FROM comments c GROUP BY c.creation_year",
-			"SELECT COUNT(*) FROM posts p, comments c, users u WHERE c.post_id = p.id AND p.owner_user_id = u.id AND u.reputation > 100",
+			{sql: "SELECT COUNT(*) FROM votes WHERE votes.vote_type = 2 OR votes.creation_year > 2012"},
+			{sql: "SELECT COUNT(*) FROM posts p, users u WHERE p.owner_user_id = u.id AND u.reputation > 50"},
+			{sql: "SELECT c.creation_year, COUNT(*), SUM(c.score), MIN(c.score), MAX(c.score) FROM comments c GROUP BY c.creation_year"},
+			{sql: "SELECT COUNT(*) FROM posts p, comments c, users u WHERE c.post_id = p.id AND p.owner_user_id = u.id AND u.reputation > 100"},
 		},
 	}
+	for _, m := range []string{"m0", "m1"} {
+		// Scans over morselRows (m0) and morselRows + 1 (m1) rows: the
+		// single-stage and multi-stage readers, and the pushed-down scan,
+		// whose MorselBlocks (m0) or MorselBlocks + 1 (m1) blocks all
+		// survive.
+		queries["boundary"] = append(queries["boundary"],
+			parityCase{sql: "SELECT COUNT(*) FROM " + m + " WHERE " + m + ".a = 1 OR " + m + ".a = 3"},
+			parityCase{sql: "SELECT COUNT(*), SUM(" + m + ".id) FROM " + m + " WHERE " + m + ".a >= 4 AND " + m + ".id >= 5"},
+			parityCase{sql: "SELECT COUNT(*), SUM(" + m + ".id) FROM " + m + " WHERE " + m + ".a >= 4 AND " + m + ".id >= 5", reader: "single-stage"},
+			parityCase{sql: "SELECT COUNT(*), SUM(" + m + ".id) FROM " + m + " WHERE " + m + ".a >= 4 AND " + m + ".id >= 5", reader: "multi-stage"})
+	}
+	for _, last := range []int{1 + MorselBlocks, 2 + MorselBlocks} {
+		// A pushed-down window over blocks 2..last of w: MorselBlocks or
+		// MorselBlocks + 1 surviving blocks, the others skipped.
+		queries["boundary"] = append(queries["boundary"], parityCase{sql: "SELECT COUNT(*), SUM(w.v) FROM w WHERE " + blockWindow(2, last)})
+	}
+	for _, i := range []string{"0", "1"} {
+		queries["boundary"] = append(queries["boundary"],
+			// tupleChunk (l0) or tupleChunk + 1 (l1) distinct keys probe r
+			// through the fused merge.
+			parityCase{sql: "SELECT COUNT(*), COUNT(DISTINCT r.v) FROM l" + i + ", r WHERE l" + i + ".k = r.k"},
+			// The SIP probe over morselRows (p0) or morselRows + 1 (p1) rows.
+			parityCase{sql: "SELECT COUNT(*) FROM kx, p" + i + " WHERE kx.k = p" + i + ".k"},
+			// tupleChunk (c0) or tupleChunk + 1 (c1) SIP candidates through
+			// the conjunctive and the OR tail.
+			parityCase{sql: "SELECT COUNT(*) FROM kx, c" + i + " WHERE kx.k = c" + i + ".k AND c" + i + ".a <= 5"},
+			parityCase{sql: "SELECT COUNT(*) FROM kx, c" + i + " WHERE kx.k = c" + i + ".k AND (c" + i + ".a = 1 OR c" + i + ".a = 4)"},
+			// tupleChunk (g0) or tupleChunk + 1 (g1) aggregation tuples.
+			parityCase{sql: "SELECT g" + i + ".g, COUNT(*), SUM(g" + i + ".v) FROM g" + i + " GROUP BY g" + i + ".g"},
+			parityCase{sql: "SELECT SUM(g" + i + ".v), MIN(g" + i + ".v), COUNT(DISTINCT g" + i + ".g) FROM g" + i})
+	}
 	for name, ds := range datasets {
-		for _, sql := range queries[name] {
-			t.Run(name+"/"+sql, func(t *testing.T) {
-				seq := New(ds.DB, ds.Schema, HeuristicEstimator{})
-				seq.Parallelism = 1
-				par := New(ds.DB, ds.Schema, HeuristicEstimator{})
-				par.Parallelism = 4
-
-				rs, err := seq.Run(sql)
-				if err != nil {
-					t.Fatal(err)
+		for _, c := range queries[name] {
+			sub := name + "/" + c.sql
+			if c.reader != "" {
+				sub = name + "/" + c.reader + "/" + c.sql
+			}
+			t.Run(sub, func(t *testing.T) {
+				run := func(workers int) *Result {
+					e := New(ds.DB, ds.Schema, HeuristicEstimator{})
+					e.Parallelism = workers
+					e.ForceReader = c.reader
+					res, err := e.Run(c.sql)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Metrics.ParallelWorkers != workers {
+						t.Errorf("ParallelWorkers = %d, want %d", res.Metrics.ParallelWorkers, workers)
+					}
+					return res
 				}
-				rp, err := par.Run(sql)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rs.Metrics.ParallelWorkers != 1 || rp.Metrics.ParallelWorkers != 4 {
-					t.Errorf("ParallelWorkers = %d/%d, want 1/4",
-						rs.Metrics.ParallelWorkers, rp.Metrics.ParallelWorkers)
-				}
-				if !reflect.DeepEqual(rs.Rows, rp.Rows) {
-					t.Fatalf("rows diverge:\nseq: %v\npar: %v", rs.Rows, rp.Rows)
-				}
-				if a, b := rs.Metrics.IO.BlocksRead(), rp.Metrics.IO.BlocksRead(); a != b {
-					t.Errorf("BlocksRead diverge: seq %d, par %d", a, b)
-				}
-				if rs.Metrics.ActualFinalRows != rp.Metrics.ActualFinalRows {
-					t.Errorf("ActualFinalRows diverge: %d vs %d",
-						rs.Metrics.ActualFinalRows, rp.Metrics.ActualFinalRows)
+				rs := run(1)
+				for _, workers := range []int{2, 4} {
+					rp := run(workers)
+					if !reflect.DeepEqual(rs.Rows, rp.Rows) {
+						t.Fatalf("rows diverge:\n1 worker:  %v\n%d workers: %v", rs.Rows, workers, rp.Rows)
+					}
+					ms, mp := rs.Metrics, rp.Metrics
+					for _, f := range []struct {
+						name string
+						a, b int64
+					}{
+						{"BlocksRead", ms.IO.BlocksRead(), mp.IO.BlocksRead()},
+						{"BlocksSkipped", ms.IO.BlocksSkipped(), mp.IO.BlocksSkipped()},
+						{"RowsMaterialized", ms.RowsMaterialized, mp.RowsMaterialized},
+						{"SIPPruned", ms.SIPPruned, mp.SIPPruned},
+						{"HashResizes", ms.HashResizes, mp.HashResizes},
+						{"ActualFinalRows", ms.ActualFinalRows, mp.ActualFinalRows},
+					} {
+						if f.a != f.b {
+							t.Errorf("%s diverges: 1 worker %d, %d workers %d", f.name, f.a, workers, f.b)
+						}
+					}
 				}
 			})
 		}
 	}
+}
+
+// boundaryDataset holds the tables of TestParallelMatchesSequential's
+// boundary cases, each sized so one phase's input is exactly one chunk
+// (the tables ending in 0) or one chunk + 1 (ending in 1):
+//   - m0/m1 (morselRows rows): id is the row, a cycles 0..9;
+//   - w (8 blocks): ts is the row, v cycles 0..6;
+//   - l0/l1 (tupleChunk rows, k the row) against r (10000 rows, k cycling
+//     0..2499 so each l key matches four r rows, v cycling 0..99);
+//   - kx (16 keys) against p0/p1 (morselRows rows) and c0/c1 (4 tupleChunk
+//     rows), whose k cycles 0..63, so a quarter of their rows match and c0
+//     yields exactly tupleChunk SIP candidates;
+//   - g0/g1 (tupleChunk rows): v is the row, so no two tuples merge before
+//     aggregation. g0's 500 groups outgrow its presized group table once,
+//     at every worker count alike. Past one chunk each worker's table is
+//     presized to the estimate divided by the worker count, so its growth
+//     depends on the worker count by design; g1's 150 groups fit every
+//     worker's table.
+//
+// Each table's rows are appended with row(i).
+func boundaryDataset() *datagen.Dataset {
+	db := storage.NewDatabase()
+	add := func(name string, rows int, cols []string, row func(i int) []int64) {
+		specs := make([]storage.ColumnSpec, len(cols))
+		for i, c := range cols {
+			specs[i] = storage.ColumnSpec{Name: c, Kind: types.KindInt64}
+		}
+		b := storage.NewBuilder(name, specs)
+		vals := make([]types.Datum, len(cols))
+		for i := 0; i < rows; i++ {
+			for j, v := range row(i) {
+				vals[j] = types.Int(v)
+			}
+			b.Append(vals)
+		}
+		db.Add(b.Build())
+	}
+	for extra, s := range []string{"0", "1"} {
+		add("m"+s, morselRows+extra, []string{"id", "a"}, func(i int) []int64 { return []int64{int64(i), int64(i % 10)} })
+		add("l"+s, tupleChunk+extra, []string{"k"}, func(i int) []int64 { return []int64{int64(i)} })
+		add("p"+s, morselRows+extra, []string{"k"}, func(i int) []int64 { return []int64{int64(i % 64)} })
+		add("c"+s, 4*tupleChunk+extra, []string{"k", "a"}, func(i int) []int64 { return []int64{int64(i % 64), int64(i % 10)} })
+	}
+	add("w", 8*storage.BlockSize, []string{"ts", "v"}, func(i int) []int64 { return []int64{int64(i), int64(i % 7)} })
+	add("r", 10000, []string{"k", "v"}, func(i int) []int64 { return []int64{int64(i % 2500), int64(i % 100)} })
+	add("kx", 16, []string{"k"}, func(i int) []int64 { return []int64{int64(i)} })
+	add("g0", tupleChunk, []string{"g", "v"}, func(i int) []int64 { return []int64{int64(i % 500), int64(i)} })
+	add("g1", tupleChunk+1, []string{"g", "v"}, func(i int) []int64 { return []int64{int64(i % 150), int64(i)} })
+	return &datagen.Dataset{Name: "boundary", DB: db, Schema: catalog.NewSchema()}
 }
 
 // TestParallelForcedReaders re-runs a filter query under both pinned reader

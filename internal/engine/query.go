@@ -154,7 +154,7 @@ type Metrics struct {
 	// monitoring compares EstFinalRows against.
 	ActualFinalRows int64
 	// ParallelWorkers is the morsel-driven worker count the executor ran
-	// with (1 means the sequential path).
+	// with (1 runs every phase once over its whole input).
 	ParallelWorkers int
 	// PlanCacheHit marks runs whose plan was rebuilt from the template
 	// plan cache rather than planned fresh.

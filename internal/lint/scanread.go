@@ -14,7 +14,7 @@ import (
 // call from internal/engine silently under-reports I/O and can diverge
 // between worker counts. Engine code must read through the blessed scan
 // entry points that share per-column charge state: storage.Reader
-// (Value/Numeric/LoadAll/LoadRange/Filter) or storage.BlockScan. The brute-force
+// (Value/Numeric/LoadRange/Filter) or storage.BlockScan. The brute-force
 // reference executor deliberately bypasses accounting (it is the
 // correctness oracle, not a measured path) and carries
 // //bytecard:rawscan-ok annotations.

@@ -1,12 +1,12 @@
 // Package par provides the bounded worker pools used by model training
 // (Chow-Liu MI matrix, FactorJoin build) and the executor's morsel-driven
-// scans (Chunks, Strided). It is the repo's one blessed goroutine source:
+// phases (Chunks, Strided). It is the repo's one blessed goroutine source:
 // every library fan-out routes through here — enforced by the
 // goroutinesrc analyzer — so worker clamping and scheduling determinism
 // stay centralized. Training parallelism is resolved separately from the
-// executor's BYTECARD_PARALLELISM: training runs in ModelForge's
-// background refresh, not on the query critical path, so its only knob is
-// the caller's requested worker count (TrainWorkers).
+// executor's Parallelism: training runs in ModelForge's background
+// refresh, not on the query critical path, so its only knob is the
+// caller's requested worker count (TrainWorkers).
 package par
 
 import (

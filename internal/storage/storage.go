@@ -333,16 +333,9 @@ func (r *Reader) Code(i int) int32 {
 	return r.col.codes[i]
 }
 
-// LoadAll touches every block (the single-stage reader's behaviour).
-func (r *Reader) LoadAll() {
-	n := r.col.Len()
-	for b := 0; b*BlockSize < n; b++ {
-		r.touch(b * BlockSize)
-	}
-}
-
-// LoadRange touches every block overlapping rows [lo, hi) — the
-// single-stage behaviour restricted to one morsel.
+// LoadRange touches every block overlapping rows [lo, hi): the
+// single-stage reader's early materialization of one morsel, or of the
+// whole column as LoadRange(0, Len()).
 func (r *Reader) LoadRange(lo, hi int) {
 	if n := r.col.Len(); hi > n {
 		hi = n

@@ -134,13 +134,13 @@ func TestBlockAccounting(t *testing.T) {
 	}
 }
 
-func TestLoadAllCountsEveryBlockOnce(t *testing.T) {
+func TestLoadRangeCountsEveryBlockOnce(t *testing.T) {
 	tab := buildTestTable(t, BlockSize+1)
 	col := tab.ColByName("score")
 	var io IOStats
 	r := col.NewReader(&io)
-	r.LoadAll()
-	r.LoadAll()
+	r.LoadRange(0, col.Len())
+	r.LoadRange(0, col.Len())
 	if io.BlocksRead() != 2 {
 		t.Errorf("BlocksRead = %d, want 2 (idempotent)", io.BlocksRead())
 	}
@@ -187,10 +187,10 @@ func TestSiblingConcurrentChargesOnce(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			// Overlapping ranges from every worker: half LoadAll, half
-			// row-range loads.
+			// Overlapping ranges from every worker: half whole-column
+			// loads, half loads of a column suffix.
 			if w%2 == 0 {
-				r.LoadAll()
+				r.LoadRange(0, col.Len())
 			} else {
 				r.LoadRange(w*BlockSize/2, col.Len())
 			}
@@ -239,7 +239,7 @@ func TestStringColumnWidth(t *testing.T) {
 	tab := buildTestTable(t, BlockSize)
 	var io IOStats
 	r := tab.ColByName("tag").NewReader(&io)
-	r.LoadAll()
+	r.LoadRange(0, BlockSize)
 	if io.BytesRead() != BlockSize*4 {
 		t.Errorf("string column bytes = %d, want %d", io.BytesRead(), BlockSize*4)
 	}
