@@ -142,10 +142,10 @@ func run(dataset string, scale float64, seed int64, estimator string, parallelis
 			if read+skipped > 0 {
 				ratio = float64(skipped) / float64(read+skipped)
 			}
-			fmt.Printf("-- %d rows; plan %.2fms exec %.2fms; %d workers; %d blocks read, %d skipped (%.0f%% skip); readers %v; agg resizes %d\n",
+			fmt.Printf("-- %d rows; plan %.2fms exec %.2fms; %d workers; %d blocks read, %d skipped (%.0f%% skip); readers %v; agg resizes %d; table doublings %d\n",
 				len(res.Rows), float64(m.PlanDuration.Microseconds())/1000,
 				float64(m.ExecDuration.Microseconds())/1000, m.ParallelWorkers,
-				read, skipped, ratio*100, m.ReaderStrategy, m.HashResizes)
+				read, skipped, ratio*100, m.ReaderStrategy, m.HashResizes, m.TableDoublings)
 		}
 	}
 }

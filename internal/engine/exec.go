@@ -80,7 +80,8 @@ func (e *Engine) ExecuteTraced(p *Plan, tr *obs.Trace) (*Result, error) {
 	start := time.Now()
 	q := p.Query
 	m := Metrics{IO: &storage.IOStats{}, ReaderStrategy: map[string]string{}}
-	ex := &execCtx{workers: e.workers(), tr: tr}
+	ex := &execCtx{workers: e.workers(), s: getScratch(), tr: tr}
+	defer ex.s.release()
 	m.ParallelWorkers = ex.workers
 
 	// Only the leftmost table is scanned eagerly; later tables are scanned
@@ -136,6 +137,7 @@ func (e *Engine) ExecuteTraced(p *Plan, tr *obs.Trace) (*Result, error) {
 		}
 		m.ScanBlocks[q.Tables[i].Binding] = sb
 	}
+	m.TableDoublings = int64(ex.s.doublings)
 	m.ExecDuration = time.Since(start)
 	res.Metrics = m
 	return res, nil
@@ -236,14 +238,14 @@ func (e *Engine) pushdownScan(st *scanState, sp *ScanPlan, n, limit int, ex *exe
 		if limit > 0 && limit < n {
 			n = limit
 		}
-		st.rows = rowRange(0, n)
+		st.rows = rowRange(ex.s, 0, n)
 		return
 	}
 	cols, kernels := scanStages(st.t, preds, sp.ColOrder)
 	opts := storage.ScanOptions{Kernels: kernels, Limit: limit}
 	readers := st.bind(cols)
 	if limit > 0 {
-		st.rows = storage.BlockScan(readers, opts, 0, n, nil)
+		st.rows = storage.BlockScan(readers, opts, 0, n, ex.s.int32s(min(n, limit+storage.BlockSize))[:0])
 		return
 	}
 	for i := range kernels {
@@ -251,12 +253,14 @@ func (e *Engine) pushdownScan(st *scanState, sp *ScanPlan, n, limit int, ex *exe
 			return // reads and skips nothing, as BlockScan would
 		}
 	}
-	survivors := storage.Survivors(kernels, make([]int32, 0, numChunks(n, storage.BlockSize)))
+	survivors := storage.Survivors(kernels, ex.s.int32s(numChunks(n, storage.BlockSize))[:0])
 	for _, r := range readers {
 		r.SkipAllBut(survivors)
 	}
-	st.rows = scanMorsels(readers, len(survivors), MorselBlocks, ex.workers, func(rs []*storage.Reader, lo, hi int) []int32 {
-		var dst []int32
+	st.rows = scanMorsels(ex, readers, len(survivors), MorselBlocks, func(rs []*storage.Reader, lo, hi int) []int32 {
+		// Room for every row of the morsel's blocks, so BlockScan never
+		// regrows dst.
+		dst := ex.s.int32s((hi - lo) * storage.BlockSize)[:0]
 		for _, b := range survivors[lo:hi] {
 			start := int(b) * storage.BlockSize
 			dst = storage.BlockScan(rs, opts, start, start+storage.BlockSize, dst)
@@ -289,14 +293,14 @@ func (e *Engine) singleStageScan(q *Query, st *scanState, sp *ScanPlan, n int, e
 			cols = append(cols, c)
 		}
 	}
-	st.rows = scanMorsels(st.bind(cols), n, morselRows, ex.workers, func(rs []*storage.Reader, lo, hi int) []int32 {
+	st.rows = scanMorsels(ex, st.bind(cols), n, morselRows, func(rs []*storage.Reader, lo, hi int) []int32 {
 		for _, r := range rs {
 			r.LoadRange(lo, hi)
 		}
 		if filter == nil {
-			return rowRange(lo, hi)
+			return rowRange(ex.s, lo, hi)
 		}
-		return evalRange(filter, cols, rs, lo, hi, make([]int32, 0, (hi-lo)/4+1))
+		return evalRange(ex.s, filter, cols, rs, lo, hi)
 	})
 }
 
@@ -312,15 +316,15 @@ func (e *Engine) multiStageScan(st *scanState, sp *ScanPlan, n int, ex *execCtx)
 		return fmt.Errorf("engine: multi-stage reader requires a conjunctive filter")
 	}
 	cols, kernels := scanStages(st.t, preds, sp.ColOrder)
-	st.rows = scanMorsels(st.bind(cols), n, morselRows, ex.workers, func(rs []*storage.Reader, lo, hi int) []int32 {
-		return stageFilter(rs, kernels, rowRange(lo, hi))
+	st.rows = scanMorsels(ex, st.bind(cols), n, morselRows, func(rs []*storage.Reader, lo, hi int) []int32 {
+		return stageFilter(rs, kernels, rowRange(ex.s, lo, hi))
 	})
 	return nil
 }
 
 // rowRange returns the row ids lo, lo+1, ..., hi-1.
-func rowRange(lo, hi int) []int32 {
-	rows := make([]int32, hi-lo)
+func rowRange(s *scratch, lo, hi int) []int32 {
+	rows := s.int32s(hi - lo)
 	for i := range rows {
 		rows[i] = int32(lo + i)
 	}
@@ -332,12 +336,12 @@ func rowRange(lo, hi int) []int32 {
 // none of them is scanned.
 func (e *Engine) executeJoins(q *Query, p *Plan, states []*scanState, m *Metrics, ex *execCtx) (*intermediate, error) {
 	first := p.JoinOrder[0]
-	inter := scanIntermediate(first, states[first].rows)
+	inter := scanIntermediate(ex.s, first, states[first].rows)
 	bindingIdx := map[string]int{}
 	for i, t := range q.Tables {
 		bindingIdx[t.Binding] = i
 	}
-	inter = compress(q, bindingIdx, inter, states, p.JoinOrder[1:])
+	inter = compress(ex.s, q, bindingIdx, inter, states, p.JoinOrder[1:])
 	for step, next := range p.JoinOrder[1:] {
 		if inter.len() == 0 {
 			return inter, nil
@@ -363,7 +367,7 @@ func (e *Engine) executeJoins(q *Query, p *Plan, states []*scanState, m *Metrics
 // by the intermediate's key set) and joins it to inter. remaining lists the
 // tables still to be joined afterwards.
 func (e *Engine) joinNext(q *Query, p *Plan, states []*scanState, inter *intermediate, next int, remaining []int, bindingIdx map[string]int, m *Metrics, ex *execCtx) (*intermediate, error) {
-	js, ok, err := bindJoinStep(q, inter, states, next, bindingIdx)
+	js, ok, err := bindJoinStep(ex.s, q, inter, states, next, bindingIdx)
 	if err != nil {
 		return nil, err
 	}
@@ -413,8 +417,8 @@ func (e *Engine) scanForJoin(q *Query, p *Plan, states []*scanState, next int, s
 	m.ReaderStrategy[t.Binding] = "sip+" + sp.Strategy
 
 	// Stage 0: key-membership probe over the whole key column(s).
-	probe := keyProbe{sip, sip.rightKeyCols(st.reader), sip.keys.len()}
-	candidates := morsels(n, morselRows, ex.workers, probe, keyProbe.sibling, keyProbe.filterRange, concatRows)
+	probe := newKeyProbe(sip, sip.rightKeyCols(st.reader))
+	candidates := morsels(n, morselRows, ex.workers, probe, keyProbe.sibling, keyProbe.filterRange, ex.s.concatRows)
 	m.SIPPruned += int64(n - len(candidates))
 
 	// Stage 1..k: the table's own filter over the surviving candidates,
@@ -429,12 +433,12 @@ func (e *Engine) scanForJoin(q *Query, p *Plan, states []*scanState, next int, s
 	// is carried by the shared charge sets.
 	if preds, ok := filter.Conjunction(); ok {
 		cols, kernels := scanStages(t, preds, sp.ColOrder)
-		st.rows = scanMorsels(st.bind(cols), len(candidates), tupleChunk, ex.workers, func(rs []*storage.Reader, lo, hi int) []int32 {
+		st.rows = scanMorsels(ex, st.bind(cols), len(candidates), tupleChunk, func(rs []*storage.Reader, lo, hi int) []int32 {
 			return stageFilter(rs, kernels, candidates[lo:hi])
 		})
 	} else {
 		cols := distinctCols(filter.Leaves())
-		st.rows = scanMorsels(st.bind(cols), len(candidates), tupleChunk, ex.workers, func(rs []*storage.Reader, lo, hi int) []int32 {
+		st.rows = scanMorsels(ex, st.bind(cols), len(candidates), tupleChunk, func(rs []*storage.Reader, lo, hi int) []int32 {
 			return evalRows(filter, cols, rs, candidates[lo:hi])
 		})
 	}
@@ -472,8 +476,9 @@ func bindCol(q *Query, states []*scanState, inter *intermediate, ref ColRef) bou
 // aggInputs is a query's group keys and aggregate inputs bound to an
 // intermediate: group[i] serves q.GroupBy[i], aggs[a][c] serves
 // q.Aggs[a].Cols[c]. counts is the intermediate's multiplicities; groupKey
-// and distinctKey are the key-word scratch of one worker.
+// and distinctKey are the key-word buffers of one worker.
 type aggInputs struct {
+	s           *scratch
 	specs       []AggSpec
 	group       []boundCol
 	aggs        [][]boundCol
@@ -482,8 +487,8 @@ type aggInputs struct {
 	distinctKey []uint64
 }
 
-func bindAggInputs(q *Query, states []*scanState, inter *intermediate) *aggInputs {
-	in := &aggInputs{specs: q.Aggs, group: make([]boundCol, len(q.GroupBy)), aggs: make([][]boundCol, len(q.Aggs)), counts: inter.counts}
+func bindAggInputs(s *scratch, q *Query, states []*scanState, inter *intermediate) *aggInputs {
+	in := &aggInputs{s: s, specs: q.Aggs, group: make([]boundCol, len(q.GroupBy)), aggs: make([][]boundCol, len(q.Aggs)), counts: inter.counts}
 	for i, g := range q.GroupBy {
 		in.group[i] = bindCol(q, states, inter, g)
 	}
@@ -497,8 +502,8 @@ func bindAggInputs(q *Query, states []*scanState, inter *intermediate) *aggInput
 			width = max(width, len(spec.Cols))
 		}
 	}
-	in.groupKey = make([]uint64, len(in.group))
-	in.distinctKey = make([]uint64, width)
+	in.groupKey = s.uint64s(len(in.group))
+	in.distinctKey = s.uint64s(width)
 	return in
 }
 
@@ -513,12 +518,12 @@ func (in *aggInputs) sibling() *aggInputs {
 		}
 		return out
 	}
-	out := &aggInputs{specs: in.specs, group: sib(in.group), aggs: make([][]boundCol, len(in.aggs)), counts: in.counts}
+	out := &aggInputs{s: in.s, specs: in.specs, group: sib(in.group), aggs: make([][]boundCol, len(in.aggs)), counts: in.counts}
 	for a, cols := range in.aggs {
 		out.aggs[a] = sib(cols)
 	}
-	out.groupKey = make([]uint64, len(in.groupKey))
-	out.distinctKey = make([]uint64, len(in.distinctKey))
+	out.groupKey = in.s.uint64s(len(in.groupKey))
+	out.distinctKey = in.s.uint64s(len(in.distinctKey))
 	return out
 }
 
@@ -565,11 +570,11 @@ func (in *aggInputs) update(accs []aggAcc, ti int) {
 
 // executeAggregation folds the joined relation through the group table (or
 // a single accumulator block when there is no GROUP BY). Workers
-// accumulate into per-worker accumulators — group tables sized from the
-// NDV estimate divided by the worker count — merged in worker order. Every
-// group table's own growth, and the first table's growth while absorbing
-// the others, sums into Metrics.HashResizes, keeping the presizing
-// experiment meaningful at any worker count.
+// accumulate into per-worker accumulators — group tables each presized to
+// the full NDV estimate — merged in worker order into the first.
+// Metrics.HashResizes counts the doublings of that merged table, which
+// ends up holding every group, so the count follows from the group count
+// and the presize, not from how the tuples were split.
 func (e *Engine) executeAggregation(q *Query, p *Plan, states []*scanState, inter *intermediate, m *Metrics, ex *execCtx) (*Result, error) {
 	res := &Result{}
 	for _, item := range q.Stmt.Items {
@@ -582,11 +587,11 @@ func (e *Engine) executeAggregation(q *Query, p *Plan, states []*scanState, inte
 		if n == 0 {
 			// The join stopped early; its later tables were never scanned,
 			// so there is nothing to bind.
-			res.Rows = [][]types.Datum{buildOutputRow(q, nil, newAccs(q.Aggs))}
+			res.Rows = [][]types.Datum{buildOutputRow(q, nil, newAccs(ex.s, q.Aggs))}
 			return res, nil
 		}
-		parts := strided(bindAggInputs(q, states, inter), n, ex.workers,
-			func(int) []aggAcc { return newAccs(q.Aggs) }, (*aggInputs).accumulate)
+		parts := strided(bindAggInputs(ex.s, q, states, inter), n, ex.workers,
+			func() []aggAcc { return newAccs(ex.s, q.Aggs) }, (*aggInputs).accumulate)
 		for _, accs := range parts[1:] {
 			mergeAccs(parts[0], accs, q.Aggs)
 		}
@@ -598,16 +603,15 @@ func (e *Engine) executeAggregation(q *Query, p *Plan, states []*scanState, inte
 	if n == 0 {
 		return res, nil
 	}
-	in := bindAggInputs(q, states, inter)
-	tables := strided(in, n, ex.workers, func(workers int) *groupTable {
-		return newGroupTable(len(q.GroupBy), p.AggCapacity/workers, q.Aggs)
+	in := bindAggInputs(ex.s, q, states, inter)
+	tables := strided(in, n, ex.workers, func() *groupTable {
+		return newGroupTable(ex.s, len(q.GroupBy), p.AggCapacity, q.Aggs)
 	}, (*aggInputs).accumulateGroups)
 	table := tables[0]
 	for _, t := range tables[1:] {
-		m.HashResizes += int64(t.keys.resizes)
 		table.absorb(t)
 	}
-	m.HashResizes += int64(table.keys.resizes)
+	m.HashResizes = int64(table.keys.resizes)
 
 	// Group keys are read back as Datums once per group, from the tuple
 	// that opened it.
@@ -699,19 +703,22 @@ type aggAcc struct {
 	distinct *wordTable
 }
 
-// appendAccs appends one fresh accumulator per aggregate to accs.
-func appendAccs(accs []aggAcc, aggs []AggSpec) []aggAcc {
+// appendAccs appends one fresh accumulator per aggregate to accs, COUNT
+// DISTINCT sets drawn from s.
+func appendAccs(s *scratch, accs []aggAcc, aggs []AggSpec) []aggAcc {
 	for _, a := range aggs {
 		var acc aggAcc
 		if a.Kind == AggCountDistinct {
-			acc.distinct = newWordTable(len(a.Cols), 0)
+			acc.distinct = newWordTable(s, len(a.Cols), 0)
 		}
 		accs = append(accs, acc)
 	}
 	return accs
 }
 
-func newAccs(aggs []AggSpec) []aggAcc { return appendAccs(make([]aggAcc, 0, len(aggs)), aggs) }
+func newAccs(s *scratch, aggs []AggSpec) []aggAcc {
+	return appendAccs(s, make([]aggAcc, 0, len(aggs)), aggs)
+}
 
 // see folds v into a MIN/MAX accumulator.
 func (a *aggAcc) see(v types.Datum) {
@@ -795,9 +802,9 @@ type groupTable struct {
 	reps []int32
 }
 
-// newGroupTable sizes the table for expectedGroups at aggLoadFactor (16
-// slots at least).
-func newGroupTable(width, expectedGroups int, aggs []AggSpec) *groupTable {
+// newGroupTable draws a table sized for expectedGroups at aggLoadFactor
+// (16 slots at least) from s.
+func newGroupTable(s *scratch, width, expectedGroups int, aggs []AggSpec) *groupTable {
 	if expectedGroups < 1 {
 		expectedGroups = 1
 	}
@@ -805,7 +812,7 @@ func newGroupTable(width, expectedGroups int, aggs []AggSpec) *groupTable {
 	if n < 16 {
 		n = 16
 	}
-	return &groupTable{keys: newLoadedWordTable(width, n, aggLoadFactor), aggs: aggs}
+	return &groupTable{keys: s.table(width, n, aggLoadFactor), aggs: aggs}
 }
 
 func nextPow2(n int) int {
@@ -821,8 +828,8 @@ func nextPow2(n int) int {
 func (t *groupTable) group(h uint64, key []uint64, rep int32) []aggAcc {
 	id, added := t.keys.insert(h, key)
 	if added {
-		t.acc = appendAccs(t.acc, t.aggs)
-		t.reps = append(t.reps, rep)
+		t.acc = appendAccs(t.keys.s, t.acc, t.aggs)
+		t.reps = t.keys.s.push32(t.reps, rep)
 	}
 	return t.accs(int(id))
 }

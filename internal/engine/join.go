@@ -28,8 +28,8 @@ type intermediate struct {
 
 // scanIntermediate is the one-table relation a scan's surviving rows form:
 // every tuple once. rows is shared, not copied.
-func scanIntermediate(tab int, rows []int32) *intermediate {
-	in := &intermediate{tabs: []int{tab}, cols: [][]int32{rows}, counts: make([]int64, len(rows))}
+func scanIntermediate(s *scratch, tab int, rows []int32) *intermediate {
+	in := &intermediate{tabs: []int{tab}, cols: [][]int32{rows}, counts: s.int64s(len(rows))}
 	for i := range in.counts {
 		in.counts[i] = 1
 	}
@@ -182,8 +182,9 @@ func mixWord(h, w uint64) uint64 {
 // double as the SIP set and as the index the next table's rows are grouped
 // by), the compress table, the GROUP BY table and every COUNT DISTINCT
 // accumulator are wordTables. Keys, hashes and slots are flat pointer-free
-// arrays.
+// arrays drawn from the query's scratch.
 type wordTable struct {
+	s      *scratch
 	width  int
 	slots  []int32 // id+1, 0 = empty
 	hashes []uint64
@@ -196,28 +197,17 @@ type wordTable struct {
 	resizes int
 }
 
-// wordTableMaxPresize caps the slots allocated up front: the hint is a
-// tuple count, the table holds distinct keys, and growth past the cap costs
-// one cheap rehash (hashes are stored) per doubling.
+// wordTableMaxPresize caps the slots a join-pipeline table starts with: its
+// hint is a tuple count, but it holds distinct keys, often far fewer, and
+// growing past the cap costs one rehash from the stored hashes per
+// doubling.
 const wordTableMaxPresize = 1 << 16
 
-// newWordTable returns a join-pipeline table at load 1/2, presized for
-// hint keys.
-func newWordTable(width, hint int) *wordTable {
-	n := nextPow2(2 * hint)
-	if n < 16 {
-		n = 16
-	}
-	if n > wordTableMaxPresize {
-		n = wordTableMaxPresize
-	}
-	return newLoadedWordTable(width, n, 0.5)
-}
-
-// newLoadedWordTable returns a table of slots slots (a power of two) that
-// doubles once an insert would take it past load.
-func newLoadedWordTable(width, slots int, load float64) *wordTable {
-	return &wordTable{width: width, slots: make([]int32, slots), load: load, limit: int(load * float64(slots))}
+// newWordTable draws a join-pipeline table from s at load 1/2, with room
+// for hint keys (16 slots at least, wordTableMaxPresize at most).
+func newWordTable(s *scratch, width, hint int) *wordTable {
+	n := min(max(nextPow2(2*hint), 16), wordTableMaxPresize)
+	return s.table(width, n, 0.5)
 }
 
 func (t *wordTable) len() int { return len(t.hashes) }
@@ -266,6 +256,12 @@ func (t *wordTable) insert(h uint64, key []uint64) (id int32, added bool) {
 		if s == 0 {
 			id = int32(len(t.hashes))
 			t.slots[i] = id + 1
+			if len(t.hashes) == cap(t.hashes) {
+				t.hashes = regrow(t.s, &t.s.u64, t.hashes, 1)
+			}
+			if cap(t.words)-len(t.words) < t.width {
+				t.words = regrow(t.s, &t.s.u64, t.words, t.width)
+			}
 			t.hashes = append(t.hashes, h)
 			t.words = append(t.words, key...)
 			return id, true
@@ -283,9 +279,10 @@ func (t *wordTable) absorb(o *wordTable) {
 	}
 }
 
+// grow doubles the slot array, trading the old one back to the scratch.
 func (t *wordTable) grow() {
 	t.resizes++
-	t.slots = make([]int32, 2*len(t.slots))
+	t.slots = t.s.swapSlots(t.slots, 2*len(t.slots))
 	t.limit = int(t.load * float64(len(t.slots)))
 	mask := uint64(len(t.slots) - 1)
 	for id, h := range t.hashes {
@@ -294,6 +291,24 @@ func (t *wordTable) grow() {
 			i = (i + 1) & mask
 		}
 		t.slots[i] = int32(id) + 1
+	}
+}
+
+// clearSlots zeroes the slots the entries occupy, found from their stored
+// hashes along their probe paths, so clearing costs entries, not slots. A
+// table at least a quarter full is cleared whole.
+func (t *wordTable) clearSlots() {
+	if 4*len(t.hashes) >= len(t.slots) {
+		clear(t.slots)
+		return
+	}
+	mask := uint64(len(t.slots) - 1)
+	for id, h := range t.hashes {
+		i := h & mask
+		for t.slots[i] != int32(id)+1 {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = 0
 	}
 }
 
@@ -308,16 +323,17 @@ type mergeTable struct {
 	counts      []int64
 }
 
-func newMergeTable(width, hint int) mergeTable {
-	return mergeTable{sigs: newWordTable(width, hint)}
+func newMergeTable(s *scratch, width, hint int) mergeTable {
+	return mergeTable{sigs: newWordTable(s, width, hint)}
 }
 
 func (m *mergeTable) add(h uint64, sig []uint64, left, right int32, count int64) {
 	id, added := m.sigs.insert(h, sig)
 	if added {
-		m.left = append(m.left, left)
-		m.right = append(m.right, right)
-		m.counts = append(m.counts, count)
+		s := m.sigs.s
+		m.left = s.push32(m.left, left)
+		m.right = s.push32(m.right, right)
+		m.counts = s.push64(m.counts, count)
 		return
 	}
 	m.counts[id] += count
@@ -403,7 +419,7 @@ const compressThreshold = 1024
 // relation is compressed by the join step that produces it (see
 // joinStep.merge). Projection queries are exempt: merging reorders tuples,
 // and their output is defined by scan/join row order.
-func compress(q *Query, bindingIdx map[string]int, inter *intermediate, states []*scanState, remaining []int) *intermediate {
+func compress(s *scratch, q *Query, bindingIdx map[string]int, inter *intermediate, states []*scanState, remaining []int) *intermediate {
 	n := inter.len()
 	if len(q.Select) > 0 || n < compressThreshold {
 		return inter
@@ -418,8 +434,8 @@ func compress(q *Query, bindingIdx map[string]int, inter *intermediate, states [
 		}
 		return out
 	}
-	mt := newMergeTable(len(sig), n/4)
-	words := make([]uint64, len(sig))
+	mt := newMergeTable(s, len(sig), n/4)
+	words := s.uint64s(len(sig))
 	for i := 0; i < n; i++ {
 		for k := range sig {
 			words[k] = sig[k].word(inter.cols[sig[k].pos][i])
@@ -428,13 +444,14 @@ func compress(q *Query, bindingIdx map[string]int, inter *intermediate, states [
 	}
 	out := &intermediate{tabs: inter.tabs, cols: make([][]int32, len(inter.cols)), counts: mt.counts}
 	for k, col := range inter.cols {
-		out.cols[k] = gather(col, mt.left)
+		out.cols[k] = gather(s, col, mt.left)
 	}
 	return out
 }
 
-func gather(col, idx []int32) []int32 {
-	out := make([]int32, len(idx))
+// gather returns col[i] for each i of idx.
+func gather(s *scratch, col, idx []int32) []int32 {
+	out := s.int32s(len(idx))
 	for j, i := range idx {
 		out[j] = col[i]
 	}
@@ -447,6 +464,7 @@ func gather(col, idx []int32) []int32 {
 // is pruned with, and the index the right rows are grouped by, so the step
 // hashes each left tuple and each right row once and needs no second table.
 type joinStep struct {
+	s          *scratch
 	q          *Query
 	states     []*scanState
 	bindingIdx map[string]int
@@ -473,8 +491,8 @@ type joinStep struct {
 // layout and the two sides' column kinds. A table no condition connects to
 // the intermediate is an error. ok is false when some condition compares
 // kinds no value of which can be equal: the join is empty.
-func bindJoinStep(q *Query, inter *intermediate, states []*scanState, next int, bindingIdx map[string]int) (*joinStep, bool, error) {
-	js := &joinStep{q: q, states: states, bindingIdx: bindingIdx, inter: inter, next: next}
+func bindJoinStep(s *scratch, q *Query, inter *intermediate, states []*scanState, next int, bindingIdx map[string]int) (*joinStep, bool, error) {
+	js := &joinStep{s: s, q: q, states: states, bindingIdx: bindingIdx, inter: inter, next: next}
 	for _, j := range q.Joins {
 		l, r := bindingIdx[j.LeftTab], bindingIdx[j.RightTab]
 		if inter.pos(r) >= 0 && l == next {
@@ -503,9 +521,9 @@ func bindJoinStep(q *Query, inter *intermediate, states []*scanState, next int, 
 // internKeys interns every tuple's join key.
 func (js *joinStep) internKeys() {
 	n := js.inter.len()
-	js.keys = newWordTable(len(js.left), n)
-	js.keyOf = make([]int32, n)
-	key := make([]uint64, len(js.left))
+	js.keys = newWordTable(js.s, len(js.left), n)
+	js.keyOf = js.s.int32s(n)
+	key := js.s.uint64s(len(js.left))
 	for i := 0; i < n; i++ {
 		for k := range js.left {
 			key[k] = js.left[k].word(js.inter.cols[js.left[k].pos][i])
@@ -526,29 +544,33 @@ func (js *joinStep) rightKeyCols(reader func(string) *storage.Reader) []wordCol 
 }
 
 // keyProbe is one worker's view of sideways information passing's
-// key-membership stage: the right key columns (from rightKeyCols) and the
-// capacity each of its candidate lists starts with.
+// key-membership stage: the right key columns (from rightKeyCols) and a
+// key buffer of its own.
 type keyProbe struct {
 	js    *joinStep
 	right []wordCol
-	hint  int
+	key   []uint64
+}
+
+func newKeyProbe(js *joinStep, right []wordCol) keyProbe {
+	return keyProbe{js, right, js.s.uint64s(len(right))}
 }
 
 // sibling is the view of one more probe worker: siblings of the key
-// columns, and candidate lists that start empty.
-func (p keyProbe) sibling() keyProbe { return keyProbe{p.js, siblingCols(p.right), 0} }
+// columns.
+func (p keyProbe) sibling() keyProbe { return newKeyProbe(p.js, siblingCols(p.right)) }
 
 // filterRange returns the right-table rows in [lo, hi) whose key some
 // tuple carries.
 func (p keyProbe) filterRange(lo, hi int) []int32 {
-	dst := make([]int32, 0, p.hint)
-	key := make([]uint64, len(p.right))
+	s, key := p.js.s, p.key
+	dst := s.int32s(min(hi-lo, p.js.keys.len()))[:0]
 	for i := lo; i < hi; i++ {
 		for k := range p.right {
 			key[k] = p.right[k].word(int32(i))
 		}
 		if p.js.keys.find(hashWords(key), key) >= 0 {
-			dst = append(dst, int32(i))
+			dst = s.push32(dst, int32(i))
 		}
 	}
 	return dst
@@ -559,9 +581,10 @@ func (p keyProbe) filterRange(lo, hi int) []int32 {
 func (js *joinStep) groupRight() {
 	st := js.states[js.next]
 	right := js.rightKeyCols(st.reader)
-	key := make([]uint64, len(right))
-	ids := make([]int32, len(st.rows))
-	js.start = make([]int32, js.keys.len()+1)
+	key := js.s.uint64s(len(right))
+	ids := js.s.int32s(len(st.rows))
+	js.start = js.s.int32s(js.keys.len() + 1)
+	clear(js.start)
 	for j, row := range st.rows {
 		for k := range right {
 			key[k] = right[k].word(row)
@@ -575,8 +598,9 @@ func (js *joinStep) groupRight() {
 	for g := 1; g < len(js.start); g++ {
 		js.start[g] += js.start[g-1]
 	}
-	js.rows = make([]int32, js.start[len(js.start)-1])
-	fill := append([]int32(nil), js.start[:len(js.start)-1]...)
+	js.rows = js.s.int32s(int(js.start[len(js.start)-1]))
+	fill := js.s.int32s(len(js.start) - 1)
+	copy(fill, js.start)
 	for j, id := range ids {
 		if id >= 0 {
 			js.rows[fill[id]] = st.rows[j]
@@ -604,14 +628,12 @@ func (js *joinStep) matchCount() int64 {
 // emit builds the join output tuple by tuple, in probe order and, per
 // tuple, right-row scan order.
 func (js *joinStep) emit(tabs []int, total int) *intermediate {
-	left := make([]int32, 0, total)
-	right := make([]int32, 0, total)
-	counts := make([]int64, 0, total)
+	left, right, counts := js.s.int32s(total), js.s.int32s(total), js.s.int64s(total)
+	j := 0
 	for i := range js.keyOf {
 		for _, r := range js.matches(i) {
-			left = append(left, int32(i))
-			right = append(right, r)
-			counts = append(counts, js.inter.counts[i])
+			left[j], right[j], counts[j] = int32(i), r, js.inter.counts[i]
+			j++
 		}
 	}
 	return js.gather(tabs, left, right, counts)
@@ -622,7 +644,7 @@ func (js *joinStep) emit(tabs []int, total int) *intermediate {
 func (js *joinStep) gather(tabs []int, left, right []int32, counts []int64) *intermediate {
 	out := &intermediate{tabs: tabs, cols: make([][]int32, len(tabs)), counts: counts}
 	for k, col := range js.inter.cols {
-		out.cols[k] = gather(col, left)
+		out.cols[k] = gather(js.s, col, left)
 	}
 	out.cols[len(tabs)-1] = right
 	return out
@@ -649,8 +671,8 @@ func (v mergeView) sibling() mergeView {
 // join output is never built.
 func (v mergeView) merge(lo, hi int) mergeTable {
 	js, sigL, sigR := v.js, v.sigL, v.sigR
-	mt := newMergeTable(len(sigL)+len(sigR), v.hint)
-	sig := make([]uint64, len(sigL)+len(sigR))
+	mt := newMergeTable(js.s, len(sigL)+len(sigR), v.hint)
+	sig := js.s.uint64s(len(sigL) + len(sigR))
 	for i := lo; i < hi; i++ {
 		rows := js.matches(i)
 		if len(rows) == 0 {
@@ -731,6 +753,8 @@ func JoinSize(tables []*QueryTable, rows [][]int32, joins []JoinCond) (int64, er
 	if len(tables) == 0 {
 		return 0, fmt.Errorf("engine: join of no tables")
 	}
+	s := getScratch()
+	defer s.release()
 	q := &Query{Tables: tables, Joins: joins}
 	bindingIdx := make(map[string]int, len(tables))
 	states := make([]*scanState, len(tables))
@@ -747,10 +771,10 @@ func JoinSize(tables []*QueryTable, rows [][]int32, joins []JoinCond) (int64, er
 			return 0, fmt.Errorf("engine: join condition %s names a table not joined", j)
 		}
 	}
-	inter := compress(q, bindingIdx, scanIntermediate(0, rows[0]), states, order[1:])
+	inter := compress(s, q, bindingIdx, scanIntermediate(s, 0, rows[0]), states, order[1:])
 	var m Metrics
 	for next := 1; next < len(tables); next++ {
-		js, ok, err := bindJoinStep(q, inter, states, next, bindingIdx)
+		js, ok, err := bindJoinStep(s, q, inter, states, next, bindingIdx)
 		if !ok {
 			return 0, err
 		}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -106,7 +107,7 @@ func TestPairCodecsMatchDatumEqual(t *testing.T) {
 // and absent keys (also colliding) are not found.
 func TestWordTableAllCollidingHashes(t *testing.T) {
 	const n = 300
-	tab := newWordTable(2, 0)
+	tab := newWordTable(new(scratch), 2, 0)
 	for round := 0; round < 2; round++ {
 		for i := 0; i < n; i++ {
 			id, added := tab.insert(42, []uint64{uint64(i % 17), uint64(i)})
@@ -148,13 +149,14 @@ func TestMergeTableAbsorbKeepsSequentialOrder(t *testing.T) {
 		sig := []uint64{stream[i].sig}
 		mt.add(hashWords(sig), sig, int32(i), int32(-i), stream[i].count)
 	}
-	seq := newMergeTable(1, 0)
+	s := new(scratch)
+	seq := newMergeTable(s, 1, 0)
 	for i := range stream {
 		add(&seq, i)
 	}
 	var merged *mergeTable
 	for lo := 0; lo < len(stream); lo += 128 {
-		part := newMergeTable(1, 0)
+		part := newMergeTable(s, 1, 0)
 		for i := lo; i < lo+128 && i < len(stream); i++ {
 			add(&part, i)
 		}
@@ -438,14 +440,15 @@ func newJoinStepFixture(tb testing.TB, rows, keys, fanout int) *joinStepFixture 
 // run scans l, then executes the l ⋈ r step, returning the match count.
 func (f *joinStepFixture) run(tb testing.TB) int64 {
 	m := Metrics{IO: &storage.IOStats{}, ReaderStrategy: map[string]string{}}
-	ex := &execCtx{workers: 1}
+	ex := &execCtx{workers: 1, s: getScratch()}
+	defer ex.s.release()
 	states := make([]*scanState, len(f.q.Tables))
 	st, err := f.e.executeScan(f.q, f.p.Scans[f.left], &m, ex, 0)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	states[f.left] = st
-	inter := scanIntermediate(f.left, st.rows)
+	inter := scanIntermediate(ex.s, f.left, st.rows)
 	scanned := m.RowsMaterialized
 	if _, err := f.e.joinNext(f.q, f.p, states, inter, f.right, nil, f.bindingIdx, &m, ex); err != nil {
 		tb.Fatal(err)
@@ -454,9 +457,10 @@ func (f *joinStepFixture) run(tb testing.TB) int64 {
 }
 
 // TestJoinStepAllocsIndependentOfTupleCount is the allocation gate: a join
-// step allocates per column, per table and per slice doubling — never per
-// tuple. Sixty-four times the tuples (same keys, same groups) may cost the
-// few extra doublings of the SIP candidate list, nothing more.
+// step allocates per column and per bound reader — never per tuple, and,
+// with its tables and vectors drawn from the warm scratch pool, not per
+// doubling either. Sixty-four times the tuples (same keys, same groups)
+// allocate exactly as often.
 func TestJoinStepAllocsIndependentOfTupleCount(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates; allocation counts are only meaningful without -race")
@@ -469,8 +473,89 @@ func TestJoinStepAllocsIndependentOfTupleCount(t *testing.T) {
 	allocsSmall := testing.AllocsPerRun(5, func() { small.run(t) })
 	allocsBig := testing.AllocsPerRun(5, func() { big.run(t) })
 	t.Logf("join step allocs/run: %.0f at 32k tuples, %.0f at 2M tuples", allocsSmall, allocsBig)
-	if allocsBig > allocsSmall+16 {
+	if allocsBig > allocsSmall {
 		t.Errorf("join step allocations grow with the tuple count: %.0f → %.0f", allocsSmall, allocsBig)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean bytes f
+// allocates per call, at GOMAXPROCS 1, after one warm-up call. The
+// allocation counter is process-wide, so the least of three batches is
+// taken: a stray allocation elsewhere in the process can only add.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	least := uint64(math.MaxUint64)
+	for batch := 0; batch < 3; batch++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, (after.TotalAlloc-before.TotalAlloc)/uint64(runs))
+	}
+	return least
+}
+
+// starEngine builds a 4096-row fact f whose keys k1..k3 each take 64
+// values (no two rows share k1 and k2), and three 256-row dimensions d1..d3 whose key cycles over
+// 256/fanout values, so each fact row joins fanout rows of each dimension:
+// fanout 4 joins 64 times the tuples of fanout 1 over tables of the same
+// size.
+func starEngine(tb testing.TB, fanout int) *Engine {
+	tb.Helper()
+	db := storage.NewDatabase()
+	f := storage.NewBuilder("f", []storage.ColumnSpec{{Name: "k1", Kind: types.KindInt64}, {Name: "k2", Kind: types.KindInt64}, {Name: "k3", Kind: types.KindInt64}})
+	for i := 0; i < 4096; i++ {
+		f.Append([]types.Datum{types.Int(int64(i % 64)), types.Int(int64(i / 64)), types.Int(int64(i * 13 % 64))})
+	}
+	db.Add(f.Build())
+	for _, name := range []string{"d1", "d2", "d3"} {
+		d := storage.NewBuilder(name, []storage.ColumnSpec{{Name: "k", Kind: types.KindInt64}, {Name: "g", Kind: types.KindInt64}})
+		for i := 0; i < 256; i++ {
+			d.Append([]types.Datum{types.Int(int64(i % (256 / fanout))), types.Int(int64(i % 8))})
+		}
+		db.Add(d.Build())
+	}
+	e := New(db, catalog.NewSchema(), HeuristicEstimator{})
+	e.Parallelism = 1
+	return e
+}
+
+// TestWarmJoinBytesAllocs is the working-memory gate of a join: once the
+// scratch pool is warm, a 4-table star join allocates the same bytes per
+// run at 1x and 64x the joined tuples — every table and vector that grows
+// with them is drawn from the pool.
+func TestWarmJoinBytesAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates; allocation counts are only meaningful without -race")
+	}
+	const sql = "SELECT d3.g, COUNT(*) FROM f, d1, d2, d3 WHERE f.k1 = d1.k AND f.k2 = d2.k AND f.k3 = d3.k GROUP BY d3.g"
+	var bytes, tuples [2]uint64
+	for i, fanout := range []int{1, 4} {
+		e := starEngine(t, fanout)
+		p, err := e.Plan(analyze(t, e, sql))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Execute(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tuples[i] = uint64(res.Metrics.ActualFinalRows)
+		bytes[i] = bytesPerRun(20, func() {
+			if _, err := e.Execute(p); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	t.Logf("warm 4-table join: %d bytes/run at %d tuples, %d at %d", bytes[0], tuples[0], bytes[1], tuples[1])
+	if tuples[1] != 64*tuples[0] {
+		t.Fatalf("fixtures join %d and %d tuples; want 64x", tuples[0], tuples[1])
+	}
+	if bytes[1] != bytes[0] {
+		t.Errorf("join bytes grow with the tuples: %d at 1x, %d at 64x", bytes[0], bytes[1])
 	}
 }
 
@@ -627,7 +712,7 @@ func TestJoinSizeMatchesNaive(t *testing.T) {
 func TestJoinSizeErrors(t *testing.T) {
 	base := joinSizeBase(rand.New(rand.NewSource(1)), "p", "a", 20)
 	tab := func(b string) *QueryTable { return &QueryTable{Binding: b, Name: "p", Table: base} }
-	all := rowRange(0, base.NumRows())
+	all := rowRange(new(scratch), 0, base.NumRows())
 	chain := []JoinCond{{LeftTab: "a", LeftCol: "i", RightTab: "c", RightCol: "i"}, {LeftTab: "c", LeftCol: "j", RightTab: "b", RightCol: "j"}}
 	abc := []*QueryTable{tab("a"), tab("b"), tab("c")}
 	for _, rows := range [][][]int32{{all, all, all}, {nil, all, all}} {
@@ -656,7 +741,7 @@ func TestJoinSizeErrors(t *testing.T) {
 	var starJoins []JoinCond
 	for k := 0; k < 7; k++ {
 		star = append(star, &QueryTable{Binding: fmt.Sprintf("s%d", k), Name: "flat", Table: ft})
-		starRows = append(starRows, rowRange(0, 1000))
+		starRows = append(starRows, rowRange(new(scratch), 0, 1000))
 		if k > 0 {
 			starJoins = append(starJoins, JoinCond{LeftTab: "s0", LeftCol: "k", RightTab: star[k].Binding, RightCol: "k"})
 		}

@@ -37,10 +37,12 @@ const morselRows = MorselBlocks * storage.BlockSize
 // probe and aggregation input) and over SIP candidate lists.
 const tupleChunk = 2048
 
-// execCtx carries per-query execution context: the resolved worker count
-// and an optional trace receiving one span per execution phase.
+// execCtx carries per-query execution context: the resolved worker count,
+// the query's working memory, and an optional trace receiving one span per
+// execution phase.
 type execCtx struct {
 	workers int
+	s       *scratch
 	tr      *obs.Trace
 }
 
@@ -69,12 +71,12 @@ func chunkBounds(n, size, c int) (int, int) {
 func numChunks(n, size int) int { return (n + size - 1) / size }
 
 // concatRows concatenates chunk-indexed row lists in chunk order.
-func concatRows(parts [][]int32) []int32 {
+func (s *scratch) concatRows(parts [][]int32) []int32 {
 	total := 0
 	for _, p := range parts {
 		total += len(p)
 	}
-	out := make([]int32, 0, total)
+	out := s.int32s(total)[:0]
 	for _, p := range parts {
 		out = append(out, p...)
 	}
@@ -119,23 +121,23 @@ func siblingReaders(readers []*storage.Reader) []*storage.Reader {
 // scanMorsels is morsels for row scans over readers (the canonical
 // readers, bound before dispatch): the chunks' rows are concatenated in
 // chunk order.
-func scanMorsels(readers []*storage.Reader, n, size, workers int, scan func(rs []*storage.Reader, lo, hi int) []int32) []int32 {
-	return morsels(n, size, workers, readers, siblingReaders, scan, concatRows)
+func scanMorsels(ex *execCtx, readers []*storage.Reader, n, size int, scan func(rs []*storage.Reader, lo, hi int) []int32) []int32 {
+	return morsels(n, size, ex.workers, readers, siblingReaders, scan, ex.s.concatRows)
 }
 
 // strided folds the tupleChunk chunks of [0, n) into one accumulator per
 // worker, chunk c going to worker c mod workers in ascending order
 // (par.Strided). Static assignment fixes each worker's accumulation order,
 // so floating-point partial sums and hash-table growth repeat run to run.
-// fresh(w) makes the accumulator of one worker among w. With one worker,
-// or at most one chunk, the result is the single fresh(1) that
-// fold(in, acc, 0, n) filled; otherwise each worker folds through
-// in.sibling(). Accumulators come back in worker order.
-func strided[A any](in *aggInputs, n, workers int, fresh func(workers int) A, fold func(in *aggInputs, acc A, lo, hi int)) []A {
+// fresh makes one worker's accumulator. With one worker, or at most one
+// chunk, the result is the single fresh() that fold(in, acc, 0, n) filled;
+// otherwise each worker folds through in.sibling(). Accumulators come back
+// in worker order.
+func strided[A any](in *aggInputs, n, workers int, fresh func() A, fold func(in *aggInputs, acc A, lo, hi int)) []A {
 	chunks := numChunks(n, tupleChunk)
 	workers = min(workers, chunks)
 	if workers <= 1 {
-		acc := fresh(1)
+		acc := fresh()
 		fold(in, acc, 0, n)
 		return []A{acc}
 	}
@@ -143,7 +145,7 @@ func strided[A any](in *aggInputs, n, workers int, fresh func(workers int) A, fo
 	inputs := make([]*aggInputs, workers)
 	par.Strided(workers, chunks, func(w, c int) {
 		if inputs[w] == nil {
-			accs[w], inputs[w] = fresh(workers), in.sibling()
+			accs[w], inputs[w] = fresh(), in.sibling()
 		}
 		lo, hi := chunkBounds(n, tupleChunk, c)
 		fold(inputs[w], accs[w], lo, hi)
@@ -169,13 +171,14 @@ func rowValues(cols []string, readers []*storage.Reader, row *int32) func(_, col
 	return func(_, col string) types.Datum { return readers[slices.Index(cols, col)].Value(int(*row)) }
 }
 
-// evalRange appends to dst the rows of [lo, hi) that satisfy filter.
-func evalRange(filter *expr.Node, cols []string, readers []*storage.Reader, lo, hi int, dst []int32) []int32 {
+// evalRange returns the rows of [lo, hi) that satisfy filter.
+func evalRange(s *scratch, filter *expr.Node, cols []string, readers []*storage.Reader, lo, hi int) []int32 {
+	dst := s.int32s((hi-lo)/4 + 1)[:0]
 	var row int32
 	get := rowValues(cols, readers, &row)
 	for row = int32(lo); row < int32(hi); row++ {
 		if filter.Eval(get) {
-			dst = append(dst, row)
+			dst = s.push32(dst, row)
 		}
 	}
 	return dst

@@ -134,11 +134,9 @@ func TestParallelMatchesSequential(t *testing.T) {
 //     rows), whose k cycles 0..63, so a quarter of their rows match and c0
 //     yields exactly tupleChunk SIP candidates;
 //   - g0/g1 (tupleChunk rows): v is the row, so no two tuples merge before
-//     aggregation. g0's 500 groups outgrow its presized group table once,
-//     at every worker count alike. Past one chunk each worker's table is
-//     presized to the estimate divided by the worker count, so its growth
-//     depends on the worker count by design; g1's 150 groups fit every
-//     worker's table.
+//     aggregation. Both hold 500 groups, which outgrow the presized group
+//     table once; HashResizes counts the merged table, so it is the same at
+//     every worker count, past one chunk (g1) too.
 //
 // Each table's rows are appended with row(i).
 func boundaryDataset() *datagen.Dataset {
@@ -168,7 +166,7 @@ func boundaryDataset() *datagen.Dataset {
 	add("r", 10000, []string{"k", "v"}, func(i int) []int64 { return []int64{int64(i % 2500), int64(i % 100)} })
 	add("kx", 16, []string{"k"}, func(i int) []int64 { return []int64{int64(i)} })
 	add("g0", tupleChunk, []string{"g", "v"}, func(i int) []int64 { return []int64{int64(i % 500), int64(i)} })
-	add("g1", tupleChunk+1, []string{"g", "v"}, func(i int) []int64 { return []int64{int64(i % 150), int64(i)} })
+	add("g1", tupleChunk+1, []string{"g", "v"}, func(i int) []int64 { return []int64{int64(i % 500), int64(i)} })
 	return &datagen.Dataset{Name: "boundary", DB: db, Schema: catalog.NewSchema()}
 }
 
@@ -221,7 +219,7 @@ func TestKeysEqualRaggedLengths(t *testing.T) {
 
 // distinctAcc returns a fresh COUNT DISTINCT accumulator over width columns.
 func distinctAcc(width int) *wordTable {
-	return newAccs([]AggSpec{{Kind: AggCountDistinct, Cols: make([]ColRef, width)}})[0].distinct
+	return newAccs(new(scratch), []AggSpec{{Kind: AggCountDistinct, Cols: make([]ColRef, width)}})[0].distinct
 }
 
 // TestDistinctSetCollisions is the regression test for the COUNT DISTINCT
@@ -271,7 +269,7 @@ func TestDistinctSetMerge(t *testing.T) {
 // resizes — lookups must still resolve each key to its own group.
 func TestAggTableAllCollidingHashes(t *testing.T) {
 	aggs := []AggSpec{{Kind: AggCountStar}}
-	tab := newGroupTable(1, 1, aggs)
+	tab := newGroupTable(new(scratch), 1, 1, aggs)
 	const n = 200
 	for round := 0; round < 3; round++ {
 		for i := 0; i < n; i++ {
@@ -300,7 +298,7 @@ func TestAggTableAllCollidingHashes(t *testing.T) {
 // 0.7, 500 groups take six doublings.
 func TestAggTableDuplicateKeysAcrossResizes(t *testing.T) {
 	aggs := []AggSpec{{Kind: AggCountStar}}
-	tab := newGroupTable(2, 1, aggs)
+	tab := newGroupTable(new(scratch), 2, 1, aggs)
 	const n = 500
 	lookup := func(k int64) []aggAcc {
 		key := []uint64{uint64(k), uint64(k % 3)}
@@ -332,7 +330,8 @@ func TestAggTableDuplicateKeysAcrossResizes(t *testing.T) {
 
 func TestAggTableAbsorb(t *testing.T) {
 	aggs := []AggSpec{{Kind: AggCountStar}, {Kind: AggSum}}
-	a, b := newGroupTable(1, 4, aggs), newGroupTable(1, 4, aggs)
+	s := new(scratch)
+	a, b := newGroupTable(s, 1, 4, aggs), newGroupTable(s, 1, 4, aggs)
 	fill := func(tab *groupTable, mod int) {
 		for i := 0; i < 10; i++ {
 			key := []uint64{uint64(i % mod)}
@@ -372,7 +371,8 @@ func TestMergeAccs(t *testing.T) {
 		{Kind: AggMin},
 		{Kind: AggMax},
 	}
-	dst, src := newAccs(aggs), newAccs(aggs)
+	s := new(scratch)
+	dst, src := newAccs(s, aggs), newAccs(s, aggs)
 	dst[0].count = 3
 	src[0].count = 4
 	dst[1].distinct.insert(1, []uint64{1})

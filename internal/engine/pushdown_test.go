@@ -417,3 +417,32 @@ func TestWindowedScanAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestWindowedDistinctBytesAllocs is the working-memory gate of a scan: on
+// a warm scratch pool, the windowed COUNT(DISTINCT) allocates the same
+// bytes per run over a window of 2 blocks and one of 128 blocks (64x the
+// tuples) of the same table — the selection vector, the first-table
+// compress and the distinct set all come from the pool.
+func TestWindowedDistinctBytesAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates; allocation counts are only meaningful without -race")
+	}
+	e := windowEngine(t, 136)
+	e.Parallelism = 1
+	var bytes [2]uint64
+	for i, last := range []int{6, 132} {
+		p, err := e.Plan(analyze(t, e, "SELECT COUNT(DISTINCT w.v) FROM w WHERE "+blockWindow(5, last)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes[i] = bytesPerRun(20, func() {
+			if _, err := e.Execute(p); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	t.Logf("windowed COUNT(DISTINCT): %d bytes/run over 2 blocks, %d over 128", bytes[0], bytes[1])
+	if bytes[1] != bytes[0] {
+		t.Errorf("windowed COUNT(DISTINCT) bytes grow with the window: %d over 2 blocks, %d over 128", bytes[0], bytes[1])
+	}
+}

@@ -122,8 +122,19 @@ type ScanBlockStats struct {
 type Metrics struct {
 	// IO accumulates block reads across all scans of the query.
 	IO *storage.IOStats
-	// HashResizes counts aggregation hash-table growth events.
+	// HashResizes counts the doublings of the GROUP BY table that ends up
+	// holding every group (worker 0's, after the other workers' tables are
+	// absorbed into it), from its presized capacity: Figure 6b's resize
+	// count. It is the number of load limits (0.7 of each capacity) the
+	// group count passes, plus one when it lands exactly on a limit and
+	// another insert follows; 0 without GROUP BY. Other workers' tables are
+	// not counted, so splitting the input does not add doublings.
 	HashResizes int64
+	// TableDoublings counts the doublings of every hash table the query
+	// built: join key tables, compress and per-chunk merge tables, COUNT
+	// DISTINCT sets and every worker's group table. Per-chunk tables make
+	// it depend on the worker count.
+	TableDoublings int64
 	// RowsMaterialized counts the rows operators produce: every scan's
 	// surviving rows plus every join step's matches (left tuple, right
 	// row pairs — the number the MaxIntermediateRows guard bounds). A join
