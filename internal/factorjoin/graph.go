@@ -88,9 +88,10 @@ type msgKey struct {
 // message carries a subtree's per-bucket statistics at a variable: the
 // (expected or bounded) row count and the per-key-value maximum frequency
 // of the whole subtree (base MaxF amplified by downstream fan-out — the
-// quantity the upper bound multiplies). Messages are immutable once
-// published; a single-column factor's message aliases the CountSource's
-// vector and the model's MaxF instead of copying them.
+// quantity the upper bound multiplies). Only ModeBound reads maxF: in
+// ModeEstimate a message with factors below it has none (nil). Messages
+// are immutable once published; a single-column factor's message aliases
+// the CountSource's vector and the model's MaxF instead of copying them.
 type message struct {
 	ks   *KeyStats
 	cnt  []float64
@@ -348,25 +349,25 @@ func (g *Graph) Estimate(tables, conds uint64) (float64, error) {
 	return est, nil
 }
 
-// scratch is one Estimate call's working memory: three bucket-sized
-// vectors (fan-out, worst case, key domain) per recursion depth.
+// scratch is one Estimate call's working memory: two bucket-sized vectors
+// (fan-out, key domain) per recursion depth.
 type scratch struct {
 	levels [][]float64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// at returns three n-element vectors for recursion depth d. Their
-// contents are whatever the previous user left.
-func (s *scratch) at(d, n int) (a, b, c []float64) {
+// at returns two n-element vectors for recursion depth d. Their contents
+// are whatever the previous user left.
+func (s *scratch) at(d, n int) (a, b []float64) {
 	for len(s.levels) <= d {
 		s.levels = append(s.levels, nil)
 	}
-	if len(s.levels[d]) < 3*n {
-		s.levels[d] = make([]float64, 3*n)
+	if len(s.levels[d]) < 2*n {
+		s.levels[d] = make([]float64, 2*n)
 	}
 	buf := s.levels[d]
-	return buf[:n:n], buf[n : 2*n : 2*n], buf[2*n : 3*n]
+	return buf[:n:n], buf[n : 2*n : 2*n]
 }
 
 // alloc carves n floats that live as long as the graph (g.mu held).

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -16,9 +17,10 @@ import (
 // randomJoin is one generated query over a generated database: a random
 // tree of table instances (aliases of a handful of physical tables, so
 // self-joins occur), tables with up to three join keys (multi-key factors
-// with pairwise joints), per-instance filters including ones that empty
-// every bucket, key ranges that leave buckets empty, and the conditions in
-// shuffled order and orientation.
+// with pairwise joints, some with all-zero rows and columns), per-instance
+// filters including ones that empty every bucket, key ranges that leave
+// buckets empty, instances whose counts are huge or infinite in some
+// buckets, and the conditions in shuffled order and orientation.
 type randomJoin struct {
 	db     *storage.Database
 	model  *Model
@@ -28,9 +30,24 @@ type randomJoin struct {
 	conds   []Cond
 	tree    int
 	filters map[string]func(t *storage.Table, row int) bool
+	// huge maps a binding to the count its source reports in every third
+	// bucket (1e308 or +Inf), so products overflow and fan-outs go
+	// non-finite.
+	huge map[string]float64
 }
 
-func (q *randomJoin) source() CountSource { return exactSource(q.db, q.filters) }
+func (q *randomJoin) source() CountSource {
+	exact := exactSource(q.db, q.filters)
+	return func(binding, table, column string, bounds []float64) ([]float64, error) {
+		cnt, err := exact(binding, table, column, bounds)
+		if v, ok := q.huge[binding]; ok && err == nil {
+			for b := 0; b < len(cnt); b += 3 {
+				cnt[b] = v
+			}
+		}
+		return cnt, err
+	}
+}
 
 func newRandomJoin(t *testing.T, seed int64, n int) *randomJoin {
 	t.Helper()
@@ -132,6 +149,7 @@ func newRandomJoin(t *testing.T, seed int64, n int) *randomJoin {
 	}
 	rng.Shuffle(len(q.conds), func(i, j int) { q.conds[i], q.conds[j] = q.conds[j], q.conds[i] })
 	q.tree = len(q.conds)
+	q.hostile(seed)
 	// Extras: a same-class condition between two random instances (closes a
 	// cycle, joins a variable twice, or merely repeats an equivalence), a
 	// condition on a column without bucket stats, and one naming a binding
@@ -149,6 +167,35 @@ func newRandomJoin(t *testing.T, seed int64, n int) *randomJoin {
 		Cond{LBind: q.tables[0].Binding, LCol: keys[phys[0]][0].name, RBind: "ghost", RCol: "k0"},
 	)
 	return q
+}
+
+// hostile zeroes a random row and column of every pairwise joint (a
+// conditional row with no entries, and a u-bucket no row reaches) and, on
+// two seeds in three, makes one instance's source report 1e308 or +Inf in
+// every third bucket. It draws from its own generator, so the query and
+// data above are those the seed always produced.
+func (q *randomJoin) hostile(seed int64) {
+	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+	for _, name := range sortedKeys(q.model.PairJoint) {
+		joint := q.model.PairJoint[name]
+		parts := strings.Split(name, "|") // table, colA, colB
+		na := q.model.BucketsByClass[q.model.Keys[keyName(parts[0], parts[1])].Class].Count()
+		nb := len(joint) / na
+		row, col := rng.Intn(na), rng.Intn(nb)
+		for j := 0; j < nb; j++ {
+			joint[row*nb+j] = 0
+		}
+		for i := 0; i < na; i++ {
+			joint[i*nb+col] = 0
+		}
+	}
+	q.huge = map[string]float64{}
+	switch seed % 3 {
+	case 1:
+		q.huge[q.tables[rng.Intn(len(q.tables))].Binding] = 1e308
+	case 2:
+		q.huge[q.tables[rng.Intn(len(q.tables))].Binding] = math.Inf(1)
+	}
 }
 
 // connectedSubsets returns every connected subset of at least two tables
