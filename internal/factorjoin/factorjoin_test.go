@@ -1,6 +1,7 @@
 package factorjoin
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -52,7 +53,7 @@ func trueJoin2(a, b *storage.Table, ac, bc string, fa, fb func(t *storage.Table,
 	return total
 }
 
-func toyModel(t *testing.T) (*Model, *datagen.Dataset) {
+func toyModel(t testing.TB) (*Model, *datagen.Dataset) {
 	t.Helper()
 	ds := datagen.Toy(datagen.Config{Scale: 2, Seed: 31})
 	m, err := Build(ds.DB, ds.Schema.JoinClasses(), 50)
@@ -192,7 +193,7 @@ func TestBoundPropertyRandom(t *testing.T) {
 
 // chainDB builds a 3-table chain a ←(a_id) b (id)→ c(b_id) where b carries
 // two join keys (exercising the pairwise key-tree reduction).
-func chainDB(t *testing.T, seed int64) (*storage.Database, []catalog.JoinClass) {
+func chainDB(t testing.TB, seed int64) (*storage.Database, []catalog.JoinClass) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	db := storage.NewDatabase()
@@ -342,6 +343,49 @@ func TestValidateCorruption(t *testing.T) {
 	if err := empty.Validate(); err == nil {
 		t.Error("empty model must fail validation")
 	}
+
+	// Pairwise joints: a corrupt one must fail Validate, and so Decode,
+	// instead of indexing past the slice at the first query through it.
+	db, classes := chainDB(t, 3)
+	chain, err := Build(db, classes, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pair = "b|a_id|id"
+	good := chain.PairJoint[pair]
+	for name, corrupt := range map[string]map[string][]float64{
+		"truncated":        {pair: good[:len(good)-1]},
+		"too long":         {pair: append(append([]float64(nil), good...), 0)},
+		"NaN count":        {pair: withEntry(good, 3, math.NaN())},
+		"infinite count":   {pair: withEntry(good, 0, math.Inf(1))},
+		"negative count":   {pair: withEntry(good, len(good)-1, -1)},
+		"unordered name":   {"b|id|a_id": good},
+		"one column":       {"b|id": good},
+		"unknown column":   {"b|a_id|zz": good},
+		"column elsewhere": {"c|a_id|id": good},
+	} {
+		m := &Model{BucketsByClass: chain.BucketsByClass, Keys: chain.Keys, PairJoint: corrupt}
+		if err := m.Validate(); err == nil {
+			t.Errorf("pair joint %s must fail validation", name)
+		}
+		data, err := m.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Decode(data); err == nil {
+			t.Errorf("pair joint %s must fail decode", name)
+		}
+	}
+	if err := chain.Validate(); err != nil {
+		t.Errorf("built model fails validation: %v", err)
+	}
+}
+
+// withEntry returns a copy of xs with xs[i] = v.
+func withEntry(xs []float64, i int, v float64) []float64 {
+	out := append([]float64(nil), xs...)
+	out[i] = v
+	return out
 }
 
 func TestEstimateArgumentChecks(t *testing.T) {
