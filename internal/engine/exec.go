@@ -418,7 +418,7 @@ func (e *Engine) scanForJoin(q *Query, p *Plan, states []*scanState, next int, s
 
 	// Stage 0: key-membership probe over the whole key column(s).
 	probe := newKeyProbe(sip, sip.rightKeyCols(st.reader))
-	candidates := morsels(n, morselRows, ex.workers, probe, keyProbe.sibling, keyProbe.filterRange, ex.s.concatRows)
+	candidates := morsels(n, morselRows, ex.workers, ex.s.rowLists, probe, keyProbe.sibling, keyProbe.filterRange, ex.s.concatRows)
 	m.SIPPruned += int64(n - len(candidates))
 
 	// Stage 1..k: the table's own filter over the surviving candidates,

@@ -725,7 +725,7 @@ func (js *joinStep) probe(remaining []int, m *Metrics, workers int) (*intermedia
 	live := liveColumns(js.q, js.bindingIdx, tabs, remaining)
 	sigL := bindSignature(live, js.states, js.inter.tabs)
 	sigR := bindSignature(live, js.states, []int{js.next})
-	mt := morsels(js.inter.len(), tupleChunk, workers, mergeView{js, sigL, sigR, int(total / 4)},
+	mt := morsels(js.inter.len(), tupleChunk, workers, js.s.mergeLists, mergeView{js, sigL, sigR, int(total / 4)},
 		mergeView.sibling, mergeView.merge, absorbInOrder)
 	return js.gather(tabs, mt.left, mt.right, mt.counts), nil
 }

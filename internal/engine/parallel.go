@@ -88,13 +88,15 @@ func (s *scratch) concatRows(parts [][]int32) []int32 {
 // it returns scan(view, 0, n). Otherwise chunks are dispatched dynamically
 // (par.Chunks) and each worker reads through sibling(view), bound on the
 // first chunk the worker claims and reused for every later one, so set-up
-// is paid per worker, not per morsel.
-func morsels[V, P any](n, size, workers int, view V, sibling func(V) V, scan func(view V, lo, hi int) P, join func(parts []P) P) P {
+// is paid per worker, not per morsel. The chunks' outputs are collected in
+// lend(chunks), a list from the query's scratch, so a dispatch's own
+// allocations depend on its worker count alone.
+func morsels[V, P any](n, size, workers int, lend func(int) []P, view V, sibling func(V) V, scan func(view V, lo, hi int) P, join func(parts []P) P) P {
 	chunks := numChunks(n, size)
 	if workers <= 1 || chunks <= 1 {
 		return scan(view, 0, n)
 	}
-	parts := make([]P, chunks)
+	parts := lend(chunks)
 	views := make([]V, min(workers, chunks))
 	bound := make([]bool, len(views))
 	par.Chunks(workers, chunks, func(w, c int) {
@@ -122,7 +124,7 @@ func siblingReaders(readers []*storage.Reader) []*storage.Reader {
 // readers, bound before dispatch): the chunks' rows are concatenated in
 // chunk order.
 func scanMorsels(ex *execCtx, readers []*storage.Reader, n, size int, scan func(rs []*storage.Reader, lo, hi int) []int32) []int32 {
-	return morsels(n, size, ex.workers, readers, siblingReaders, scan, ex.s.concatRows)
+	return morsels(n, size, ex.workers, ex.s.rowLists, readers, siblingReaders, scan, ex.s.concatRows)
 }
 
 // strided folds the tupleChunk chunks of [0, n) into one accumulator per

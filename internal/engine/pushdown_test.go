@@ -420,29 +420,36 @@ func TestWindowedScanAllocs(t *testing.T) {
 
 // TestWindowedDistinctBytesAllocs is the working-memory gate of a scan: on
 // a warm scratch pool, the windowed COUNT(DISTINCT) allocates the same
-// bytes per run over a window of 2 blocks and one of 128 blocks (64x the
-// tuples) of the same table — the selection vector, the first-table
-// compress and the distinct set all come from the pool.
+// bytes per run over a narrow window and a wide one of the same table —
+// the selection vector, the first-table compress, the distinct set and the
+// dispatchers' chunk-indexed outputs all come from the pool. At one worker
+// the windows are 2 and 128 blocks (64x the tuples). At four workers they
+// are 8 and 128 blocks (16x): 8 blocks is the narrowest window whose scan
+// and aggregation both run on four workers, so both runs pay the same
+// per-worker set-up (goroutines, sibling readers), and past 128 blocks the
+// vectors outgrow what a scratch retains.
 func TestWindowedDistinctBytesAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates; allocation counts are only meaningful without -race")
 	}
 	e := windowEngine(t, 136)
-	e.Parallelism = 1
-	var bytes [2]uint64
-	for i, last := range []int{6, 132} {
-		p, err := e.Plan(analyze(t, e, "SELECT COUNT(DISTINCT w.v) FROM w WHERE "+blockWindow(5, last)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		bytes[i] = bytesPerRun(20, func() {
-			if _, err := e.Execute(p); err != nil {
+	for _, c := range []struct{ workers, narrow int }{{1, 2}, {4, 8}} {
+		e.Parallelism = c.workers
+		var bytes [2]uint64
+		for i, last := range []int{5 + c.narrow - 1, 132} {
+			p, err := e.Plan(analyze(t, e, "SELECT COUNT(DISTINCT w.v) FROM w WHERE "+blockWindow(5, last)))
+			if err != nil {
 				t.Fatal(err)
 			}
-		})
-	}
-	t.Logf("windowed COUNT(DISTINCT): %d bytes/run over 2 blocks, %d over 128", bytes[0], bytes[1])
-	if bytes[1] != bytes[0] {
-		t.Errorf("windowed COUNT(DISTINCT) bytes grow with the window: %d over 2 blocks, %d over 128", bytes[0], bytes[1])
+			bytes[i] = bytesPerRun(20, func() {
+				if _, err := e.Execute(p); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		t.Logf("windowed COUNT(DISTINCT) at %d workers: %d bytes/run over %d blocks, %d over 128", c.workers, bytes[0], c.narrow, bytes[1])
+		if bytes[1] != bytes[0] {
+			t.Errorf("windowed COUNT(DISTINCT) bytes grow with the window at %d workers: %d over %d blocks, %d over 128", c.workers, bytes[0], c.narrow, bytes[1])
+		}
 	}
 }

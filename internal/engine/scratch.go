@@ -57,6 +57,10 @@ type scratch struct {
 	// tables lists the word tables drawn since the last release; spare
 	// holds released table headers for reuse.
 	tables, spare []*wordTable
+	// rowParts and mergeParts hold the dispatchers' chunk-indexed output
+	// lists (see morsels).
+	rowParts   partLists[[]int32]
+	mergeParts partLists[mergeTable]
 	// held is the bytes of every vector the scratch owns.
 	held int
 	// doublings counts word-table doublings since the last release.
@@ -190,6 +194,44 @@ func (s *scratch) push64(v []int64, x int64) []int64 {
 	return append(v, x)
 }
 
+// partLists keeps a dispatcher's chunk-indexed output lists of one part
+// type: the free ones, and those lent since the last release. A list holds
+// one small header per chunk, so its bytes are not counted in held.
+type partLists[P any] struct {
+	free, lent [][]P
+}
+
+// lendParts returns a list of n zero parts from pl.
+func lendParts[P any](s *scratch, pl *partLists[P], n int) []P {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var v []P
+	if k := len(pl.free); k > 0 {
+		v = pl.free[k-1]
+		pl.free[k-1] = nil
+		pl.free = pl.free[:k-1]
+	}
+	if cap(v) < n {
+		v = make([]P, n)
+	}
+	pl.lent = append(pl.lent, v)
+	return v[:n]
+}
+
+// reclaim zeroes every list lent since the last release, dropping its
+// references to scratch memory, and frees it for reuse.
+func (pl *partLists[P]) reclaim() {
+	for i, v := range pl.lent {
+		clear(v[:cap(v)])
+		pl.free = append(pl.free, v[:0])
+		pl.lent[i] = nil
+	}
+	pl.lent = pl.lent[:0]
+}
+
+func (s *scratch) rowLists(n int) [][]int32      { return lendParts(s, &s.rowParts, n) }
+func (s *scratch) mergeLists(n int) []mergeTable { return lendParts(s, &s.mergeParts, n) }
+
 // table returns an empty word table of slots slots (a power of two) that
 // doubles once an insert finds it holding load × slots keys.
 func (s *scratch) table(width, slots int, load float64) *wordTable {
@@ -245,6 +287,8 @@ func (s *scratch) release() {
 		s.tables[i] = nil
 	}
 	s.tables = s.tables[:0]
+	s.rowParts.reclaim()
+	s.mergeParts.reclaim()
 	returnLent(&s.i32, ^int32(0x21524110))
 	returnLent(&s.i64, ^int64(0x21524110))
 	returnLent(&s.u64, ^uint64(0x21524110))
