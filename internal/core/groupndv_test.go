@@ -8,16 +8,19 @@ import (
 	"bytecard/internal/core"
 	"bytecard/internal/datagen"
 	"bytecard/internal/engine"
+	"bytecard/internal/loader"
 	"bytecard/internal/sample"
 )
 
 // groupNDVQueries are GROUP BY shapes RBX answers from the fact sample: a
-// filtered 3-key conjunction, an OR filter (a union of DNF-term scans), and
-// a two-table join whose keys span both samples.
+// filtered 3-key conjunction, an OR filter (a union of DNF-term scans), a
+// two-table join whose keys span both samples, and an unfiltered 2-key
+// set, which the frame answers from its whole-sample profile memo.
 var groupNDVQueries = []string{
 	"SELECT f.dim_id, f.val, f.flag, COUNT(*) FROM fact f WHERE f.val >= 20 AND f.flag = 1 GROUP BY f.dim_id, f.val, f.flag",
 	"SELECT f.val, f.flag, COUNT(*) FROM fact f WHERE f.val < 10 OR f.dim_id <= 3 GROUP BY f.val, f.flag",
 	"SELECT f.val, d.cat, COUNT(*) FROM fact f, dim d WHERE f.dim_id = d.id AND d.cat <= 2 GROUP BY f.val, d.cat",
+	"SELECT f.flag, f.dim_id, COUNT(*) FROM fact f GROUP BY f.flag, f.dim_id",
 }
 
 // toyGroupPipeline is the Toy pipeline at 12000 fact rows, so even an
@@ -31,36 +34,41 @@ func toyGroupPipeline(t *testing.T) (*core.Estimator, *engine.Engine, *datagen.D
 // TestGroupNDVAllocs gates the RBX estimate path: with the frame warm, a
 // filtered 3-key EstimateGroupNDV allocates as often over a 500-row sample
 // as over an 8000-row one — filtering and profiling borrow pooled scratch,
-// and no per-row or per-distinct-value allocation is left.
+// and no per-row or per-distinct-value allocation is left — and so does an
+// unfiltered 2-key one, answered from the frame's profile memo.
 func TestGroupNDVAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector; allocation counts are only meaningful without -race")
 	}
 	est, exec, ds := toyGroupPipeline(t)
-	q := analyzed(t, exec, groupNDVQueries[0])
 	fact := ds.DB.Table("fact")
-	var counts []float64
-	for _, rows := range []int{500, 8000} {
-		est.Samples["fact"] = sample.SampleTable(fact, rows, 7)
-		before := est.Fallbacks()
-		est.EstimateGroupNDV(q)
-		allocs := testing.AllocsPerRun(100, func() { est.EstimateGroupNDV(q) })
-		if est.Fallbacks() != before {
-			t.Fatalf("%d-row sample: %d fallbacks, want RBX to answer", rows, est.Fallbacks()-before)
+	for _, sql := range []string{groupNDVQueries[0], groupNDVQueries[3]} {
+		q := analyzed(t, exec, sql)
+		var counts []float64
+		for _, rows := range []int{500, 8000} {
+			est.Samples["fact"] = sample.SampleTable(fact, rows, 7)
+			before := est.Fallbacks()
+			est.EstimateGroupNDV(q)
+			allocs := testing.AllocsPerRun(100, func() { est.EstimateGroupNDV(q) })
+			if est.Fallbacks() != before {
+				t.Fatalf("%s, %d-row sample: %d fallbacks, want RBX to answer", sql, rows, est.Fallbacks()-before)
+			}
+			t.Logf("%s, %d-row sample: %.0f allocs per estimate", sql, rows, allocs)
+			counts = append(counts, allocs)
 		}
-		t.Logf("%d-row sample: %.0f allocs per estimate", rows, allocs)
-		counts = append(counts, allocs)
-	}
-	if counts[0] != counts[1] {
-		t.Errorf("allocations grow with the sample: %.0f at 500 rows, %.0f at 8000", counts[0], counts[1])
+		if counts[0] != counts[1] {
+			t.Errorf("%s: allocations grow with the sample: %.0f at 500 rows, %.0f at 8000", sql, counts[0], counts[1])
+		}
 	}
 }
 
 // TestGroupNDVConcurrent runs EstimateGroupNDV from eight goroutines over
 // the shared frames (meant for -race): every answer is bit-identical to
-// the sequential one, so no call sees another's pooled scratch.
+// the sequential one, so no call sees another's pooled scratch. The
+// frames are drawn afresh before the goroutines start, so they also race
+// to fill each frame's whole-sample profile memo.
 func TestGroupNDVConcurrent(t *testing.T) {
-	est, exec, _ := toyGroupPipeline(t)
+	est, exec, ds := toyGroupPipeline(t)
 	var qs []*engine.Query
 	var want []uint64
 	for _, sql := range groupNDVQueries {
@@ -71,6 +79,7 @@ func TestGroupNDVConcurrent(t *testing.T) {
 	if est.Fallbacks() != 0 {
 		t.Fatalf("%d fallbacks, want RBX to answer every query", est.Fallbacks())
 	}
+	loader.LoadSamples(ds.DB, est, 4000, 7) // the rows pipelineFor drew
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

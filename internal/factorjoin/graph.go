@@ -3,6 +3,7 @@ package factorjoin
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -255,6 +256,11 @@ func (it *item) build(g *Graph, tables, conds uint64) error {
 		}
 		if r.ks == nil {
 			return fmt.Errorf("factorjoin: no bucket stats for %s.%s", g.tables[r.table].Name, r.col)
+		}
+		// A side's stats are read bucket by bucket in the variable's
+		// layout, which a condition across two join classes does not share.
+		if b := it.buckets[v]; r.buckets != b && !slices.Equal(r.buckets.Bounds, b.Bounds) {
+			return fmt.Errorf("factorjoin: %s.%s joins across bucket layouts (%s and %s)", r.bind, r.col, r.buckets.Class, b.Class)
 		}
 		varsOf[r.table] |= 1 << v
 		it.fac[e], it.vr[e] = uint8(r.table), v

@@ -498,3 +498,51 @@ func TestGraphEstimateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestCrossClassConditionErrors: a condition that equates key columns of
+// two join classes with different bucket layouts (50 buckets and 5) has no
+// bucket-aligned answer. Both modes and both orientations refuse it with
+// an error, so the caller falls back the same way each time, where each
+// side's stats used to be read through the other side's layout.
+func TestCrossClassConditionErrors(t *testing.T) {
+	db := storage.NewDatabase()
+	for _, spec := range []struct {
+		name string
+		ndv  int
+	}{{"wide", 400}, {"narrow", 5}} {
+		b := storage.NewBuilder(spec.name, []storage.ColumnSpec{{Name: "k", Kind: types.KindInt64}})
+		for r := 0; r < 1000; r++ {
+			b.Append([]types.Datum{types.Int(int64(r % spec.ndv))})
+		}
+		db.Add(b.Build())
+	}
+	m, err := Build(db, []catalog.JoinClass{
+		{Members: []catalog.ColumnRef{{Table: "wide", Column: "k"}}},
+		{Members: []catalog.ColumnRef{{Table: "narrow", Column: "k"}}},
+	}, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w, n := m.BucketsByClass["wide.k"].Count(), m.BucketsByClass["narrow.k"].Count(); w != 50 || n != 5 {
+		t.Fatalf("layouts of %d and %d buckets, want 50 and 5", w, n)
+	}
+	tables := []QueryTable{{Binding: "w", Name: "wide"}, {Binding: "n", Name: "narrow"}}
+	src := exactSource(db, nil)
+	for _, mode := range []Mode{ModeEstimate, ModeBound} {
+		for _, c := range []Cond{
+			{LBind: "w", LCol: "k", RBind: "n", RCol: "k"},
+			{LBind: "n", LCol: "k", RBind: "w", RCol: "k"},
+		} {
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("mode %d, %s.%s = %s.%s: panic %v", mode, c.LBind, c.LCol, c.RBind, c.RCol, p)
+					}
+				}()
+				if est, err := m.Estimate(tables, []Cond{c}, src, mode); err == nil {
+					t.Errorf("mode %d, %s.%s = %s.%s: estimate %g, want an error", mode, c.LBind, c.LCol, c.RBind, c.RCol, est)
+				}
+			}()
+		}
+	}
+}

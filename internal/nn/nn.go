@@ -26,6 +26,10 @@ type Dense struct {
 // Network is a multilayer perceptron: ReLU between layers, linear output.
 type Network struct {
 	Layers []Dense
+	// finite is set by a Validate that passed and cleared by every Adam
+	// step: only a network whose weights are all finite may skip zero
+	// inputs in Forward.
+	finite bool
 }
 
 // NewNetwork builds a network with the given layer sizes (input, hidden...,
@@ -72,23 +76,37 @@ func (n *Network) Clone() *Network {
 	for i, l := range n.Layers {
 		c.Layers[i] = Dense{In: l.In, Out: l.Out, W: append([]float64(nil), l.W...), B: append([]float64(nil), l.B...)}
 	}
+	c.finite = n.finite
 	return c
 }
 
 // Forward runs inference. The returned slice is freshly allocated.
+//
+// Each layer sums row[i]*a[i] in ascending i over only the inputs that
+// are not zero, once the network has passed Validate. With a finite
+// weight a skipped term is ±0, so skipping it can change at most the sign
+// of an exact-zero sum; a network not known to be finite sums every term.
 func (n *Network) Forward(x []float64) []float64 {
 	if len(x) != n.InputDim() {
 		panic(fmt.Sprintf("nn: input width %d, want %d", len(x), n.InputDim()))
 	}
 	a := x
+	dense := !n.finite
+	nz := make([]int32, 0, 128)
 	for li := range n.Layers {
 		l := &n.Layers[li]
+		nz = nz[:0]
+		for i, v := range a {
+			if v != 0 || dense {
+				nz = append(nz, int32(i))
+			}
+		}
 		z := make([]float64, l.Out)
 		for o := 0; o < l.Out; o++ {
 			s := l.B[o]
 			row := l.W[o*l.In : (o+1)*l.In]
-			for i, v := range a {
-				s += row[i] * v
+			for _, i := range nz {
+				s += row[i] * a[i]
 			}
 			z[o] = s
 		}
@@ -265,6 +283,7 @@ func NewAdam(n *Network, lr float64) *Adam {
 // Step applies one Adam update from accumulated gradients (already averaged
 // over the batch).
 func (a *Adam) Step(n *Network, g *grads) {
+	n.finite = false
 	a.t++
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
@@ -401,8 +420,18 @@ func Decode(data []byte) (*Network, error) {
 
 // Validate checks structural consistency and weight health (shape chaining,
 // no NaN/Inf) — the health-detector hook the Model Validator calls before a
-// network reaches query threads.
+// network reaches query threads. A network that passes runs Forward's
+// sparse sums until its next training step.
 func (n *Network) Validate() error {
+	err := n.validate()
+	// Written only on change: re-validating a network in use only reads.
+	if ok := err == nil; n.finite != ok {
+		n.finite = ok
+	}
+	return err
+}
+
+func (n *Network) validate() error {
 	if len(n.Layers) == 0 {
 		return errors.New("nn: empty network")
 	}

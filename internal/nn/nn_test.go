@@ -238,3 +238,84 @@ func TestLossMatchesTrainObjective(t *testing.T) {
 		t.Error("underestimation penalty must increase loss when predicting low")
 	}
 }
+
+// denseForward is Forward summing every term of every layer.
+func denseForward(n *Network, x []float64) []float64 {
+	a := x
+	for li, l := range n.Layers {
+		z := make([]float64, l.Out)
+		for o := range z {
+			s := l.B[o]
+			for i, v := range a {
+				s += l.W[o*l.In+i] * v
+			}
+			if li < len(n.Layers)-1 && s < 0 {
+				s = 0
+			}
+			z[o] = s
+		}
+		a = z
+	}
+	return a
+}
+
+// TestForwardSparseMatchesDense: on validated networks with random biases,
+// skipping zero inputs gives bit-identical outputs to summing every term,
+// over inputs that are mostly (signed) zeros, fully zero or fully dense.
+// The sums may differ only in the sign of an exact zero.
+func TestForwardSparseMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for iter := 0; iter < 40; iter++ {
+		n := NewNetwork(int64(iter), 103, 128, 64, 32, 1+rng.Intn(3))
+		for li := range n.Layers {
+			for o := range n.Layers[li].B {
+				n.Layers[li].B[o] = rng.NormFloat64() * 0.1
+			}
+		}
+		if err := n.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 20; k++ {
+			x := make([]float64, n.InputDim())
+			density := []float64{0, 0.05, 0.3, 1}[k%4]
+			for i := range x {
+				switch {
+				case rng.Float64() < density:
+					x[i] = math.Log1p(rng.ExpFloat64() * 50)
+				case rng.Intn(2) == 0:
+					x[i] = math.Copysign(0, -1)
+				}
+			}
+			got, want := n.Forward(x), denseForward(n, x)
+			for o := range want {
+				if math.Float64bits(got[o]) != math.Float64bits(want[o]) && !(got[o] == 0 && want[o] == 0) {
+					t.Fatalf("iter %d input %d output %d: sparse %v, dense %v", iter, k, o, got[o], want[o])
+				}
+			}
+		}
+	}
+}
+
+// TestForwardDenseUntilValidated: a network that has not passed Validate,
+// or has trained since, sums every term — so an infinite weight against a
+// zero input still yields NaN, as the dense product does.
+func TestForwardDenseUntilValidated(t *testing.T) {
+	n := NewNetwork(4, 2, 3, 1)
+	n.Layers[0].W[1] = math.Inf(1)
+	if out := n.Forward([]float64{1, 0}); !math.IsNaN(out[0]) {
+		t.Errorf("unvalidated network with an infinite weight: %v, want NaN", out[0])
+	}
+	if err := n.Validate(); err == nil || n.finite {
+		t.Fatalf("Validate passed (%v) or left the network marked finite", err)
+	}
+	n = NewNetwork(4, 2, 3, 1)
+	if err := n.Validate(); err != nil || !n.finite || !n.Clone().finite {
+		t.Fatalf("validated network or its clone not marked finite (%v)", err)
+	}
+	if _, err := n.Train([][]float64{{1, 0}}, []float64{1}, TrainConfig{Epochs: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if n.finite {
+		t.Error("training left the network marked finite")
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"bytecard/internal/nn"
 	"bytecard/internal/sample"
 	"bytecard/internal/types"
 )
@@ -257,5 +258,50 @@ func TestSyntheticCorpusShapes(t *testing.T) {
 		if math.IsNaN(ys[i]) || ys[i] < -1e-9 {
 			t.Fatalf("target %d = %g (log ratio must be >= 0)", i, ys[i])
 		}
+	}
+}
+
+// TestSparseForwardEstimatesMatchDense: the decoded (validated) model,
+// whose network skips zero profile entries, estimates bit-identically to
+// the same weights summed densely, over profiles from uniform, skewed and
+// near-unique columns at several sampling rates.
+func TestSparseForwardEstimatesMatchDense(t *testing.T) {
+	m := getModel(t)
+	data, err := m.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sparse, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense := &Model{Net: &nn.Network{Layers: m.Net.Layers}}
+	rng := rand.New(rand.NewSource(17))
+	ran := 0
+	for iter := 0; iter < 200; iter++ {
+		n := 2000 + rng.Intn(30000)
+		values := make([]int64, n)
+		d := 1 + rng.Intn(n)
+		for i := range values {
+			switch iter % 3 {
+			case 0:
+				values[i] = int64(rng.Intn(d))
+			case 1:
+				values[i] = int64(float64(d) * math.Pow(rng.Float64(), 4))
+			default:
+				values[i] = int64(i)
+			}
+		}
+		p := profileOf(rng, values, 0.002+rng.Float64()*0.1)
+		got, want := sparse.EstimateNDV(p), dense.EstimateNDV(p)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("profile %d (rows %g, ndv %g): sparse %v, dense %v", iter, p.SampleRows, p.SampleNDV, got, want)
+		}
+		if p.PopRows > p.SampleRows*1.05 {
+			ran++
+		}
+	}
+	if ran < 150 {
+		t.Fatalf("only %d of 200 profiles reached the network", ran)
 	}
 }

@@ -8,7 +8,8 @@
 // built at load. A filter runs as a selection vector through
 // storage.BlockScan, and a frequency profile is one counting pass over the
 // selected rows' composite codes: nothing on the estimate path boxes a
-// Datum, hashes a cell or allocates a map.
+// Datum, hashes a cell or allocates a map. An unfiltered profile is counted
+// once per column set and remembered by the frame.
 package sample
 
 import (
@@ -16,6 +17,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"bytecard/internal/expr"
@@ -69,8 +71,9 @@ func (r *Reservoir) Rate() float64 {
 }
 
 // Frame is the sample table the Model Loader keeps per base table — the
-// paper's "DataFrame". It is immutable after construction and safe for
-// concurrent use: every call borrows its working memory from a pool.
+// paper's "DataFrame". Its rows are immutable after construction and it is
+// safe for concurrent use: every call borrows its working memory from a
+// pool, and the whole-sample profile memo is filled first writer wins.
 type Frame struct {
 	tab *storage.Table
 	// codes[j][i] is row i's identity code in column j, dense in
@@ -79,7 +82,16 @@ type Frame struct {
 	codes [][]uint32
 	card  []uint64
 	pop   int64 // size of the population the sample was drawn from
+	// whole maps a column set (bit j for column j) to its profile over
+	// every row; wholeMu guards it.
+	wholeMu sync.Mutex
+	whole   map[uint64]Profile
 }
+
+// memoSets bounds the column sets whose whole-sample profile one frame
+// remembers (about 850 bytes each). Past it, unfiltered profiles are
+// counted on every call.
+const memoSets = 256
 
 // SampleTable draws a reservoir sample of up to capacity rows of t (offered
 // in row order) and gathers it into a frame.
@@ -223,19 +235,36 @@ const ProfileLen = 100
 // ProfileOf computes the frequency profile of the composite key formed by
 // cols over the frame rows satisfying filter (nil: every row). PopRows is
 // the population scaled by the surviving fraction; SampleRows is 0 when no
-// row survives.
+// row survives. The returned Freq is the caller's own.
+//
+// An unfiltered profile depends only on the set of columns: the composite
+// key partitions the rows the same way in any column order and with
+// duplicates dropped, and a profile counts only the parts' sizes. So a
+// frame of at most 64 columns counts each such set once and answers from
+// the stored profile afterwards.
 func (f *Frame) ProfileOf(filter *expr.Node, cols ...string) (Profile, error) {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	idx := sc.cols[:0]
+	var set uint64
 	for _, c := range cols {
 		j := f.tab.ColIndex(c)
 		if j < 0 {
 			return Profile{}, fmt.Errorf("sample: unknown column %s", c)
 		}
 		idx = append(idx, j)
+		set |= 1 << j
 	}
 	sc.cols = idx
+	memo := filter == nil && len(f.codes) <= 64
+	if memo {
+		f.wholeMu.Lock()
+		p, ok := f.whole[set]
+		f.wholeMu.Unlock()
+		if ok {
+			return p.clone(), nil
+		}
+	}
 	var err error
 	if sc.sel, err = f.Select(filter, sc.sel); err != nil {
 		return Profile{}, err
@@ -244,7 +273,31 @@ func (f *Frame) ProfileOf(filter *expr.Node, cols ...string) (Profile, error) {
 	if f.Len() > 0 {
 		pop = int64(math.Round(float64(f.pop) * float64(len(sc.sel)) / float64(f.Len())))
 	}
-	return ProfileFromCounts(f.count(sc.sel, idx, sc), len(sc.sel), pop), nil
+	p := ProfileFromCounts(f.count(sc.sel, idx, sc), len(sc.sel), pop)
+	if memo {
+		f.remember(set, p)
+	}
+	return p, nil
+}
+
+// remember stores a copy of p as the whole-sample profile of set unless
+// the frame already holds one (first writer wins) or holds memoSets.
+func (f *Frame) remember(set uint64, p Profile) {
+	f.wholeMu.Lock()
+	defer f.wholeMu.Unlock()
+	if _, ok := f.whole[set]; ok || len(f.whole) >= memoSets {
+		return
+	}
+	if f.whole == nil {
+		f.whole = map[uint64]Profile{}
+	}
+	f.whole[set] = p.clone()
+}
+
+// clone returns p with its own copy of Freq.
+func (p Profile) clone() Profile {
+	p.Freq = slices.Clone(p.Freq)
+	return p
 }
 
 // ProfileFromCounts builds the profile of a sample of rows rows over a
