@@ -9,10 +9,11 @@
 package datagen
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"bytecard/internal/catalog"
 	"bytecard/internal/storage"
@@ -166,7 +167,7 @@ func (g *gen) pick(weights []float64) int {
 // chronologically). This clustering is what makes block skipping by the
 // multi-stage reader effective.
 func (g *gen) sortRowsBy(rows [][]types.Datum, colIdx int) {
-	sort.SliceStable(rows, func(i, j int) bool { return rows[i][colIdx].I < rows[j][colIdx].I })
+	slices.SortStableFunc(rows, func(a, b []types.Datum) int { return cmp.Compare(a[colIdx].I, b[colIdx].I) })
 	window := len(rows) / 50
 	if window < 2 {
 		return

@@ -57,10 +57,11 @@ func TestGradientCheck(t *testing.T) {
 		d := n.Forward(x)[0] - y
 		return d * d
 	}
-	acts, zs := n.forwardCache(x)
+	p := newPass(n)
+	n.forward(p, x, false)
 	g := newGrads(n)
-	pred := acts[len(acts)-1][0]
-	n.backward(acts, zs, []float64{2 * (pred - y)}, g)
+	pred := p.acts[len(p.acts)-1][0]
+	n.backward(p, []float64{2 * (pred - y)}, g, false)
 
 	const eps = 1e-6
 	check := func(p []float64, gr []float64, label string) {

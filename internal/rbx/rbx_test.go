@@ -1,8 +1,12 @@
 package rbx
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"bytecard/internal/nn"
@@ -303,5 +307,47 @@ func TestSparseForwardEstimatesMatchDense(t *testing.T) {
 	}
 	if ran < 150 {
 		t.Fatalf("only %d of 200 profiles reached the network", ran)
+	}
+}
+
+// weightsSHA256 hashes every weight then bias of each layer, as
+// little-endian IEEE-754 bits.
+func weightsSHA256(n *nn.Network) string {
+	h := sha256.New()
+	var b [8]byte
+	for _, l := range n.Layers {
+		for _, vs := range [][]float64{l.W, l.B} {
+			for _, v := range vs {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+				h.Write(b[:])
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestDefaultBaseNetworkPinned pins the weights of the base network a
+// System trains by default (bytecard.Options: 300 columns, 10 epochs,
+// populations up to 50 000, seed data seed + 9) at data seeds 1 and 2.
+// Training kernels may change only in ways that keep every trained weight
+// bit-identical. The hashes were recorded on amd64, where Go never fuses
+// x*y+z into one FMA instruction; on arm64, ppc64le, s390x and riscv64 it
+// may, which rounds once instead of twice and changes the weights, so the
+// pin runs on amd64 only.
+func TestDefaultBaseNetworkPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("weights pinned on amd64; %s may fuse multiply-adds", runtime.GOARCH)
+	}
+	for seed, want := range map[int64]string{
+		10: "1ce47ca438c250acdf70f4eac1c661e7d251146d6459bc8828aed067301f1ff7",
+		11: "8cd1b561281c0c4f16c12277d71ef6b140246458caf291e2c3e44799c3f345fb",
+	} {
+		m, err := Train(TrainConfig{Columns: 300, Epochs: 10, MaxPop: 50000, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := weightsSHA256(m.Net); got != want {
+			t.Errorf("seed %d: base network weights hash %s, want %s", seed, got, want)
+		}
 	}
 }
