@@ -34,7 +34,6 @@ func benchCfg() bench.Config {
 		Seed:       1,
 		ProbeCount: 30,
 		SampleRows: 4000,
-		RBX:        rbx.TrainConfig{Columns: 200, Epochs: 8, MaxPop: 30000, Seed: 10},
 	}
 }
 

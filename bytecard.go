@@ -41,7 +41,9 @@ type Options struct {
 	Dataset string
 	// Scale multiplies base row counts (default 0.05).
 	Scale float64
-	// Seed drives all generators and training (default 1).
+	// Seed drives all generators and training (default 1). The RBX base
+	// network is the exception: it is trained once per process from
+	// rbx.DefaultConfig, whatever the dataset or seed.
 	Seed int64
 	// StoreDir persists model artifacts between runs; empty uses a
 	// temporary directory.
@@ -58,8 +60,6 @@ type Options struct {
 	BucketCount int
 	// SampleRows caps per-table training samples (default 8000).
 	SampleRows int
-	// RBX overrides the NDV trainer configuration.
-	RBX rbx.TrainConfig
 	// Estimator selects the optimizer's estimator: "bytecard" (default),
 	// "sketch", "sample", or "heuristic".
 	Estimator string
@@ -118,9 +118,6 @@ func (o *Options) fill() {
 	}
 	if o.SampleRows <= 0 {
 		o.SampleRows = 8000
-	}
-	if o.RBX.Columns == 0 {
-		o.RBX = rbx.TrainConfig{Columns: 300, Epochs: 10, MaxPop: 50000, Seed: o.Seed + 9}
 	}
 	if o.Estimator == "" {
 		o.Estimator = "bytecard"
@@ -194,7 +191,6 @@ func OpenDataset(ds *datagen.Dataset, opts Options) (*System, error) {
 	sys.Forge = modelforge.New(ds.Name, ds.DB, ds.Schema, sys.Store, modelforge.Config{
 		SampleRows:   opts.SampleRows,
 		BucketCount:  opts.BucketCount,
-		RBX:          opts.RBX,
 		Seed:         opts.Seed + 3,
 		TrainWorkers: opts.TrainWorkers,
 	})

@@ -1,22 +1,49 @@
 package bytecard
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"bytecard/internal/cardinal"
-	"bytecard/internal/rbx"
 )
 
 func openToy(t *testing.T) *System {
 	t.Helper()
 	sys, err := Open(Options{
 		Dataset: "toy", Scale: 2, Seed: 11,
-		RBX: rbx.TrainConfig{Columns: 80, Epochs: 4, MaxPop: 10000, Seed: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return sys
+}
+
+// TestBaseNetworkIndependentOfSeed opens Systems at data seeds 1 and 2:
+// both serve the same base RBX network. Weights are compared, not artifact
+// bytes, because the artifact also encodes its training time.
+func TestBaseNetworkIndependentOfSeed(t *testing.T) {
+	var weights [2][]uint64
+	for i, seed := range []int64{1, 2} {
+		sys, err := Open(Options{Dataset: "toy", Scale: 1, Seed: seed, StoreDir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := sys.Infer.RBX()
+		if m == nil {
+			t.Fatalf("seed %d: no RBX model loaded", seed)
+		}
+		for _, l := range m.Net.Layers {
+			for _, vs := range [][]float64{l.W, l.B} {
+				for _, v := range vs {
+					weights[i] = append(weights[i], math.Float64bits(v))
+				}
+			}
+		}
+	}
+	if !slices.Equal(weights[0], weights[1]) {
+		t.Fatal("seeds 1 and 2 load different base networks")
+	}
 }
 
 func TestOpenAndRun(t *testing.T) {

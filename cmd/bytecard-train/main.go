@@ -12,7 +12,6 @@ import (
 	"bytecard/internal/datagen"
 	"bytecard/internal/modelforge"
 	"bytecard/internal/modelstore"
-	"bytecard/internal/rbx"
 )
 
 func main() {
@@ -44,7 +43,6 @@ func run(dataset string, scale float64, seed int64, dir string, buckets, sampleR
 	forge := modelforge.New(ds.Name, ds.DB, ds.Schema, store, modelforge.Config{
 		SampleRows:  sampleRows,
 		BucketCount: buckets,
-		RBX:         rbx.TrainConfig{Columns: 400, Epochs: 12, MaxPop: 50000, Seed: seed + 9},
 		Seed:        seed,
 	})
 	report, err := forge.TrainAll()

@@ -17,7 +17,6 @@ import (
 	"strings"
 
 	"bytecard"
-	"bytecard/internal/rbx"
 )
 
 func main() {
@@ -41,7 +40,6 @@ func run(dataset string, scale float64, seed int64, estimator string, parallelis
 	sys, err := bytecard.Open(bytecard.Options{
 		Dataset: dataset, Scale: scale, Seed: seed, Estimator: estimator, Parallelism: parallelism,
 		ResidualCorrection: residualOn,
-		RBX:                rbx.TrainConfig{Columns: 200, Epochs: 8, MaxPop: 30000, Seed: seed + 9},
 	})
 	if err != nil {
 		return err

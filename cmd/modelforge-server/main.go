@@ -23,7 +23,6 @@ import (
 	"bytecard/internal/datagen"
 	"bytecard/internal/modelforge"
 	"bytecard/internal/modelstore"
-	"bytecard/internal/rbx"
 )
 
 func main() {
@@ -60,7 +59,6 @@ func run(dataset string, scale float64, seed int64, dir, addr string,
 		return err
 	}
 	svc := modelforge.New(ds.Name, ds.DB, ds.Schema, store, modelforge.Config{
-		RBX:  rbx.TrainConfig{Columns: 400, Epochs: 12, MaxPop: 50000, Seed: seed + 9},
 		Seed: seed,
 	})
 	h := modelforge.NewHardened(svc, modelforge.ServeConfig{

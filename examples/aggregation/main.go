@@ -11,7 +11,6 @@ import (
 	"log"
 
 	"bytecard"
-	"bytecard/internal/rbx"
 )
 
 func main() {
@@ -20,7 +19,6 @@ func main() {
 		Dataset: "aeolus",
 		Scale:   0.05,
 		Seed:    3,
-		RBX:     rbx.TrainConfig{Columns: 250, Epochs: 8, MaxPop: 40000, Seed: 12},
 	})
 	if err != nil {
 		log.Fatal(err)

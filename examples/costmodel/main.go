@@ -16,7 +16,6 @@ import (
 	"bytecard"
 	"bytecard/internal/cardinal"
 	"bytecard/internal/costmodel"
-	"bytecard/internal/rbx"
 	"bytecard/internal/sqlparse"
 )
 
@@ -26,7 +25,6 @@ func main() {
 		Dataset: "imdb",
 		Scale:   0.03,
 		Seed:    6,
-		RBX:     rbx.TrainConfig{Columns: 120, Epochs: 5, MaxPop: 20000, Seed: 15},
 	})
 	if err != nil {
 		log.Fatal(err)

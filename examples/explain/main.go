@@ -11,7 +11,6 @@ import (
 	"log"
 
 	"bytecard"
-	"bytecard/internal/rbx"
 )
 
 func main() {
@@ -20,7 +19,6 @@ func main() {
 		Dataset: "toy",
 		Scale:   2,
 		Seed:    1,
-		RBX:     rbx.TrainConfig{Columns: 80, Epochs: 4, MaxPop: 10000, Seed: 2},
 	})
 	if err != nil {
 		log.Fatal(err)

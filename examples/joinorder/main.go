@@ -14,7 +14,6 @@ import (
 
 	"bytecard"
 	"bytecard/internal/engine"
-	"bytecard/internal/rbx"
 	"bytecard/internal/sqlparse"
 )
 
@@ -24,7 +23,6 @@ func main() {
 		Dataset: "stats",
 		Scale:   0.1,
 		Seed:    4,
-		RBX:     rbx.TrainConfig{Columns: 150, Epochs: 6, MaxPop: 20000, Seed: 13},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"bytecard"
-	"bytecard/internal/rbx"
 )
 
 func main() {
@@ -22,7 +21,6 @@ func main() {
 		Dataset: "stats",
 		Scale:   0.05,
 		Seed:    5,
-		RBX:     rbx.TrainConfig{Columns: 150, Epochs: 6, MaxPop: 20000, Seed: 14},
 	})
 	if err != nil {
 		log.Fatal(err)

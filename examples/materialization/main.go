@@ -12,7 +12,6 @@ import (
 	"log"
 
 	"bytecard"
-	"bytecard/internal/rbx"
 )
 
 func main() {
@@ -21,7 +20,6 @@ func main() {
 		Dataset: "stats",
 		Scale:   0.3, // enough rows for multi-block columns
 		Seed:    2,
-		RBX:     rbx.TrainConfig{Columns: 150, Epochs: 6, MaxPop: 20000, Seed: 11},
 	})
 	if err != nil {
 		log.Fatal(err)

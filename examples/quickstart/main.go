@@ -10,7 +10,6 @@ import (
 	"log"
 
 	"bytecard"
-	"bytecard/internal/rbx"
 )
 
 func main() {
@@ -19,7 +18,6 @@ func main() {
 		Dataset: "imdb",
 		Scale:   0.02,
 		Seed:    1,
-		RBX:     rbx.TrainConfig{Columns: 200, Epochs: 8, MaxPop: 30000, Seed: 10},
 	})
 	if err != nil {
 		log.Fatal(err)

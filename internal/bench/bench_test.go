@@ -3,8 +3,6 @@ package bench
 import (
 	"math"
 	"testing"
-
-	"bytecard/internal/rbx"
 )
 
 // tinyConfig keeps harness tests fast.
@@ -14,7 +12,6 @@ func tinyConfig() Config {
 		Seed:       3,
 		ProbeCount: 20,
 		SampleRows: 2000,
-		RBX:        rbx.TrainConfig{Columns: 100, Epochs: 5, MaxPop: 10000, Seed: 3},
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"bytecard/internal/loader"
 	"bytecard/internal/modelforge"
 	"bytecard/internal/modelstore"
-	"bytecard/internal/rbx"
 	"bytecard/internal/workload"
 )
 
@@ -34,8 +33,6 @@ type Config struct {
 	SampleRows int
 	// ProbeCount sizes the Q-error probe workloads (default 60).
 	ProbeCount int
-	// RBX overrides NDV training (default: 400 columns, 12 epochs).
-	RBX rbx.TrainConfig
 	// StoreDir persists model artifacts; empty uses a temp dir.
 	StoreDir string
 	// Log receives progress lines when non-nil.
@@ -54,9 +51,6 @@ func (c *Config) fill() {
 	}
 	if c.ProbeCount <= 0 {
 		c.ProbeCount = 60
-	}
-	if c.RBX.Columns == 0 {
-		c.RBX = rbx.TrainConfig{Columns: 400, Epochs: 12, MaxPop: 50000, Seed: c.Seed + 9}
 	}
 }
 
@@ -125,7 +119,6 @@ func NewEnv(dataset string, cfg Config) (*Env, error) {
 	env.Forge = modelforge.New(dataset, ds.DB, ds.Schema, store, modelforge.Config{
 		SampleRows:  cfg.SampleRows,
 		BucketCount: cfg.BucketCount,
-		RBX:         cfg.RBX,
 		Seed:        cfg.Seed + 3,
 	})
 	env.Report, err = env.Forge.TrainAll()

@@ -15,7 +15,6 @@ import (
 	"bytecard/internal/loader"
 	"bytecard/internal/modelforge"
 	"bytecard/internal/modelstore"
-	"bytecard/internal/rbx"
 	"bytecard/internal/sqlparse"
 	"bytecard/internal/types"
 )
@@ -37,7 +36,6 @@ func pipelineFor(t *testing.T, name string, ds *datagen.Dataset) (*core.Inferenc
 	forge := modelforge.New(name, ds.DB, ds.Schema, store, modelforge.Config{
 		SampleRows:  4000,
 		BucketCount: 40,
-		RBX:         rbx.TrainConfig{Columns: 150, Epochs: 8, MaxPop: 20000, Seed: 1},
 		Seed:        1,
 	})
 	if _, err := forge.TrainAll(); err != nil {
@@ -219,7 +217,6 @@ func TestLoadModelSizeChecker(t *testing.T) {
 	ds2 := datagen.Toy(datagen.Config{Scale: 1, Seed: 6})
 	forge := modelforge.New("toy", ds2.DB, ds2.Schema, store, modelforge.Config{
 		SampleRows: 500, BucketCount: 10,
-		RBX:  rbx.TrainConfig{Columns: 40, Epochs: 2, MaxPop: 5000},
 		Seed: 2,
 	})
 	if _, err := forge.TrainAll(); err != nil {
@@ -282,7 +279,6 @@ func TestLRUEviction(t *testing.T) {
 	ds := datagen.Toy(datagen.Config{Scale: 1, Seed: 7})
 	forge := modelforge.New("toy", ds.DB, ds.Schema, store, modelforge.Config{
 		SampleRows: 500, BucketCount: 10,
-		RBX:  rbx.TrainConfig{Columns: 40, Epochs: 2, MaxPop: 5000},
 		Seed: 3,
 	})
 	if _, err := forge.TrainAll(); err != nil {
@@ -320,7 +316,6 @@ func TestTimestampStalenessIgnored(t *testing.T) {
 	old := time.Now().Add(-24 * time.Hour)
 	forge := modelforge.New("toy", ds.DB, ds.Schema, store, modelforge.Config{
 		SampleRows: 300, BucketCount: 10,
-		RBX:  rbx.TrainConfig{Columns: 40, Epochs: 2, MaxPop: 5000},
 		Seed: 4, Now: func() time.Time { return old },
 	})
 	if _, err := forge.TrainAll(); err != nil {
@@ -439,7 +434,6 @@ func TestConcurrentEstimationWhileLoading(t *testing.T) {
 		}
 		forge := modelforge.New("toy", ds.DB, ds.Schema, store, modelforge.Config{
 			SampleRows: 500, BucketCount: 40,
-			RBX:  rbx.TrainConfig{Columns: 40, Epochs: 2, MaxPop: 5000, Seed: 5},
 			Seed: 5,
 		})
 		ld := loader.New(store, infer)

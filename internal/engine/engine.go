@@ -37,8 +37,6 @@ type Engine struct {
 	Schema *catalog.Schema
 	Est    CardEstimator
 
-	// ReaderThreshold overrides DefaultReaderThreshold when positive.
-	ReaderThreshold float64
 	// AggCapacity overrides DefaultAggCapacity when positive.
 	AggCapacity int
 	// DisableNDVPresize forces cold-start aggregation tables (the
@@ -84,13 +82,6 @@ type Engine struct {
 // skipped).
 func New(db *storage.Database, schema *catalog.Schema, est CardEstimator) *Engine {
 	return &Engine{DB: db, Schema: schema, Est: est}
-}
-
-func (e *Engine) readerThreshold() float64 {
-	if e.ReaderThreshold > 0 {
-		return e.ReaderThreshold
-	}
-	return DefaultReaderThreshold
 }
 
 func (e *Engine) defaultAggCapacity() int {

@@ -244,32 +244,35 @@ func (t *wordTable) find(h uint64, key []uint64) int32 {
 }
 
 // insert returns the id of key, adding it (words copied) when absent. The
-// growth check runs before the lookup, on hits too, so a table's doublings
-// depend only on its sequence of inserts.
+// table doubles only to add a key past its limit, so its doublings depend
+// only on how many distinct keys it holds.
 func (t *wordTable) insert(h uint64, key []uint64) (id int32, added bool) {
-	if len(t.hashes) >= t.limit {
-		t.grow()
-	}
 	mask := uint64(len(t.slots) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
+	i := h & mask
+	for ; ; i = (i + 1) & mask {
 		s := t.slots[i]
 		if s == 0 {
-			id = int32(len(t.hashes))
-			t.slots[i] = id + 1
-			if len(t.hashes) == cap(t.hashes) {
-				t.hashes = regrow(t.s, &t.s.u64, t.hashes, 1)
-			}
-			if cap(t.words)-len(t.words) < t.width {
-				t.words = regrow(t.s, &t.s.u64, t.words, t.width)
-			}
-			t.hashes = append(t.hashes, h)
-			t.words = append(t.words, key...)
-			return id, true
+			break
 		}
 		if t.match(s-1, key) {
 			return s - 1, false
 		}
 	}
+	if len(t.hashes) >= t.limit {
+		t.grow()
+		i = t.freeSlot(h)
+	}
+	id = int32(len(t.hashes))
+	t.slots[i] = id + 1
+	if len(t.hashes) == cap(t.hashes) {
+		t.hashes = regrow(t.s, &t.s.u64, t.hashes, 1)
+	}
+	if cap(t.words)-len(t.words) < t.width {
+		t.words = regrow(t.s, &t.s.u64, t.words, t.width)
+	}
+	t.hashes = append(t.hashes, h)
+	t.words = append(t.words, key...)
+	return id, true
 }
 
 // absorb inserts o's keys into t under o's stored hashes, in o's id order.
@@ -284,14 +287,19 @@ func (t *wordTable) grow() {
 	t.resizes++
 	t.slots = t.s.swapSlots(t.slots, 2*len(t.slots))
 	t.limit = int(t.load * float64(len(t.slots)))
-	mask := uint64(len(t.slots) - 1)
 	for id, h := range t.hashes {
-		i := h & mask
-		for t.slots[i] != 0 {
-			i = (i + 1) & mask
-		}
-		t.slots[i] = int32(id) + 1
+		t.slots[t.freeSlot(h)] = int32(id) + 1
 	}
+}
+
+// freeSlot returns the first empty slot on hash h's probe path.
+func (t *wordTable) freeSlot(h uint64) uint64 {
+	mask := uint64(len(t.slots) - 1)
+	i := h & mask
+	for t.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	return i
 }
 
 // clearSlots zeroes the slots the entries occupy, found from their stored

@@ -112,7 +112,7 @@ func (e *Engine) planScan(q *Query, idx int) *ScanPlan {
 	case !isConj || len(predCols) < 2:
 		// OR trees and zero/one-column filters gain nothing from staging.
 		sp.Strategy = "single-stage"
-	case n > 0 && sp.EstRows/n < e.readerThreshold():
+	case n > 0 && sp.EstRows/n < DefaultReaderThreshold:
 		sp.Strategy = "multi-stage"
 	}
 	if sp.Strategy == "multi-stage" {

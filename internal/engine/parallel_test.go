@@ -328,6 +328,49 @@ func TestAggTableDuplicateKeysAcrossResizes(t *testing.T) {
 	}
 }
 
+// TestHashResizesAtLoadLimit puts a GROUP BY's group count exactly on a
+// load limit and follows the last new group with hits. A cold group table
+// (32 slots at load 0.7) doubles once to hold 44 groups, and 64 slots allow
+// exactly 44. Group 43 first appears at the start of the last of four
+// chunks, and hits follow it. So one worker sees hits after the 44th group,
+// two workers' merge ends on it, and four workers' merge adds it first. The
+// table grows only to add a key, so every worker count doubles once.
+func TestHashResizesAtLoadLimit(t *testing.T) {
+	const rows, newAt = 4 * tupleChunk, 3 * tupleChunk
+	b := storage.NewBuilder("t", []storage.ColumnSpec{
+		{Name: "g", Kind: types.KindInt64},
+		{Name: "v", Kind: types.KindInt64},
+	})
+	for i := 0; i < rows; i++ {
+		g := int64(i % 43)
+		if i == newAt {
+			g = 43
+		}
+		// v is the row, so no two tuples merge before aggregation.
+		b.Append([]types.Datum{types.Int(g), types.Int(int64(i))})
+	}
+	db := storage.NewDatabase()
+	db.Add(b.Build())
+	for _, workers := range []int{1, 2, 4} {
+		e := New(db, catalog.NewSchema(), HeuristicEstimator{})
+		e.Parallelism = workers
+		e.DisableNDVPresize = true
+		res, err := e.Run("SELECT t.g, COUNT(*), SUM(t.v) FROM t GROUP BY t.g")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 44 {
+			t.Fatalf("%d workers: %d groups, want 44", workers, len(res.Rows))
+		}
+		if res.Metrics.ParallelWorkers != workers {
+			t.Errorf("ParallelWorkers = %d, want %d", res.Metrics.ParallelWorkers, workers)
+		}
+		if got := res.Metrics.HashResizes; got != 1 {
+			t.Errorf("%d workers: HashResizes = %d, want 1 (32 → 64 slots)", workers, got)
+		}
+	}
+}
+
 func TestAggTableAbsorb(t *testing.T) {
 	aggs := []AggSpec{{Kind: AggCountStar}, {Kind: AggSum}}
 	s := new(scratch)

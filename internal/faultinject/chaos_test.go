@@ -9,7 +9,6 @@ import (
 	"bytecard"
 	"bytecard/internal/core"
 	"bytecard/internal/faultinject"
-	"bytecard/internal/rbx"
 )
 
 // smoke is the chaos workload: filters, a join, NDV, and grouping over the
@@ -30,7 +29,6 @@ func openSystem(t *testing.T, opts bytecard.Options) *bytecard.System {
 	opts.StoreDir = t.TempDir()
 	opts.SampleRows = 800
 	opts.BucketCount = 12
-	opts.RBX = rbx.TrainConfig{Columns: 50, Epochs: 2, MaxPop: 5000, Seed: 1}
 	// Plan caching off for the whole chaos suite: every run must exercise
 	// the guarded model path, not replay decisions cached while computing
 	// the fault-free ground truths.

@@ -11,7 +11,6 @@ import (
 	"bytecard/internal/faultinject"
 	"bytecard/internal/modelforge"
 	"bytecard/internal/modelstore"
-	"bytecard/internal/rbx"
 )
 
 // trainedStore trains every model family twice into one store, so each
@@ -26,7 +25,6 @@ func trainedStore(t *testing.T) (string, *modelstore.Store) {
 	ds := datagen.Toy(datagen.Config{Scale: 0.5, Seed: 23})
 	svc := modelforge.New("toy", ds.DB, ds.Schema, store, modelforge.Config{
 		SampleRows: 600, BucketCount: 12,
-		RBX:  rbx.TrainConfig{Columns: 40, Epochs: 2, MaxPop: 4000, Seed: 1},
 		Seed: 1,
 	})
 	for round := 0; round < 2; round++ {

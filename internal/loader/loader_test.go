@@ -13,7 +13,6 @@ import (
 	"bytecard/internal/datagen"
 	"bytecard/internal/modelforge"
 	"bytecard/internal/modelstore"
-	"bytecard/internal/rbx"
 )
 
 func trainedStore(t *testing.T) (*modelstore.Store, *datagen.Dataset, *modelforge.Service) {
@@ -25,7 +24,6 @@ func trainedStore(t *testing.T) (*modelstore.Store, *datagen.Dataset, *modelforg
 	}
 	forge := modelforge.New("toy", ds.DB, ds.Schema, store, modelforge.Config{
 		SampleRows: 500, BucketCount: 12,
-		RBX:  rbx.TrainConfig{Columns: 50, Epochs: 2, MaxPop: 5000, Seed: 1},
 		Seed: 1,
 	})
 	if _, err := forge.TrainAll(); err != nil {
@@ -119,7 +117,6 @@ func TestRefreshSkipsRetiredCostModel(t *testing.T) {
 	}
 	forge := modelforge.New("toy", ds.DB, ds.Schema, store, modelforge.Config{
 		SampleRows: 500, BucketCount: 12,
-		RBX:  rbx.TrainConfig{Columns: 50, Epochs: 2, MaxPop: 5000, Seed: 1},
 		Seed: 1,
 	})
 	if _, err := forge.TrainAll(); err != nil {
@@ -178,7 +175,6 @@ func TestRefreshSkipsTruncatedFile(t *testing.T) {
 	}
 	forge := modelforge.New("toy", ds.DB, ds.Schema, store, modelforge.Config{
 		SampleRows: 500, BucketCount: 12,
-		RBX:  rbx.TrainConfig{Columns: 50, Epochs: 2, MaxPop: 5000, Seed: 1},
 		Seed: 1,
 	})
 	if _, err := forge.TrainAll(); err != nil {

@@ -41,8 +41,6 @@ type Config struct {
 	// RetrainRows is the ingested-row threshold triggering retraining
 	// (default 100000).
 	RetrainRows int64
-	// RBX configures base NDV training.
-	RBX rbx.TrainConfig
 	// Seed drives sampling determinism.
 	Seed int64
 	// TrainWorkers bounds the worker pool parallelizing BN structure
@@ -416,17 +414,14 @@ func (s *Service) putBN(table string, shard int, model *bn.Model) ([]ModelReport
 	}}, nil
 }
 
-// ensureRBXLocked trains the base RBX model only if the store lacks one
-// (workload independence: one offline run serves all datasets).
+// ensureRBXLocked stores the process's base RBX model (rbx.Base) only if
+// the store lacks one (workload independence: one training serves every
+// dataset).
 func (s *Service) ensureRBXLocked() ([]ModelReport, error) {
 	if _, err := s.store.Get(RBXBaseName); err == nil {
 		return nil, nil
 	}
-	model, err := rbx.Train(s.cfg.RBX)
-	if err != nil {
-		return nil, err
-	}
-	data, err := model.Encode()
+	data, trainSeconds, err := rbx.Base()
 	if err != nil {
 		return nil, err
 	}
@@ -437,7 +432,7 @@ func (s *Service) ensureRBXLocked() ([]ModelReport, error) {
 	}
 	return []ModelReport{{
 		Name: RBXBaseName, Kind: core.KindRBX,
-		SizeBytes: int64(len(data)), TrainSeconds: model.TrainSeconds,
+		SizeBytes: int64(len(data)), TrainSeconds: trainSeconds,
 	}}, nil
 }
 

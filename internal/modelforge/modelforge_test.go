@@ -16,10 +16,6 @@ import (
 	"bytecard/internal/types"
 )
 
-func tinyRBX() rbx.TrainConfig {
-	return rbx.TrainConfig{Columns: 60, Epochs: 3, MaxPop: 8000, Seed: 1}
-}
-
 func newForge(t *testing.T, scale float64) (*Service, *modelstore.Store, *datagen.Dataset) {
 	t.Helper()
 	ds := datagen.Toy(datagen.Config{Scale: scale, Seed: 51})
@@ -28,7 +24,7 @@ func newForge(t *testing.T, scale float64) (*Service, *modelstore.Store, *datage
 		t.Fatal(err)
 	}
 	svc := New("toy", ds.DB, ds.Schema, store, Config{
-		SampleRows: 1000, BucketCount: 16, RBX: tinyRBX(), Seed: 1, RetrainRows: 100,
+		SampleRows: 1000, BucketCount: 16, Seed: 1, RetrainRows: 100,
 	})
 	return svc, store, ds
 }
@@ -241,7 +237,7 @@ func TestTrainWorkersDeterministicArtifacts(t *testing.T) {
 			t.Fatal(err)
 		}
 		svc := New("toy", ds.DB, ds.Schema, store, Config{
-			SampleRows: 1000, BucketCount: 16, RBX: tinyRBX(), Seed: 1,
+			SampleRows: 1000, BucketCount: 16, Seed: 1,
 			TrainWorkers: workers,
 			Now:          func() time.Time { return now },
 		})

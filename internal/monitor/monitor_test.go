@@ -34,7 +34,6 @@ func setup(t *testing.T) *fixture {
 	}
 	forge := modelforge.New("toy", ds.DB, ds.Schema, store, modelforge.Config{
 		SampleRows: 2000, BucketCount: 16,
-		RBX:  rbx.TrainConfig{Columns: 120, Epochs: 6, MaxPop: 10000, Seed: 1},
 		Seed: 1,
 	})
 	if _, err := forge.TrainAll(); err != nil {

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"time"
 
 	"bytecard/internal/nn"
@@ -91,7 +92,34 @@ func (c *TrainConfig) fill() {
 	}
 }
 
-// Train builds the synthetic corpus and fits the base network.
+// DefaultConfig is the base network's training configuration. It is a
+// constant of the program: every System in every process serves the one
+// network it trains, whatever the dataset or data seed.
+var DefaultConfig = TrainConfig{Columns: 300, Epochs: 10, MaxPop: 50000, Seed: 10}
+
+// Base returns the encoded base model trained from DefaultConfig and the
+// seconds that training took. It trains at most once per process, on the
+// first call; every caller gets the same bytes and must not modify them.
+func Base() (data []byte, trainSeconds float64, err error) {
+	b, err := base()
+	return b.data, b.trainSeconds, err
+}
+
+type baseArtifact struct {
+	data         []byte
+	trainSeconds float64
+}
+
+var base = sync.OnceValues(func() (baseArtifact, error) {
+	m, err := Train(DefaultConfig)
+	if err != nil {
+		return baseArtifact{}, err
+	}
+	data, err := m.Encode()
+	return baseArtifact{data: data, trainSeconds: m.TrainSeconds}, err
+})
+
+// Train builds the synthetic corpus and fits a base network.
 func Train(cfg TrainConfig) (*Model, error) {
 	cfg.fill()
 	start := time.Now()

@@ -1,12 +1,14 @@
 package rbx
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"math"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 
 	"bytecard/internal/nn"
@@ -326,28 +328,53 @@ func weightsSHA256(n *nn.Network) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestDefaultBaseNetworkPinned pins the weights of the base network a
-// System trains by default (bytecard.Options: 300 columns, 10 epochs,
-// populations up to 50 000, seed data seed + 9) at data seeds 1 and 2.
-// Training kernels may change only in ways that keep every trained weight
-// bit-identical. The hashes were recorded on amd64, where Go never fuses
-// x*y+z into one FMA instruction; on arm64, ppc64le, s390x and riscv64 it
-// may, which rounds once instead of twice and changes the weights, so the
-// pin runs on amd64 only.
+// TestBaseConcurrent calls Base from eight goroutines at once: training
+// runs once, and every caller gets the same bytes. It precedes every other
+// caller of Base in this package, so its goroutines race to train.
+func TestBaseConcurrent(t *testing.T) {
+	const callers = 8
+	var wg sync.WaitGroup
+	got := make([][]byte, callers)
+	errs := make([]error, callers)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], _, errs[i] = Base()
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("caller %d: %v", i, errs[i])
+		}
+		if len(got[i]) == 0 || &got[i][0] != &got[0][0] || !bytes.Equal(got[i], got[0]) {
+			t.Fatalf("caller %d got different bytes from caller 0", i)
+		}
+	}
+}
+
+// TestDefaultBaseNetworkPinned pins the weights of the base network every
+// System serves (Base, trained from DefaultConfig). Training kernels may
+// change only in ways that keep every trained weight bit-identical. The
+// hash was recorded on amd64, where Go never fuses x*y+z into one FMA
+// instruction; on arm64, ppc64le, s390x and riscv64 it may, which rounds
+// once instead of twice and changes the weights, so the pin runs on amd64
+// only.
 func TestDefaultBaseNetworkPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("weights pinned on amd64; %s may fuse multiply-adds", runtime.GOARCH)
 	}
-	for seed, want := range map[int64]string{
-		10: "1ce47ca438c250acdf70f4eac1c661e7d251146d6459bc8828aed067301f1ff7",
-		11: "8cd1b561281c0c4f16c12277d71ef6b140246458caf291e2c3e44799c3f345fb",
-	} {
-		m, err := Train(TrainConfig{Columns: 300, Epochs: 10, MaxPop: 50000, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := weightsSHA256(m.Net); got != want {
-			t.Errorf("seed %d: base network weights hash %s, want %s", seed, got, want)
-		}
+	data, _, err := Base()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "1ce47ca438c250acdf70f4eac1c661e7d251146d6459bc8828aed067301f1ff7"
+	if got := weightsSHA256(m.Net); got != want {
+		t.Errorf("base network weights hash %s, want %s", got, want)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"bytecard/internal/engine"
-	"bytecard/internal/rbx"
 	"bytecard/internal/sqlparse"
 )
 
@@ -133,7 +132,6 @@ func TestPlanCacheExecutionResults(t *testing.T) {
 func TestModelChurnInvalidatesPlanCache(t *testing.T) {
 	sys, err := Open(Options{
 		Dataset: "toy", Scale: 2, Seed: 11,
-		RBX: rbx.TrainConfig{Columns: 80, Epochs: 4, MaxPop: 10000, Seed: 2},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"bytecard/internal/cardinal"
-	"bytecard/internal/rbx"
 	"bytecard/internal/sqlparse"
 )
 
@@ -19,7 +18,6 @@ func openResidualToy(t *testing.T, residualOn bool) *System {
 	t.Helper()
 	sys, err := Open(Options{
 		Dataset: "toy", Scale: 2, Seed: 11, ResidualCorrection: residualOn,
-		RBX: rbx.TrainConfig{Columns: 80, Epochs: 4, MaxPop: 10000, Seed: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +185,6 @@ func TestModelChurnResetsResidual(t *testing.T) {
 func TestResidualOnlyFeedsByteCardEstimator(t *testing.T) {
 	sys, err := Open(Options{
 		Dataset: "toy", Scale: 2, Seed: 11, ResidualCorrection: true, Estimator: "sketch",
-		RBX: rbx.TrainConfig{Columns: 80, Epochs: 4, MaxPop: 10000, Seed: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
