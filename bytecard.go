@@ -85,11 +85,13 @@ type Options struct {
 	// automatically.
 	PlanCacheBytes int64
 	// Pushdown controls the pushdown scan contract (zone-map block
-	// skipping, predicate/projection/limit pushdown, late
-	// materialization). Zero or positive is on (the default); negative
-	// disables pushdown, restoring the pre-contract scan path byte for
-	// byte. It stays only because the benchmark's reference oracle pins
-	// the pre-contract path; no command-line flag sets it.
+	// skipping, predicate/projection/limit pushdown for any AND / OR
+	// filter, late materialization). Zero or positive is on (the
+	// default); negative disables pushdown, so every scan takes the
+	// legacy readers, which evaluate OR filters row by row. It is read
+	// when a query executes, so it also applies to cached plans. It stays
+	// only because the benchmark's reference oracle pins the legacy
+	// readers; no command-line flag sets it.
 	Pushdown int
 	// ResidualCorrection enables the online residual corrector: executed
 	// queries feed (estimate, truth) pairs into a per-template

@@ -54,11 +54,12 @@ type Engine struct {
 	// calling goroutine.
 	Parallelism int
 	// Pushdown selects the pushed-down scan path (zone-map block skipping,
-	// vectorized predicate evaluation, projection/limit pushdown). Zero
-	// or positive is on; negative forces off (the legacy readers,
-	// byte-identical to pre-pushdown behavior). ForceReader pins the
-	// legacy readers regardless, so strategy-ablation comparisons stay
-	// meaningful.
+	// vectorized evaluation of any AND / OR filter, projection/limit
+	// pushdown). Zero or positive is on; negative forces off (the legacy
+	// readers, byte-identical to pre-pushdown behavior). ForceReader pins
+	// the legacy readers regardless, so strategy-ablation comparisons stay
+	// meaningful. Both are read when a plan executes, so a cached plan
+	// takes the route the knobs name at that moment.
 	Pushdown int
 	// Obs, when set, accumulates query volume, planning/execution latency,
 	// and the q-error of each plan's final cardinality estimate against
@@ -83,6 +84,9 @@ type Engine struct {
 func New(db *storage.Database, schema *catalog.Schema, est CardEstimator) *Engine {
 	return &Engine{DB: db, Schema: schema, Est: est}
 }
+
+// pushdown reports whether scans take the pushed-down path.
+func (e *Engine) pushdown() bool { return e.ForceReader == "" && e.Pushdown >= 0 }
 
 func (e *Engine) defaultAggCapacity() int {
 	if e.AggCapacity > 0 {

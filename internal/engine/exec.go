@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"bytecard/internal/expr"
 	"bytecard/internal/obs"
 	"bytecard/internal/storage"
 	"bytecard/internal/types"
@@ -47,27 +46,13 @@ func (s *scanState) bind(cols []string) []*storage.Reader {
 	return out
 }
 
-// scanStages compiles a conjunctive filter of t into the staged form every
-// kernel-driven scan takes: the constrained columns in evaluation order
-// (order, or the predicates' own column order when order is empty) and,
-// aligned with them, each column's compiled kernel.
-func scanStages(t *QueryTable, preds []expr.Pred, order []string) ([]string, []storage.Kernel) {
-	compiled := storage.Compile(t.Table, preds)
-	if len(order) == 0 {
-		return distinctCols(preds), compiled
+// bindFilter returns the canonical readers of f's columns, in order.
+func (s *scanState) bindFilter(f *storage.Filter) []*storage.Reader {
+	out := make([]*storage.Reader, len(f.Columns()))
+	for i, c := range f.Columns() {
+		out[i] = s.reader(c.Name())
 	}
-	var cols []string
-	var kernels []storage.Kernel
-	for _, c := range order {
-		for _, k := range compiled {
-			if k.Column().Name() == c {
-				cols = append(cols, c)
-				kernels = append(kernels, k)
-				break
-			}
-		}
-	}
-	return cols, kernels
+	return out
 }
 
 // Execute runs a physical plan.
@@ -98,10 +83,7 @@ func (e *Engine) ExecuteTraced(p *Plan, tr *obs.Trace) (*Result, error) {
 		scanLimit = q.Limit
 	}
 	scanStart := time.Now()
-	st, err := e.executeScan(q, p.Scans[first], &m, ex, scanLimit)
-	if err != nil {
-		return nil, err
-	}
+	st := e.executeScan(q, p.Scans[first], &m, ex, scanLimit)
 	states[first] = st
 	m.ReaderStrategy[q.Tables[first].Binding] = p.Scans[first].Strategy
 	ex.span(obs.OpExecScan, []string{q.Tables[first].Binding}, ex.workers, int64(len(st.rows)), time.Since(scanStart))
@@ -183,17 +165,18 @@ func neededColumns(q *Query, idx int) []string {
 	return out
 }
 
-// executeScan applies the table filter with the planned reader strategy.
-// limit, when positive, lets a pushed-down scan stop after that many
-// matches (single-table projection queries only — the caller guarantees
-// the scan's output is the query's output).
-func (e *Engine) executeScan(q *Query, sp *ScanPlan, m *Metrics, ex *execCtx, limit int) (*scanState, error) {
+// executeScan applies the table filter: through the pushed-down scan
+// unless the engine pins the legacy readers, then with the planned reader
+// strategy. limit, when positive, lets a pushed-down scan stop after that
+// many matches (single-table projection queries only — the caller
+// guarantees the scan's output is the query's output).
+func (e *Engine) executeScan(q *Query, sp *ScanPlan, m *Metrics, ex *execCtx, limit int) *scanState {
 	t := q.Tables[sp.TableIdx]
 	st := &scanState{t: t, readers: map[string]*storage.Reader{}, io: m.IO}
 	n := t.Table.NumRows()
 
 	switch {
-	case sp.Pushdown:
+	case e.pushdown():
 		start := time.Now()
 		e.pushdownScan(st, sp, n, limit, ex)
 		if ex.tr.Active() {
@@ -210,20 +193,18 @@ func (e *Engine) executeScan(q *Query, sp *ScanPlan, m *Metrics, ex *execCtx, li
 			})
 		}
 	case sp.Strategy == "multi-stage":
-		if err := e.multiStageScan(st, sp, n, ex); err != nil {
-			return nil, err
-		}
+		e.multiStageScan(st, sp, n, ex)
 	default:
 		e.singleStageScan(q, st, sp, n, ex)
 	}
 	m.RowsMaterialized += int64(len(st.rows))
-	return st, nil
+	return st
 }
 
 // pushdownScan routes one table scan through the storage.BlockScan
-// contract. Only the constrained columns are handed to storage (projection
-// pushdown: unreferenced columns are never read here), and survivors come
-// back as a selection vector — downstream operators materialize lazily
+// contract, whatever the filter's AND / OR shape. Only the constrained
+// columns are handed to storage (projection pushdown: unreferenced columns
+// are never read here), and survivors come back as a selection vector — downstream operators materialize lazily
 // through the shared-charge readers. Zone maps are consulted once per
 // block before dispatch (storage.Survivors): every pruned block is marked
 // skipped on each constrained reader with one IOStats update per reader,
@@ -233,27 +214,24 @@ func (e *Engine) executeScan(q *Query, sp *ScanPlan, m *Metrics, ex *execCtx, li
 // count. A LIMIT scan stops at its limit-th match, so it stays one
 // sequential BlockScan.
 func (e *Engine) pushdownScan(st *scanState, sp *ScanPlan, n, limit int, ex *execCtx) {
-	preds, _ := st.t.Filter.Conjunction() // planScan sets Pushdown only for conjunctions
-	if len(preds) == 0 {
+	if st.t.Filter == nil {
 		if limit > 0 && limit < n {
 			n = limit
 		}
 		st.rows = rowRange(ex.s, 0, n)
 		return
 	}
-	cols, kernels := scanStages(st.t, preds, sp.ColOrder)
-	opts := storage.ScanOptions{Kernels: kernels, Limit: limit}
-	readers := st.bind(cols)
+	f := storage.Compile(st.t.Table, st.t.Filter, sp.ColOrder)
+	opts := storage.ScanOptions{Filter: f, Limit: limit}
+	readers := st.bindFilter(f)
 	if limit > 0 {
 		st.rows = storage.BlockScan(readers, opts, 0, n, ex.s.int32s(min(n, limit+storage.BlockSize))[:0])
 		return
 	}
-	for i := range kernels {
-		if kernels[i].Empty() {
-			return // reads and skips nothing, as BlockScan would
-		}
+	if f.Empty() {
+		return // reads and skips nothing, as BlockScan would
 	}
-	survivors := storage.Survivors(kernels, ex.s.int32s(numChunks(n, storage.BlockSize))[:0])
+	survivors := storage.Survivors(f, ex.s.int32s(numChunks(n, storage.BlockSize))[:0])
 	for _, r := range readers {
 		r.SkipAllBut(survivors)
 	}
@@ -310,16 +288,15 @@ func (e *Engine) singleStageScan(q *Query, st *scanState, sp *ScanPlan, n int, e
 // block-aligned rows; filters are row-local, so the surviving set — and the
 // set of blocks holding survivors, which is what later stages touch — does
 // not depend on how the rows are split.
-func (e *Engine) multiStageScan(st *scanState, sp *ScanPlan, n int, ex *execCtx) error {
-	preds, ok := st.t.Filter.Conjunction()
-	if !ok {
-		return fmt.Errorf("engine: multi-stage reader requires a conjunctive filter")
+func (e *Engine) multiStageScan(st *scanState, sp *ScanPlan, n int, ex *execCtx) {
+	if st.t.Filter == nil {
+		st.rows = rowRange(ex.s, 0, n)
+		return
 	}
-	cols, kernels := scanStages(st.t, preds, sp.ColOrder)
-	st.rows = scanMorsels(ex, st.bind(cols), n, morselRows, func(rs []*storage.Reader, lo, hi int) []int32 {
-		return stageFilter(rs, kernels, rowRange(ex.s, lo, hi))
+	f := storage.Compile(st.t.Table, st.t.Filter, sp.ColOrder)
+	st.rows = scanMorsels(ex, st.bindFilter(f), n, morselRows, func(rs []*storage.Reader, lo, hi int) []int32 {
+		return storage.FilterRows(rs, f, rowRange(ex.s, lo, hi))
 	})
-	return nil
 }
 
 // rowRange returns the row ids lo, lo+1, ..., hi-1.
@@ -381,9 +358,7 @@ func (e *Engine) joinNext(q *Query, p *Plan, states []*scanState, inter *interme
 	if e.DisableSIP {
 		sip = nil
 	}
-	if err := e.scanForJoin(q, p, states, next, sip, m, ex); err != nil {
-		return nil, err
-	}
+	e.scanForJoin(q, p, states, next, sip, m, ex)
 	js.groupRight()
 	return js.probe(remaining, m, ex.workers)
 }
@@ -398,19 +373,15 @@ const sipFirstFraction = 0.25
 // the table's predicate columns read for the survivors — so a join order
 // that keeps intermediates small (good estimates) directly reduces block
 // I/O.
-func (e *Engine) scanForJoin(q *Query, p *Plan, states []*scanState, next int, sip *joinStep, m *Metrics, ex *execCtx) error {
+func (e *Engine) scanForJoin(q *Query, p *Plan, states []*scanState, next int, sip *joinStep, m *Metrics, ex *execCtx) {
 	sp := p.Scans[next]
 	t := q.Tables[next]
 	n := t.Table.NumRows()
 	sipFirst := sip != nil && float64(sip.keys.len()) < sipFirstFraction*float64(n)
 	if !sipFirst {
-		st, err := e.executeScan(q, sp, m, ex, 0)
-		if err != nil {
-			return err
-		}
-		states[next] = st
+		states[next] = e.executeScan(q, sp, m, ex, 0)
 		m.ReaderStrategy[t.Binding] = sp.Strategy
-		return nil
+		return
 	}
 	st := &scanState{t: t, readers: map[string]*storage.Reader{}, io: m.IO}
 	states[next] = st
@@ -423,27 +394,16 @@ func (e *Engine) scanForJoin(q *Query, p *Plan, states []*scanState, next int, s
 
 	// Stage 1..k: the table's own filter over the surviving candidates,
 	// touching predicate-column blocks only where candidates remain.
-	filter := t.Filter
-	if filter == nil || len(candidates) == 0 {
-		st.rows = candidates
-		m.RowsMaterialized += int64(len(st.rows))
-		return nil
-	}
-	// Candidates are ascending but not block aligned: exactly-once charging
-	// is carried by the shared charge sets.
-	if preds, ok := filter.Conjunction(); ok {
-		cols, kernels := scanStages(t, preds, sp.ColOrder)
-		st.rows = scanMorsels(ex, st.bind(cols), len(candidates), tupleChunk, func(rs []*storage.Reader, lo, hi int) []int32 {
-			return stageFilter(rs, kernels, candidates[lo:hi])
-		})
-	} else {
-		cols := distinctCols(filter.Leaves())
-		st.rows = scanMorsels(ex, st.bind(cols), len(candidates), tupleChunk, func(rs []*storage.Reader, lo, hi int) []int32 {
-			return evalRows(filter, cols, rs, candidates[lo:hi])
+	st.rows = candidates
+	if t.Filter != nil && len(candidates) > 0 {
+		// Candidates are ascending but not block aligned: exactly-once
+		// charging is carried by the shared charge sets.
+		f := storage.Compile(t.Table, t.Filter, sp.ColOrder)
+		st.rows = scanMorsels(ex, st.bindFilter(f), len(candidates), tupleChunk, func(rs []*storage.Reader, lo, hi int) []int32 {
+			return storage.FilterRows(rs, f, candidates[lo:hi])
 		})
 	}
 	m.RowsMaterialized += int64(len(st.rows))
-	return nil
 }
 
 // boundCol is a ColRef resolved against an intermediate: the column's

@@ -286,10 +286,12 @@ func TestSIPPrunesAndPreservesResults(t *testing.T) {
 }
 
 // TestSIPFirstTailsAtAnyWorkerCount drives the SIP-first scan's later
-// stages — a conjunctive tail (staged constraints) and a disjunctive one
-// (tree evaluation) — over candidate lists longer than one tuple chunk, so
-// they run parallel at 2 and 4 workers. Results must equal the oracle's,
-// and rows and blocks must not depend on the worker count.
+// stages — a conjunctive tail and a disjunctive one, both one compiled
+// filter — over candidate lists longer than one tuple chunk, so they run
+// parallel at 2 and 4 workers. Results must equal the oracle's, rows and
+// blocks must not depend on the worker count, and b's blocks are pinned to
+// what the row-at-a-time tail evaluation charged: every block of k, x and
+// y, none skipped.
 func TestSIPFirstTailsAtAnyWorkerCount(t *testing.T) {
 	s := storage.NewBuilder("s", []storage.ColumnSpec{{Name: "id", Kind: types.KindInt64}})
 	for i := 0; i < 100; i++ {
@@ -326,6 +328,9 @@ func TestSIPFirstTailsAtAnyWorkerCount(t *testing.T) {
 				t.Fatalf("%s: b scanned as %q, want a SIP-first scan", sql, got)
 			}
 			assertResultsEqual(t, res, oracle)
+			if got, want := res.Metrics.ScanBlocks["b"], (ScanBlockStats{Read: 15}); got != want {
+				t.Errorf("%s: %d workers charge b %+v, want %+v", sql, workers, got, want)
+			}
 			if first == nil {
 				first = res
 				continue

@@ -204,8 +204,8 @@ func (e *Engine) ExplainStmt(sql string, stmt *sqlparse.SelectStmt) (*ExplainRes
 			Strategy:        sp.Strategy,
 			ColOrder:        sp.ColOrder,
 			EstRows:         sp.EstRows,
-			Pushdown:        sp.Pushdown,
-			PredictedBlocks: predictedScanBlocks(t, sp),
+			Pushdown:        e.pushdown(),
+			PredictedBlocks: e.predictedScanBlocks(t),
 		}
 		if a, ok := attr[spanKey(obs.OpFilter, node.Tables)]; ok {
 			node.Source, node.Fallback = a.source, a.fallback
@@ -260,21 +260,17 @@ func (e *Engine) ExplainStmt(sql string, stmt *sqlparse.SelectStmt) (*ExplainRes
 	return res, nil
 }
 
-// predictedScanBlocks runs the scan's kernels' zone test at plan time: the
-// number of blocks no kernel's zone map rules out, times the
+// predictedScanBlocks runs the compiled filter's zone test at plan time:
+// the number of blocks the filter's zone maps do not rule out, times the
 // constrained-column count — the blocks a pushed-down scan will charge at
 // most (exactly, for one constrained column and no LIMIT). Metadata only;
 // nothing is read.
-func predictedScanBlocks(t *QueryTable, sp *ScanPlan) int {
-	if !sp.Pushdown {
+func (e *Engine) predictedScanBlocks(t *QueryTable) int {
+	if !e.pushdown() || t.Filter == nil {
 		return 0
 	}
-	preds, ok := t.Filter.Conjunction()
-	if !ok || len(preds) == 0 {
-		return 0
-	}
-	kernels := storage.Compile(t.Table, preds)
-	return len(storage.Survivors(kernels, nil)) * len(kernels)
+	f := storage.Compile(t.Table, t.Filter, nil)
+	return len(storage.Survivors(f, nil)) * len(f.Columns())
 }
 
 // AnnotateExecution fills each scan node's ActualBlocks from an executed

@@ -443,10 +443,7 @@ func (f *joinStepFixture) run(tb testing.TB) int64 {
 	ex := &execCtx{workers: 1, s: getScratch()}
 	defer ex.s.release()
 	states := make([]*scanState, len(f.q.Tables))
-	st, err := f.e.executeScan(f.q, f.p.Scans[f.left], &m, ex, 0)
-	if err != nil {
-		tb.Fatal(err)
-	}
+	st := f.e.executeScan(f.q, f.p.Scans[f.left], &m, ex, 0)
 	states[f.left] = st
 	inter := scanIntermediate(ex.s, f.left, st.rows)
 	scanned := m.RowsMaterialized

@@ -167,6 +167,7 @@ func TestExplainPredictsCharges(t *testing.T) {
 		{kernelEngine(t), "SELECT COUNT(*) FROM t WHERE t.i < 9007199254740993", true},
 		{kernelEngine(t), "SELECT COUNT(*) FROM t WHERE t.f > 7", true},
 		{kernelEngine(t), "SELECT COUNT(*) FROM t WHERE t.i = 9007199254740993 AND t.f >= 7", false},
+		{windowEngine(t, 40), "SELECT COUNT(*) FROM w WHERE (" + blockWindow(5, 9) + ") OR (" + blockWindow(30, 31) + " AND w.v = 3)", false},
 	}
 	for _, c := range cases {
 		for _, workers := range []int{1, 4} {

@@ -19,14 +19,6 @@ type ScanPlan struct {
 	ColOrder []string
 	// EstRows is the estimated filtered row count.
 	EstRows float64
-	// Pushdown routes the scan through the storage.BlockScan contract
-	// (zone-map skipping, vectorized per-block filtering, late
-	// materialization). It is orthogonal to Strategy: the strategy label
-	// still records what the legacy readers would have chosen, and is what
-	// executes when Pushdown is false. Set only for conjunctive (or empty)
-	// filters when the engine's Pushdown knob is on and no ForceReader
-	// ablation pins the legacy readers.
-	Pushdown bool
 }
 
 // Plan is a fully optimized physical plan.
@@ -65,15 +57,6 @@ func (e *Engine) Plan(q *Query) (*Plan, error) {
 		key = sqlparse.Normalize(q.Stmt)
 		if d, ok := e.PlanCache.Get(key); ok && len(d.scans) == len(q.Tables) {
 			p := d.apply(q)
-			// The cached bool carries the template's structural eligibility
-			// (conjunctive filter); the engine-local knob and ForceReader
-			// ablation re-gate it so a knob flip never replays a stale
-			// routing decision.
-			if e.ForceReader != "" || e.Pushdown < 0 {
-				for _, sp := range p.Scans {
-					sp.Pushdown = false
-				}
-			}
 			p.CacheHit = true
 			return p, nil
 		}
@@ -127,7 +110,6 @@ func (e *Engine) planScan(q *Query, idx int) *ScanPlan {
 			sp.ColOrder = predCols
 		}
 	}
-	sp.Pushdown = isConj && e.ForceReader == "" && e.Pushdown >= 0
 	return sp
 }
 

@@ -155,18 +155,6 @@ func strided[A any](in *aggInputs, n, workers int, fresh func() A, fold func(in 
 	return accs
 }
 
-// stageFilter applies staged kernels to rows — kernels[i] over
-// readers[i], in order — filtering in place and touching each column's
-// blocks only where candidates remain.
-func stageFilter(readers []*storage.Reader, kernels []storage.Kernel, rows []int32) []int32 {
-	for i := range kernels {
-		if rows = readers[i].Filter(&kernels[i], rows); len(rows) == 0 {
-			break
-		}
-	}
-	return rows
-}
-
 // rowValues is the column lookup filter.Eval reads row *row through: column
 // cols[i] is read by readers[i].
 func rowValues(cols []string, readers []*storage.Reader, row *int32) func(_, col string) types.Datum {
@@ -184,17 +172,4 @@ func evalRange(s *scratch, filter *expr.Node, cols []string, readers []*storage.
 		}
 	}
 	return dst
-}
-
-// evalRows filters rows in place against filter.
-func evalRows(filter *expr.Node, cols []string, readers []*storage.Reader, rows []int32) []int32 {
-	var row int32
-	get := rowValues(cols, readers, &row)
-	kept := rows[:0]
-	for _, row = range rows {
-		if filter.Eval(get) {
-			kept = append(kept, row)
-		}
-	}
-	return kept
 }

@@ -20,9 +20,6 @@ type scanDecision struct {
 	strategy string
 	colOrder []string
 	estRows  float64
-	// pushdown replays the template's structural pushdown eligibility;
-	// Plan re-gates it against the engine's live knob on every hit.
-	pushdown bool
 }
 
 // planDecisions is one query template's complete set of optimizer
@@ -60,7 +57,6 @@ func decisionsOf(p *Plan) *planDecisions {
 			strategy: sp.Strategy,
 			colOrder: append([]string(nil), sp.ColOrder...),
 			estRows:  sp.EstRows,
-			pushdown: sp.Pushdown,
 		}
 		size += int64(len(sp.Strategy)) + 24
 		for _, c := range sp.ColOrder {
@@ -97,7 +93,6 @@ func (d *planDecisions) apply(q *Query) *Plan {
 			Strategy: sd.strategy,
 			ColOrder: append([]string(nil), sd.colOrder...),
 			EstRows:  sd.estRows,
-			Pushdown: sd.pushdown,
 		})
 	}
 	return p

@@ -3,6 +3,7 @@ package engine
 import (
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 
 	"bytecard/internal/catalog"
@@ -34,8 +35,9 @@ func tsWindow(ds *datagen.Dataset, loFrac, hiFrac float64) (int64, int64) {
 }
 
 // pushdownParityQueries covers every shape the contract routes differently:
-// zone-skippable windows, equality on strings, disjunctions (ineligible for
-// pushdown), grouped aggregation, projection, LIMIT, and joins.
+// zone-skippable windows, equality on strings, disjunctions (an OR, an AND
+// of ORs, and an OR on a table a join scans SIP-first), grouped
+// aggregation, projection, LIMIT, and joins.
 func pushdownParityQueries(t *testing.T, ds *datagen.Dataset) []string {
 	t.Helper()
 	lo, hi := tsWindow(ds, 0.40, 0.42)
@@ -46,12 +48,18 @@ func pushdownParityQueries(t *testing.T, ds *datagen.Dataset) []string {
 		"SELECT COUNT(*) FROM readings WHERE readings.ts >= " + itoa(lo2) + " AND readings.ts <= " + itoa(hi2) + " AND readings.metric = 2",
 		"SELECT COUNT(*) FROM readings WHERE readings.host = '" + host + "'",
 		"SELECT COUNT(*) FROM readings WHERE readings.metric = 1 OR readings.metric = 4",
+		"SELECT COUNT(*) FROM readings WHERE (readings.metric = 1 OR readings.metric = 4) AND (readings.ts <= " + itoa(lo) + " OR readings.ts >= " + itoa(hi2) + " OR readings.host = '" + host + "')",
+		sipFirstOrQuery,
 		"SELECT readings.metric, COUNT(*) FROM readings WHERE readings.ts >= " + itoa(lo) + " AND readings.ts <= " + itoa(hi) + " GROUP BY readings.metric",
 		"SELECT host FROM readings WHERE readings.ts >= " + itoa(lo2) + " AND readings.ts <= " + itoa(hi2) + " LIMIT 40",
 		"SELECT COUNT(*) FROM readings r, devices d WHERE r.device_id = d.id AND d.fleet = 1 AND r.ts >= " + itoa(lo) + " AND r.ts <= " + itoa(hi),
 		"SELECT COUNT(DISTINCT readings.host) FROM readings WHERE readings.ts >= " + itoa(lo) + " AND readings.ts <= " + itoa(hi),
 	}
 }
+
+// sipFirstOrQuery filters readings, which the join scans SIP-first behind
+// the fleet's devices, with an OR.
+const sipFirstOrQuery = "SELECT COUNT(*), SUM(r.metric) FROM devices d, readings r WHERE r.device_id = d.id AND d.fleet = 1 AND (r.metric = 2 OR r.value > 50)"
 
 func itoa(v int64) string { return strconv.FormatInt(v, 10) }
 
@@ -61,30 +69,54 @@ func sameResult(a, b *Result) bool {
 }
 
 // TestPushdownOnOffParity is the contract's correctness gate: with the
-// knob on and off, every query shape must produce byte-identical results.
+// knob on and off, at 1, 2 and 4 workers, with the plan cache off, cold and
+// warm, every query shape must produce one result byte for byte, and that
+// result must be the oracle's.
 func TestPushdownOnOffParity(t *testing.T) {
 	e, ds := tsEngine(t, 0.05)
 	for _, sql := range pushdownParityQueries(t, ds) {
-		e.Pushdown = 1
-		on, err := e.Run(sql)
+		oracle, err := e.RunNaive(sql)
 		if err != nil {
-			t.Fatalf("%s (pushdown on): %v", sql, err)
+			t.Fatal(err)
 		}
-		e.Pushdown = -1
-		off, err := e.Run(sql)
-		if err != nil {
-			t.Fatalf("%s (pushdown off): %v", sql, err)
-		}
-		if !sameResult(on, off) {
-			t.Errorf("%s: pushdown-on result diverges from pushdown-off", sql)
+		var first *Result
+		for _, workers := range []int{1, 2, 4} {
+			for _, pushdown := range []int{1, -1} {
+				e.Parallelism, e.Pushdown = workers, pushdown
+				for _, cache := range []string{"off", "cold", "warm"} {
+					switch cache {
+					case "off":
+						e.PlanCache = nil
+					case "cold":
+						e.PlanCache = NewPlanCache(0)
+					}
+					res, err := e.Run(sql)
+					if err != nil {
+						t.Fatalf("%s (pushdown %d, %d workers, cache %s): %v", sql, pushdown, workers, cache, err)
+					}
+					if first == nil {
+						first = res
+						if len(analyze(t, e, sql).Select) == 0 && !sameResult(res, oracle) { // the oracle only aggregates
+							t.Errorf("%s: %v, the oracle %v", sql, res.Rows, oracle.Rows)
+						}
+					}
+					if !sameResult(res, first) || res.Metrics.PlanCacheHit != (cache == "warm") {
+						t.Errorf("%s (pushdown %d, %d workers, cache %s, hit %v): result diverges from pushdown on, one worker, cache off",
+							sql, pushdown, workers, cache, res.Metrics.PlanCacheHit)
+					}
+					if got := res.Metrics.ReaderStrategy["r"]; sql == sipFirstOrQuery && !strings.HasPrefix(got, "sip+") {
+						t.Errorf("%s: readings scanned as %q, want a SIP-first scan", sql, got)
+					}
+				}
+			}
 		}
 	}
 }
 
 // TestPushdownWorkerParity asserts byte-identical results AND identical
 // block-I/O accounting (read and skipped, total and per binding) at 1
-// worker vs 4: pushdown decisions are block-local, so parallelism must not
-// change what is charged.
+// worker vs 2 and 4: pushdown decisions are block-local, so parallelism
+// must not change what is charged.
 func TestPushdownWorkerParity(t *testing.T) {
 	e, ds := tsEngine(t, 0.05)
 	e.Pushdown = 1
@@ -94,23 +126,25 @@ func TestPushdownWorkerParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s (1 worker): %v", sql, err)
 		}
-		e.Parallelism = 4
-		par, err := e.Run(sql)
-		if err != nil {
-			t.Fatalf("%s (4 workers): %v", sql, err)
-		}
-		if !sameResult(seq, par) {
-			t.Errorf("%s: 4-worker result diverges from sequential", sql)
-		}
-		if sr, pr := seq.Metrics.IO.BlocksRead(), par.Metrics.IO.BlocksRead(); sr != pr {
-			t.Errorf("%s: blocks read %d sequential vs %d parallel", sql, sr, pr)
-		}
-		if ss, ps := seq.Metrics.IO.BlocksSkipped(), par.Metrics.IO.BlocksSkipped(); ss != ps {
-			t.Errorf("%s: blocks skipped %d sequential vs %d parallel", sql, ss, ps)
-		}
-		if !reflect.DeepEqual(seq.Metrics.ScanBlocks, par.Metrics.ScanBlocks) {
-			t.Errorf("%s: per-scan block stats diverge: %v vs %v",
-				sql, seq.Metrics.ScanBlocks, par.Metrics.ScanBlocks)
+		for _, workers := range []int{2, 4} {
+			e.Parallelism = workers
+			par, err := e.Run(sql)
+			if err != nil {
+				t.Fatalf("%s (%d workers): %v", sql, workers, err)
+			}
+			if !sameResult(seq, par) {
+				t.Errorf("%s: %d-worker result diverges from sequential", sql, workers)
+			}
+			if sr, pr := seq.Metrics.IO.BlocksRead(), par.Metrics.IO.BlocksRead(); sr != pr {
+				t.Errorf("%s: blocks read %d sequential vs %d at %d workers", sql, sr, pr, workers)
+			}
+			if ss, ps := seq.Metrics.IO.BlocksSkipped(), par.Metrics.IO.BlocksSkipped(); ss != ps {
+				t.Errorf("%s: blocks skipped %d sequential vs %d at %d workers", sql, ss, ps, workers)
+			}
+			if !reflect.DeepEqual(seq.Metrics.ScanBlocks, par.Metrics.ScanBlocks) {
+				t.Errorf("%s: per-scan block stats diverge at %d workers: %v vs %v",
+					sql, workers, seq.Metrics.ScanBlocks, par.Metrics.ScanBlocks)
+			}
 		}
 	}
 }
@@ -213,38 +247,40 @@ func TestProjectionAndLimit(t *testing.T) {
 	}
 }
 
-// TestPlanCacheReplaysPushdown: a cached template replays its pushdown
-// decision, but live gates (knob off, ForceReader ablation) override the
-// replayed value on every hit.
-func TestPlanCacheReplaysPushdown(t *testing.T) {
+// TestWarmPlanTakesFlippedRoute: routing is not part of a plan. A cached
+// template executed after a knob flip (Pushdown off, a ForceReader
+// ablation, Pushdown back on) takes the route the knobs name at execution.
+func TestWarmPlanTakesFlippedRoute(t *testing.T) {
 	e, ds := tsEngine(t, 0.02)
 	e.Pushdown = 1
 	e.PlanCache = NewPlanCache(0)
 	lo, hi := tsWindow(ds, 0.3, 0.4)
 	sql := "SELECT COUNT(*) FROM readings WHERE readings.ts >= " + itoa(lo) + " AND readings.ts <= " + itoa(hi)
-
-	plan := func() *Plan {
-		t.Helper()
-		p, err := e.Plan(analyze(t, e, sql))
+	if _, err := e.Run(sql); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		pushdown int
+		force    string
+		pushed   bool
+	}{{1, "", true}, {-1, "", false}, {1, "single-stage", false}, {1, "multi-stage", false}, {0, "", true}} {
+		e.Pushdown, e.ForceReader = c.pushdown, c.force
+		tr := obs.NewTrace()
+		res, err := e.RunTraced(sql, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return p
-	}
-	if !plan().Scans[0].Pushdown {
-		t.Fatal("cold plan did not push down a conjunctive range scan")
-	}
-	if !plan().Scans[0].Pushdown {
-		t.Error("warm cache hit lost the pushdown decision")
-	}
-	e.Pushdown = -1
-	if plan().Scans[0].Pushdown {
-		t.Error("knob off, but warm hit replayed pushdown anyway")
-	}
-	e.Pushdown = 1
-	e.ForceReader = "single-stage"
-	if plan().Scans[0].Pushdown {
-		t.Error("ForceReader ablation, but warm hit replayed pushdown anyway")
+		if !res.Metrics.PlanCacheHit {
+			t.Fatalf("Pushdown %d, ForceReader %q: the plan was not a cache hit", c.pushdown, c.force)
+		}
+		spanned := false
+		for _, s := range tr.Spans() {
+			spanned = spanned || s.Op == obs.OpScanPushdown
+		}
+		if skipped := res.Metrics.IO.BlocksSkipped() > 0; spanned != c.pushed || skipped != c.pushed {
+			t.Errorf("Pushdown %d, ForceReader %q: scan_pushdown span %v, blocks skipped %v; want pushed down %v",
+				c.pushdown, c.force, spanned, skipped, c.pushed)
+		}
 	}
 }
 
@@ -341,6 +377,8 @@ func TestPushdownDispatchMatchesBlockScan(t *testing.T) {
 		"SELECT w.ts FROM w WHERE " + blockWindow(2, 30) + " AND w.v = 3",
 		"SELECT w.ts FROM w WHERE w.ts >= 10 AND w.ts <= 5",
 		"SELECT w.ts FROM w WHERE " + blockWindow(3, 20) + " LIMIT 10",
+		"SELECT w.ts FROM w WHERE (" + blockWindow(2, 4) + ") OR (" + blockWindow(20, 20+MorselBlocks) + " AND w.v = 3)",
+		"SELECT w.ts FROM w WHERE (" + blockWindow(2, 4) + ") OR w.ts >= 10 AND w.ts <= 5 LIMIT 5000",
 	}
 	for _, sql := range queries {
 		q := analyze(t, e, sql)
@@ -348,17 +386,12 @@ func TestPushdownDispatchMatchesBlockScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp := p.Scans[0]
-		if !sp.Pushdown {
-			t.Fatalf("%s: not pushed down", sql)
+		f := storage.Compile(q.Tables[0].Table, q.Tables[0].Filter, p.Scans[0].ColOrder)
+		readers := make([]*storage.Reader, len(f.Columns()))
+		for i, c := range f.Columns() {
+			readers[i] = c.NewReader(nil)
 		}
-		preds, _ := q.Tables[0].Filter.Conjunction()
-		cols, kernels := scanStages(q.Tables[0], preds, sp.ColOrder)
-		readers := make([]*storage.Reader, len(cols))
-		for i, c := range cols {
-			readers[i] = q.Tables[0].Table.ColByName(c).NewReader(nil)
-		}
-		wantRows := storage.BlockScan(readers, storage.ScanOptions{Kernels: kernels, Limit: q.Limit}, 0, blocks*storage.BlockSize, nil)
+		wantRows := storage.BlockScan(readers, storage.ScanOptions{Filter: f, Limit: q.Limit}, 0, blocks*storage.BlockSize, nil)
 		var want ScanBlockStats
 		for _, r := range readers {
 			want.Read += r.BlocksCharged()

@@ -157,59 +157,43 @@ func (f *Frame) PopSize() int64 { return f.pop }
 func (f *Frame) Table() *storage.Table { return f.tab }
 
 // Select appends to dst[:0] the ids of the frame rows satisfying filter, in
-// ascending order; a nil filter selects every row. A conjunction compiles
-// once into per-column kernels and runs through storage.BlockScan;
-// any other tree is the union of its DNF terms' scans, and a DNF wider
-// than expr.MaxDNFTerms is an error.
+// ascending order; a nil filter selects every row. The filter, of any AND /
+// OR shape, compiles once and runs through storage.BlockScan. A leaf on a
+// column the frame lacks is an error.
 func (f *Frame) Select(filter *expr.Node, dst []int32) ([]int32, error) {
 	dst = dst[:0]
-	if preds, ok := filter.Conjunction(); ok {
-		return f.scan(preds, dst)
-	}
-	terms, err := filter.DNF()
-	if err != nil {
-		return dst, err
-	}
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-	marks := grow(&sc.marks, f.Len())
-	for _, term := range terms {
-		if sc.term, err = f.scan(term, sc.term[:0]); err != nil {
-			clear(marks)
-			return dst, err
-		}
-		for _, r := range sc.term {
-			marks[r] = true
-		}
-	}
-	for i, m := range marks {
-		if m {
-			dst = append(dst, int32(i))
-			marks[i] = false
-		}
-	}
-	return dst, nil
-}
-
-// scan appends the rows satisfying the conjunction preds to dst.
-func (f *Frame) scan(preds []expr.Pred, dst []int32) ([]int32, error) {
-	if len(preds) == 0 {
+	if filter == nil {
 		for i := 0; i < f.Len(); i++ {
 			dst = append(dst, int32(i))
 		}
 		return dst, nil
 	}
-	for _, p := range preds {
-		if f.tab.ColByName(p.Col) == nil {
-			return dst, fmt.Errorf("sample: unknown column %s", p.Col)
+	if err := f.known(filter); err != nil {
+		return dst, err
+	}
+	fl := storage.Compile(f.tab, filter, nil)
+	readers := make([]*storage.Reader, len(fl.Columns()))
+	for i, c := range fl.Columns() {
+		readers[i] = c.NewReader(nil)
+	}
+	return storage.BlockScan(readers, storage.ScanOptions{Filter: fl}, 0, f.Len(), dst), nil
+}
+
+// known returns an error naming the first leaf of n on a column the frame
+// lacks.
+func (f *Frame) known(n *expr.Node) error {
+	if n.Kind == expr.KindLeaf {
+		if f.tab.ColByName(n.Pred.Col) == nil {
+			return fmt.Errorf("sample: unknown column %s", n.Pred.Col)
+		}
+		return nil
+	}
+	for _, c := range n.Children {
+		if err := f.known(c); err != nil {
+			return err
 		}
 	}
-	kernels := storage.Compile(f.tab, preds)
-	readers := make([]*storage.Reader, len(kernels))
-	for i := range kernels {
-		readers[i] = kernels[i].Column().NewReader(nil)
-	}
-	return storage.BlockScan(readers, storage.ScanOptions{Kernels: kernels}, 0, f.Len(), dst), nil
+	return nil
 }
 
 // Profile is a frequency profile: Freq[j-1] counts the distinct (composite)
@@ -391,17 +375,16 @@ func (f *Frame) count(sel []int32, idx []int, sc *scratch) []int {
 	return sc.dense(keys, radix)
 }
 
-// scratch is one call's working memory. Its slices only grow, and flat and
-// marks are all zero between uses.
+// scratch is one call's working memory. Its slices only grow, and flat is
+// all zero between uses.
 type scratch struct {
-	sel, term []int32
-	cols      []int
-	keys      []uint64
-	counts    []int
-	flat      []int32 // key → id+1, for code spaces up to flatSlots
-	slots     []int32 // open addressing: id+1, 0 = empty
-	owners    []uint64
-	marks     []bool
+	sel    []int32
+	cols   []int
+	keys   []uint64
+	counts []int
+	flat   []int32 // key → id+1, for code spaces up to flatSlots
+	slots  []int32 // open addressing: id+1, 0 = empty
+	owners []uint64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -223,19 +224,38 @@ func TestProfileUnknownColumnErrors(t *testing.T) {
 	}
 }
 
-// TestSelectWideDNFErrors: a filter whose DNF exceeds expr.MaxDNFTerms is
-// refused (the estimator falls back), never evaluated approximately.
-func TestSelectWideDNFErrors(t *testing.T) {
+// TestSelectWideDNF: a filter whose DNF has 32 terms, twice
+// expr.MaxDNFTerms, selects exactly the rows expr.Node.Eval keeps, and
+// profiles them.
+func TestSelectWideDNF(t *testing.T) {
 	f := makeFrame(20)
 	var and []*expr.Node
-	for i := 0; i < 5; i++ { // (a<i OR b<i) five times: 32 DNF terms
-		and = append(and, expr.Or(lt("a", int64(i)), lt("b", int64(i))))
+	for i := 0; i < 5; i++ { // (a<i+2 OR b>i+10) five times: 32 DNF terms
+		and = append(and, expr.Or(lt("a", int64(i+2)), expr.Leaf(expr.Pred{Col: "b", Op: expr.OpGt, Val: types.Int(int64(i + 10))})))
 	}
-	if _, err := f.Select(expr.And(and...), nil); err == nil {
-		t.Error("32-term DNF: want an error")
+	filter := expr.And(and...)
+	if _, err := filter.DNF(); err == nil {
+		t.Fatal("the filter's DNF fits expr.MaxDNFTerms")
 	}
-	if _, err := f.ProfileOf(expr.And(and...), "a"); err == nil {
-		t.Error("32-term DNF profile: want an error")
+	got, err := f.Select(filter, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []int32
+	for i := 0; i < f.Len(); i++ {
+		if filter.Eval(func(_, col string) types.Datum { return f.Table().ColByName(col).Value(i) }) {
+			want = append(want, int32(i))
+		}
+	}
+	if len(want) == 0 || len(want) == f.Len() {
+		t.Fatalf("the filter keeps %d of %d rows: it tests nothing", len(want), f.Len())
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("Select keeps %v, Node.Eval %v", got, want)
+	}
+	p, err := f.ProfileOf(filter, "a")
+	if err != nil || p.SampleRows != float64(len(want)) {
+		t.Errorf("profile over %v rows (err %v), want %d", p.SampleRows, err, len(want))
 	}
 }
 

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -52,42 +51,6 @@ type wordRange struct {
 }
 
 func (w wordRange) holds(v int64) bool { return uint64(v-w.lo) <= w.span }
-
-// Compile compiles the conjunction preds over t into one kernel per
-// constrained column, in order of first appearance; predicates on the same
-// column merge into one kernel. Every predicate must name a column of t.
-func Compile(t *Table, preds []expr.Pred) []Kernel {
-	var out []Kernel
-	var cons []expr.Constraint // the estimators' view, for emptiness only
-	for _, p := range preds {
-		c := t.ColByName(p.Col)
-		if c == nil {
-			panic(fmt.Sprintf("storage: table %s has no column %s", t.name, p.Col))
-		}
-		i := 0
-		for i < len(out) && out[i].col != c {
-			i++
-		}
-		if i == len(out) {
-			out = append(out, c.newKernel())
-			cons = append(cons, expr.NewConstraint(p.Col))
-		}
-		out[i].add(p.Op, p.Val)
-		v, exact := c.EncodeDatum(p.Val)
-		cons[i].Add(p.Op, v, exact)
-	}
-	for i := range out {
-		out[i].settle(cons[i].Empty)
-	}
-	return out
-}
-
-// Column returns the kernel's column.
-func (k *Kernel) Column() *Column { return k.col }
-
-// Empty reports whether the scan may skip the column outright: no cell
-// passes, and the predicates contradict one another.
-func (k *Kernel) Empty() bool { return k.empty }
 
 // newKernel returns the kernel every cell of c passes.
 func (c *Column) newKernel() Kernel {
@@ -316,37 +279,6 @@ func (k *Kernel) passesZone(b int) bool {
 		return z.flo <= z.fhi && z.fhi >= k.flo && z.flo <= k.fhi || k.nan && z.nan
 	}
 	return z.hi >= k.lo && z.lo <= k.hi
-}
-
-// zonePasses reports whether block b may hold a row every kernel passes.
-func zonePasses(kernels []Kernel, b int) bool {
-	for i := range kernels {
-		if !kernels[i].passesZone(b) {
-			return false
-		}
-	}
-	return true
-}
-
-// Survivors appends to dst, in ascending order, the blocks whose zone maps
-// leave room for a row every kernel passes — the blocks a pushed-down scan
-// reads. It appends nothing when a kernel is empty. Metadata only: nothing
-// is charged to any IOStats.
-func Survivors(kernels []Kernel, dst []int32) []int32 {
-	if len(kernels) == 0 {
-		return dst
-	}
-	for i := range kernels {
-		if kernels[i].empty {
-			return dst
-		}
-	}
-	for b := 0; b < kernels[0].col.NumBlocks(); b++ {
-		if zonePasses(kernels, b) {
-			dst = append(dst, int32(b))
-		}
-	}
-	return dst
 }
 
 // b2i is 1 for true and 0 for false; the compiler lowers it to a flag set,

@@ -87,140 +87,273 @@ var edgeTableOnce = sync.OnceValue(func() *Table {
 	return b.Build()
 })
 
-// checkScan checks one conjunction on the edge table against the oracle:
-// Compile's kernels must keep exactly the rows every expr.Pred.Eval keeps,
-// through BlockScan and through Reader.Filter, and BlockScan must charge
-// and skip exactly the blocks a row-at-a-time reference scan would.
-func checkScan(t *testing.T, preds []expr.Pred) {
-	t.Helper()
-	tab := edgeTableOnce()
-	kernels := Compile(tab, preds)
-	n := tab.NumRows()
-	nb := tab.Col(0).NumBlocks()
+// refNode mirrors one node of a compiled filter for the reference scan:
+// the predicates of a leaf (every leaf of one AND node on one column) or
+// the children of an AND / OR, grouped the way Compile groups them.
+type refNode struct {
+	kind     expr.NodeKind
+	col      string
+	preds    []expr.Pred
+	children []refNode
+	n        *node // the compiled node, for its zone test
+}
 
-	// passes[k][row]: row passes every predicate on kernel k's column.
-	passes := make([][]bool, len(kernels))
-	for k := range kernels {
-		col := kernels[k].Column()
-		passes[k] = make([]bool, n)
-		for row := 0; row < n; row++ {
-			if b := BlockOf(row); b < nb-1 && row%BlockSize != 0 {
-				passes[k][row] = passes[k][row-1] // constant block
+// refTree pairs e with its compiled form n.
+func refTree(e *expr.Node, n *node) refNode {
+	if e.Kind == expr.KindOr {
+		r := refNode{kind: expr.KindOr, n: n}
+		for i, c := range e.Children {
+			r.children = append(r.children, refTree(c, &n.children[i]))
+		}
+		return r
+	}
+	kids := e.Children
+	if e.Kind == expr.KindLeaf {
+		kids = []*expr.Node{e}
+	}
+	var groups []refNode
+	var subs []*expr.Node
+	for _, c := range kids {
+		if c.Kind != expr.KindLeaf {
+			groups = append(groups, refNode{})
+			subs = append(subs, c)
+			continue
+		}
+		i := 0
+		for i < len(groups) && (groups[i].kind != expr.KindLeaf || groups[i].col != c.Pred.Col) {
+			i++
+		}
+		if i == len(groups) {
+			groups = append(groups, refNode{kind: expr.KindLeaf, col: c.Pred.Col})
+			subs = append(subs, nil)
+		}
+		groups[i].preds = append(groups[i].preds, c.Pred)
+	}
+	if len(groups) == 1 {
+		if subs[0] != nil {
+			return refTree(subs[0], n)
+		}
+		groups[0].n = n
+		return groups[0]
+	}
+	for i := range groups {
+		if subs[i] != nil {
+			groups[i] = refTree(subs[i], &n.children[i])
+		} else {
+			groups[i].n = &n.children[i]
+		}
+	}
+	return refNode{kind: expr.KindAnd, children: groups, n: n}
+}
+
+// scan is the row-at-a-time reference of one block: rows (ascending, all
+// in block b) filtered by r, marking charged[col] for every column a
+// candidate is tested on. With zoned set an OR skips the children whose
+// zone test rules the block out, as BlockScan does.
+func (r *refNode) scan(tab *Table, f *Filter, b int, rows []int, zoned bool, charged map[string]bool) []int {
+	switch r.kind {
+	case expr.KindLeaf:
+		if len(rows) == 0 || r.n.empty {
+			return nil
+		}
+		charged[r.col] = true
+		var kept []int
+		for _, row := range rows {
+			ok := true
+			for _, p := range r.preds {
+				ok = ok && p.Eval(tab.ColByName(r.col).Value(row))
+			}
+			if ok {
+				kept = append(kept, row)
+			}
+		}
+		return kept
+	case expr.KindAnd:
+		for i := 0; i < len(r.children) && len(rows) > 0; i++ {
+			rows = r.children[i].scan(tab, f, b, rows, zoned, charged)
+		}
+		return rows
+	default:
+		in := map[int]bool{}
+		rest := rows
+		for i := range r.children {
+			if len(rest) == 0 {
+				break
+			}
+			if zoned && !r.children[i].n.zone(b) {
 				continue
 			}
-			ok := true
-			for _, p := range preds {
-				if p.Col == col.Name() && !p.Eval(col.Value(row)) {
-					ok = false
+			for _, row := range r.children[i].scan(tab, f, b, rest, zoned, charged) {
+				in[row] = true
+			}
+			var next []int
+			for _, row := range rest {
+				if !in[row] {
+					next = append(next, row)
 				}
 			}
-			passes[k][row] = ok
+			rest = next
+		}
+		var kept []int
+		for _, row := range rows {
+			if in[row] {
+				kept = append(kept, row)
+			}
+		}
+		return kept
+	}
+}
+
+// zoneTruth reports whether a block holding only row's values may pass r
+// by the zone rule: a leaf when every predicate but <> holds, an AND when
+// every child does, an OR when any does.
+func (r *refNode) zoneTruth(tab *Table, row int) bool {
+	switch r.kind {
+	case expr.KindLeaf:
+		for _, p := range r.preds {
+			if p.Op != expr.OpNe && !p.Eval(tab.ColByName(r.col).Value(row)) {
+				return false
+			}
+		}
+		return true
+	case expr.KindAnd:
+		for i := range r.children {
+			if !r.children[i].zoneTruth(tab, row) {
+				return false
+			}
+		}
+		return true
+	default:
+		for i := range r.children {
+			if r.children[i].zoneTruth(tab, row) {
+				return true
+			}
+		}
+		return false
+	}
+}
+
+// checkScan checks one filter tree on the edge table against the oracle:
+// BlockScan and FilterRows must keep exactly the rows expr.Node.Eval keeps,
+// and charge and skip exactly the blocks a row-at-a-time block-local
+// reference would.
+func checkScan(t *testing.T, filter *expr.Node) {
+	t.Helper()
+	tab := edgeTableOnce()
+	f := Compile(tab, filter, nil)
+	n := tab.NumRows()
+	nb := tab.Col(0).NumBlocks()
+	ref := refTree(filter, &f.root)
+	eval := make([]bool, n)
+	var evalRows []int32
+	for row := 0; row < n; row++ {
+		if b := BlockOf(row); b < nb-1 && row%BlockSize != 0 {
+			eval[row] = eval[row-1] // constant block
+		} else {
+			eval[row] = filter.Eval(func(_, col string) types.Datum { return tab.ColByName(col).Value(row) })
+		}
+		if eval[row] {
+			evalRows = append(evalRows, int32(row))
 		}
 	}
-	empty := false
-	for k := range kernels {
-		if kernels[k].Empty() {
-			empty = true
-			for row := 0; row < n; row++ {
-				if passes[k][row] {
-					t.Fatalf("%v: kernel on %s is empty, but row %d passes", preds, kernels[k].Column().Name(), row)
-				}
-			}
-		}
+	if f.Empty() && len(evalRows) > 0 {
+		t.Fatalf("%v: the filter is empty, but row %d passes", filter, evalRows[0])
 	}
 
-	// The row-at-a-time reference: zone decisions per block, then rows
-	// stage by stage, charging a later column only where candidates remain.
+	// The block-local reference, with and without zone tests.
 	var wantRows []int32
-	wantCharged := make([]int, len(kernels))
-	wantSkipped := make([]int, len(kernels))
-	for b := 0; b < nb && !empty; b++ {
+	wantCharged, wantSkipped := map[string]int{}, map[string]int{}
+	rowsCharged := map[string]int{}
+	for b := 0; b < nb; b++ {
+		// A block of constant rows keeps all of them or none: the
+		// reference runs its first row alone and charges the same.
 		lo, hi := b*BlockSize, min((b+1)*BlockSize, n)
-		if !zonePasses(kernels, b) {
-			for k := range kernels {
-				wantSkipped[k]++
-			}
-			for row := lo; row < hi; row++ {
-				all := true
-				for k := range kernels {
-					all = all && passes[k][row]
-				}
-				if all {
-					t.Fatalf("%v: block %d pruned, but row %d passes", preds, b, row)
-				}
+		if b < nb-1 {
+			hi = lo + 1
+		}
+		var rows []int
+		for row := lo; row < hi; row++ {
+			rows = append(rows, row)
+		}
+		charged := map[string]bool{}
+		ref.scan(tab, f, b, rows, false, charged)
+		for col := range charged {
+			rowsCharged[col]++
+		}
+		if f.Empty() {
+			continue
+		}
+		if !f.root.zone(b) {
+			for _, c := range f.cols {
+				wantSkipped[c.name]++
 			}
 			continue
 		}
-		cand := make([]int, 0, hi-lo)
-		for row := lo; row < hi; row++ {
-			cand = append(cand, row)
+		// Every block but the last holds one value in each column.
+		if b < nb-1 && !ref.zoneTruth(tab, b*BlockSize) {
+			t.Fatalf("%v: block %d of constant rows fails the zone rule, and is not pruned", filter, b)
 		}
-		for k := range kernels {
-			if len(cand) == 0 {
-				break
+		charged = map[string]bool{}
+		kept := ref.scan(tab, f, b, rows, true, charged)
+		if b < nb-1 && len(kept) > 0 {
+			kept = nil
+			for row := lo; row < (b+1)*BlockSize; row++ {
+				kept = append(kept, row)
 			}
-			wantCharged[k]++
-			kept := cand[:0]
-			for _, row := range cand {
-				if passes[k][row] {
-					kept = append(kept, row)
-				}
-			}
-			cand = kept
 		}
-		for _, row := range cand {
+		for _, row := range kept {
 			wantRows = append(wantRows, int32(row))
 		}
-	}
-	// A constant block whose value fails a range predicate is pruned.
-	for b := 0; b < nb-1 && !empty; b++ {
-		for k := range kernels {
-			col := kernels[k].Column()
-			v := col.Value(b * BlockSize)
-			for _, p := range preds {
-				if p.Col == col.Name() && p.Op != expr.OpNe && !p.Eval(v) && zonePasses(kernels, b) {
-					t.Fatalf("%v: block %d holds only %v, fails %v, and is not pruned", preds, b, v, p)
-				}
-			}
+		for col := range charged {
+			wantCharged[col]++
 		}
+	}
+	if !equalRows(wantRows, evalRows) {
+		t.Fatalf("%v: the reference keeps %d rows, Node.Eval %d", filter, len(wantRows), len(evalRows))
 	}
 
 	var io IOStats
-	readers := make([]*Reader, len(kernels))
-	for k := range kernels {
-		readers[k] = kernels[k].Column().NewReader(&io)
+	readers := make([]*Reader, len(f.cols))
+	for k, c := range f.cols {
+		readers[k] = c.NewReader(&io)
 	}
-	got := BlockScan(readers, ScanOptions{Kernels: kernels}, 0, n, nil)
-	if !equalRows(got, wantRows) {
-		t.Fatalf("%v: BlockScan keeps %d rows, the oracle %d", preds, len(got), len(wantRows))
+	got := BlockScan(readers, ScanOptions{Filter: f}, 0, n, nil)
+	if !equalRows(got, evalRows) {
+		t.Fatalf("%v: BlockScan keeps %d rows, Node.Eval %d", filter, len(got), len(evalRows))
 	}
 	var charged, skipped int
 	for k, r := range readers {
-		if r.BlocksCharged() != wantCharged[k] || r.BlocksSkipped() != wantSkipped[k] {
+		name := f.cols[k].name
+		if r.BlocksCharged() != wantCharged[name] || r.BlocksSkipped() != wantSkipped[name] {
 			t.Fatalf("%v: column %s charged/skipped %d/%d blocks, reference %d/%d",
-				preds, kernels[k].Column().Name(), r.BlocksCharged(), r.BlocksSkipped(), wantCharged[k], wantSkipped[k])
+				filter, name, r.BlocksCharged(), r.BlocksSkipped(), wantCharged[name], wantSkipped[name])
 		}
-		charged += wantCharged[k]
-		skipped += wantSkipped[k]
+		charged += wantCharged[name]
+		skipped += wantSkipped[name]
 	}
 	if io.BlocksRead() != int64(charged) || io.BlocksSkipped() != int64(skipped) {
-		t.Fatalf("%v: IOStats %d read / %d skipped, reference %d / %d", preds, io.BlocksRead(), io.BlocksSkipped(), charged, skipped)
+		t.Fatalf("%v: IOStats %d read / %d skipped, reference %d / %d", filter, io.BlocksRead(), io.BlocksSkipped(), charged, skipped)
+	}
+	if s := Survivors(f, nil); len(s) != nb-skipped/max(len(f.cols), 1) && !f.Empty() {
+		t.Fatalf("%v: %d surviving blocks, BlockScan pruned %d of %d", filter, len(s), skipped/len(f.cols), nb)
 	}
 
-	// Reader.Filter, the executor's path: every kernel over every row.
+	// FilterRows, the executor's candidate filter: every row, no zone test.
 	rows := make([]int32, n)
 	for i := range rows {
 		rows[i] = int32(i)
 	}
-	for k := range kernels {
-		r := kernels[k].Column().NewReader(nil)
-		rows = r.Filter(&kernels[k], rows)
+	for k, c := range f.cols {
+		readers[k] = c.NewReader(nil)
 	}
-	if empty {
-		wantRows = nil
+	if rows = FilterRows(readers, f, rows); !equalRows(rows, evalRows) {
+		t.Fatalf("%v: FilterRows keeps %d rows, Node.Eval %d", filter, len(rows), len(evalRows))
 	}
-	if !equalRows(rows, wantRows) {
-		t.Fatalf("%v: Reader.Filter keeps %d rows, the oracle %d", preds, len(rows), len(wantRows))
+	for k, r := range readers {
+		if name := f.cols[k].name; r.BlocksCharged() != rowsCharged[name] || r.BlocksSkipped() != 0 {
+			t.Fatalf("%v: FilterRows charged/skipped %d/%d blocks of %s, reference %d/0",
+				filter, r.BlocksCharged(), r.BlocksSkipped(), name, rowsCharged[name])
+		}
 	}
 }
 
@@ -236,37 +369,52 @@ func equalRows(a, b []int32) bool {
 	return true
 }
 
-var edgeOps = []expr.CmpOp{expr.OpEq, expr.OpNe, expr.OpLt, expr.OpLe, expr.OpGt, expr.OpGe}
+var (
+	edgeOps  = []expr.CmpOp{expr.OpEq, expr.OpNe, expr.OpLt, expr.OpLe, expr.OpGt, expr.OpGe}
+	edgeCols = []string{"i", "f", "s"}
+)
 
-// TestKernelParity checks every kind's kernel against expr.Pred.Eval cell
-// by cell: each operator with each literal alone, then random conjunctions
-// over the three columns with exclusive bounds and duplicated <> points.
+// randomTree draws a filter of at most depth levels of AND / OR over the
+// edge table's three columns, with exclusive bounds and duplicated <>
+// points.
+func randomTree(rng *rand.Rand, depth int) *expr.Node {
+	if depth == 1 || rng.Intn(3) == 0 {
+		col := edgeCols[rng.Intn(len(edgeCols))]
+		lits := edgeLits[col]
+		p := expr.Pred{Col: col, Op: edgeOps[rng.Intn(len(edgeOps))], Val: lits[rng.Intn(len(lits))]}
+		if p.Op == expr.OpNe && rng.Intn(2) == 0 {
+			return expr.And(expr.Leaf(p), expr.Leaf(p))
+		}
+		return expr.Leaf(p)
+	}
+	kids := make([]*expr.Node, rng.Intn(3)+2)
+	for i := range kids {
+		kids[i] = randomTree(rng, depth-1)
+	}
+	if rng.Intn(2) == 0 {
+		return expr.And(kids...)
+	}
+	return expr.Or(kids...)
+}
+
+// TestKernelParity checks every kind's kernel against expr.Node.Eval cell
+// by cell: each operator with each literal alone, then random AND / OR
+// trees of depth 3 or less over the three columns.
 func TestKernelParity(t *testing.T) {
-	for _, col := range []string{"i", "f", "s"} {
+	for _, col := range edgeCols {
 		for _, op := range edgeOps {
 			for _, lit := range edgeLits[col] {
-				checkScan(t, []expr.Pred{{Col: col, Op: op, Val: lit}})
+				checkScan(t, expr.Leaf(expr.Pred{Col: col, Op: op, Val: lit}))
 			}
 		}
 	}
 	rng := rand.New(rand.NewSource(1))
-	cols := []string{"i", "f", "s"}
-	conjunctions := 600
+	trees := 600
 	if testing.Short() {
-		conjunctions = 100
+		trees = 100
 	}
-	for c := 0; c < conjunctions; c++ {
-		var preds []expr.Pred
-		for j := rng.Intn(4) + 1; j > 0; j-- {
-			col := cols[rng.Intn(len(cols))]
-			lits := edgeLits[col]
-			p := expr.Pred{Col: col, Op: edgeOps[rng.Intn(len(edgeOps))], Val: lits[rng.Intn(len(lits))]}
-			preds = append(preds, p)
-			if p.Op == expr.OpNe && rng.Intn(2) == 0 {
-				preds = append(preds, p)
-			}
-		}
-		checkScan(t, preds)
+	for c := 0; c < trees; c++ {
+		checkScan(t, randomTree(rng, 3))
 	}
 }
 
@@ -276,95 +424,135 @@ func TestKernelParity(t *testing.T) {
 // and keeps no row.
 func TestKernelEmptyFollowsConstraint(t *testing.T) {
 	tab := buildTestTable(t, 3*BlockSize)
-	pred := func(col string, op expr.CmpOp, v types.Datum) expr.Pred { return expr.Pred{Col: col, Op: op, Val: v} }
+	pred := func(col string, op expr.CmpOp, v types.Datum) *expr.Node {
+		return expr.Leaf(expr.Pred{Col: col, Op: op, Val: v})
+	}
 	for _, c := range []struct {
-		preds []expr.Pred
-		empty bool
-		read  int
+		filter *expr.Node
+		empty  bool
+		read   int
 	}{
-		{[]expr.Pred{pred("id", expr.OpEq, types.Int(1)), pred("id", expr.OpEq, types.Int(2))}, true, 0},
-		{[]expr.Pred{pred("tag", expr.OpEq, types.Str("beta"))}, true, 0},
-		{[]expr.Pred{pred("id", expr.OpEq, types.Int(5)), pred("id", expr.OpNe, types.Int(5))}, true, 0},
-		{[]expr.Pred{pred("id", expr.OpGt, types.Int(1)), pred("id", expr.OpLt, types.Int(2))}, false, 1},
-		{[]expr.Pred{pred("id", expr.OpEq, types.Float(2.5))}, false, 1},
-		{[]expr.Pred{pred("id", expr.OpGe, types.Int(5)), pred("id", expr.OpLe, types.Int(5)), pred("id", expr.OpNe, types.Int(5))}, false, 1},
-		{[]expr.Pred{pred("tag", expr.OpGt, types.Str("alpha")), pred("tag", expr.OpLt, types.Str("mid"))}, false, 3},
+		{expr.And(pred("id", expr.OpEq, types.Int(1)), pred("id", expr.OpEq, types.Int(2))), true, 0},
+		{pred("tag", expr.OpEq, types.Str("beta")), true, 0},
+		{expr.And(pred("id", expr.OpEq, types.Int(5)), pred("id", expr.OpNe, types.Int(5))), true, 0},
+		{expr.And(pred("id", expr.OpGt, types.Int(1)), pred("id", expr.OpLt, types.Int(2))), false, 1},
+		{pred("id", expr.OpEq, types.Float(2.5)), false, 1},
+		{expr.And(pred("id", expr.OpGe, types.Int(5)), pred("id", expr.OpLe, types.Int(5)), pred("id", expr.OpNe, types.Int(5))), false, 1},
+		{expr.And(pred("tag", expr.OpGt, types.Str("alpha")), pred("tag", expr.OpLt, types.Str("mid"))), false, 3},
+		{expr.Or(pred("tag", expr.OpEq, types.Str("beta")), pred("tag", expr.OpEq, types.Str("gamma"))), true, 0},
 	} {
-		k := Compile(tab, c.preds)
-		r := k[0].Column().NewReader(nil)
-		rows := BlockScan([]*Reader{r}, ScanOptions{Kernels: k}, 0, tab.NumRows(), nil)
-		if k[0].Empty() != c.empty || len(rows) != 0 || r.BlocksCharged() != c.read {
-			t.Errorf("%v: empty %v, %d rows, %d blocks read; want empty %v, no row, %d blocks", c.preds, k[0].Empty(), len(rows), r.BlocksCharged(), c.empty, c.read)
+		f := Compile(tab, c.filter, nil)
+		r := f.cols[0].NewReader(nil)
+		rows := BlockScan([]*Reader{r}, ScanOptions{Filter: f}, 0, tab.NumRows(), nil)
+		if f.Empty() != c.empty || len(rows) != 0 || r.BlocksCharged() != c.read {
+			t.Errorf("%v: empty %v, %d rows, %d blocks read; want empty %v, no row, %d blocks", c.filter, f.Empty(), len(rows), r.BlocksCharged(), c.empty, c.read)
 		}
 	}
 }
 
-// FuzzBlockScan checks checkScan's property on conjunctions the fuzzer
-// spells: each byte triple picks a column, an operator and a literal, the
-// literal drawn from the edge pools or, past them, the fuzzed int or float.
+// fuzzTree decodes spec into a filter of at most depth levels: a byte
+// below 0xF0 starts a leaf triple (column, operator, literal — drawn from
+// the edge pools or, past them, the fuzzed int, float or string), a byte
+// from 0xF0 up an AND (even) or OR (odd) of 2 to 5 children, read as a
+// leaf at the last level. It returns nil when spec runs out.
+func fuzzTree(spec []byte, depth int, iv int64, fv float64) (*expr.Node, []byte) {
+	if len(spec) > 0 && spec[0] >= 0xF0 && depth > 1 {
+		b := spec[0]
+		spec = spec[1:]
+		var kids []*expr.Node
+		for i := 0; i < 2+int(b>>1)&3; i++ {
+			var kid *expr.Node
+			if kid, spec = fuzzTree(spec, depth-1, iv, fv); kid == nil {
+				break
+			}
+			kids = append(kids, kid)
+		}
+		if b&1 == 0 {
+			return expr.And(kids...), spec
+		}
+		return expr.Or(kids...), spec
+	}
+	if len(spec) < 3 {
+		return nil, nil
+	}
+	col := edgeCols[int(spec[0])%len(edgeCols)]
+	lits := edgeLits[col]
+	var lit types.Datum
+	switch idx := int(spec[2]); {
+	case idx < len(lits):
+		lit = lits[idx]
+	case col == "s":
+		lit = types.Str(string(spec))
+	case idx%2 == 0:
+		lit = types.Int(iv)
+	default:
+		lit = types.Float(fv)
+	}
+	return expr.Leaf(expr.Pred{Col: col, Op: edgeOps[int(spec[1])%len(edgeOps)], Val: lit}), spec[3:]
+}
+
+// FuzzBlockScan checks checkScan's property on filter trees the fuzzer
+// spells: up to six top-level items (see fuzzTree), AND-ed, each at most
+// two levels below the root.
 func FuzzBlockScan(f *testing.F) {
 	f.Add([]byte{0, 2, 12}, int64(p53+1), 2.5)
 	f.Add([]byte{1, 1, 14, 1, 0, 3}, int64(5), math.NaN())
 	f.Add([]byte{2, 4, 3, 2, 1, 3}, int64(0), math.Inf(-1))
 	f.Add([]byte{0, 1, 200, 0, 1, 200, 0, 5, 201}, int64(-3), -0.0)
+	f.Add([]byte{0xF1, 0, 0, 7, 2, 0, 1, 0xF0, 1, 3, 14, 0xF3, 0, 1, 200, 2, 5, 3, 1, 4, 2}, int64(p53+3), math.Inf(1))
+	f.Add([]byte{0xF3, 0xF0, 0, 4, 5, 1, 3, 9, 0xF2, 2, 2, 2, 0, 5, 7, 2, 0, 201, 1, 2, 14}, int64(math.MinInt64), math.NaN())
 	f.Fuzz(func(t *testing.T, spec []byte, iv int64, fv float64) {
-		cols := []string{"i", "f", "s"}
-		var preds []expr.Pred
-		for j := 0; j+2 < len(spec) && len(preds) < 6; j += 3 {
-			col := cols[int(spec[j])%len(cols)]
-			lits := edgeLits[col]
-			var lit types.Datum
-			switch idx := int(spec[j+2]); {
-			case idx < len(lits):
-				lit = lits[idx]
-			case col == "s":
-				lit = types.Str(string(spec[j:]))
-			case idx%2 == 0:
-				lit = types.Int(iv)
-			default:
-				lit = types.Float(fv)
+		var items []*expr.Node
+		for len(items) < 6 {
+			var item *expr.Node
+			if item, spec = fuzzTree(spec, 3, iv, fv); item == nil {
+				break
 			}
-			preds = append(preds, expr.Pred{Col: col, Op: edgeOps[int(spec[j+1])%len(edgeOps)], Val: lit})
+			items = append(items, item)
 		}
-		if len(preds) > 0 {
-			checkScan(t, preds)
+		if len(items) > 0 {
+			checkScan(t, expr.And(items...))
 		}
 	})
 }
 
 // TestBlockScanAllocs holds BlockScan to its contract: a caller whose dst
-// has room, scanning with compiled kernels, allocates nothing — for int,
-// float and code columns, with and without a <> exclusion.
+// has room, scanning with a compiled filter, allocates nothing — for int,
+// float and code columns, with and without a <> exclusion, and under an OR.
 func TestBlockScanAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates; allocation counts are only meaningful without -race")
 	}
 	tab := edgeTableOnce()
 	dst := make([]int32, 0, tab.NumRows())
-	for _, preds := range [][]expr.Pred{
-		{{Col: "i", Op: expr.OpGe, Val: types.Int(-1)}},
-		{{Col: "i", Op: expr.OpGe, Val: types.Int(-1)}, {Col: "i", Op: expr.OpNe, Val: types.Int(2)}},
-		{{Col: "f", Op: expr.OpLt, Val: types.Float(5)}},
-		{{Col: "f", Op: expr.OpLt, Val: types.Float(5)}, {Col: "f", Op: expr.OpNe, Val: types.Float(1)}},
-		{{Col: "s", Op: expr.OpGt, Val: types.Str("b")}},
-		{{Col: "s", Op: expr.OpGt, Val: types.Str("b")}, {Col: "s", Op: expr.OpNe, Val: types.Str("m")}},
-		{{Col: "i", Op: expr.OpGe, Val: types.Int(0)}, {Col: "f", Op: expr.OpGe, Val: types.Int(0)}, {Col: "s", Op: expr.OpNe, Val: types.Str("zz")}},
+	leaf := func(col string, op expr.CmpOp, v types.Datum) *expr.Node {
+		return expr.Leaf(expr.Pred{Col: col, Op: op, Val: v})
+	}
+	for _, filter := range []*expr.Node{
+		leaf("i", expr.OpGe, types.Int(-1)),
+		expr.And(leaf("i", expr.OpGe, types.Int(-1)), leaf("i", expr.OpNe, types.Int(2))),
+		leaf("f", expr.OpLt, types.Float(5)),
+		expr.And(leaf("f", expr.OpLt, types.Float(5)), leaf("f", expr.OpNe, types.Float(1))),
+		leaf("s", expr.OpGt, types.Str("b")),
+		expr.And(leaf("s", expr.OpGt, types.Str("b")), leaf("s", expr.OpNe, types.Str("m"))),
+		expr.And(leaf("i", expr.OpGe, types.Int(0)), leaf("f", expr.OpGe, types.Int(0)), leaf("s", expr.OpNe, types.Str("zz"))),
+		expr.And(leaf("i", expr.OpGe, types.Int(0)), expr.Or(leaf("f", expr.OpEq, types.Int(5)), leaf("s", expr.OpEq, types.Str("bb")))),
 	} {
-		kernels := Compile(tab, preds)
+		f := Compile(tab, filter, nil)
 		var io IOStats
-		readers := make([]*Reader, len(kernels))
-		for k := range kernels {
-			readers[k] = kernels[k].Column().NewReader(&io)
+		readers := make([]*Reader, len(f.cols))
+		for k, c := range f.cols {
+			readers[k] = c.NewReader(&io)
 		}
-		opts := ScanOptions{Kernels: kernels}
+		opts := ScanOptions{Filter: f}
 		var kept int
 		if allocs := testing.AllocsPerRun(20, func() {
 			kept = len(BlockScan(readers, opts, 0, tab.NumRows(), dst[:0]))
 		}); allocs != 0 {
-			t.Errorf("%v: %.0f allocs per scan", preds, allocs)
+			t.Errorf("%v: %.0f allocs per scan", filter, allocs)
 		}
 		if kept == 0 {
-			t.Errorf("%v: the scan kept no row", preds)
+			t.Errorf("%v: the scan kept no row", filter)
 		}
 	}
 }

@@ -460,92 +460,6 @@ func (r *Reader) filterRows(k *Kernel, rows []int32) []int32 {
 	return rows[:n]
 }
 
-// Filter filters rows — ids of any blocks, ascending or not — in place
-// against k: the executor's one conjunctive row filter. The rows are cut
-// into runs that share a block and each run is filtered by the kernel, so
-// a block is charged exactly when a row lies in it. An empty kernel keeps
-// nothing and charges nothing.
-func (r *Reader) Filter(k *Kernel, rows []int32) []int32 {
-	r.mustServe(k)
-	if k.empty {
-		return rows[:0]
-	}
-	n := 0
-	for start := 0; start < len(rows); {
-		b := BlockOf(int(rows[start]))
-		end := start + 1
-		for end < len(rows) && BlockOf(int(rows[end])) == b {
-			end++
-		}
-		n += copy(rows[n:], r.filterRows(k, rows[start:end]))
-		start = end
-	}
-	return rows[:n]
-}
-
-// mustServe panics unless k was compiled for r's column.
-func (r *Reader) mustServe(k *Kernel) {
-	if k.col != r.col {
-		panic(fmt.Sprintf("storage: kernel for column %s used on a reader of %s", k.col.name, r.col.name))
-	}
-}
-
-// ScanOptions is the pushed-down scan contract: the engine compiles a
-// conjunctive filter into per-column kernels (at most one per column, in
-// staged evaluation order) and, for limit-bearing projections, the match
-// count at which the scan may stop early. Projection pushdown is implicit
-// — only the constrained columns are ever handed to BlockScan, so
-// unreferenced columns are simply never read.
-type ScanOptions struct {
-	// Kernels are evaluated in order per block: the first runs as a dense
-	// range stage over the whole block, the rest refine the surviving
-	// selection vector.
-	Kernels []Kernel
-	// Limit, when positive, stops the scan once that many rows matched.
-	Limit int
-}
-
-// BlockScan is the blessed pushdown scan entry point: it evaluates opts
-// over rows [lo, hi) of one table, appending matching row ids to dst.
-// readers aligns with opts.Kernels (reader i serves kernel i's column).
-// Per block, every kernel's zone test runs first — one miss prunes the
-// block for all constrained columns without charging a read — then
-// survivors are refined stage by stage, vectorized per block, in place at
-// the tail of dst: the scan needs no scratch, so a caller whose dst has
-// room for every row of [lo, hi) past its length allocates nothing. All
-// decisions are block-local, so morsel-parallel callers scanning disjoint
-// block-aligned ranges read and skip exactly the blocks the sequential
-// scan would. An empty kernel reads and skips nothing.
-func BlockScan(readers []*Reader, opts ScanOptions, lo, hi int, dst []int32) []int32 {
-	if len(readers) == 0 || len(readers) != len(opts.Kernels) {
-		panic("storage: BlockScan needs one reader per kernel")
-	}
-	for i := range opts.Kernels {
-		readers[i].mustServe(&opts.Kernels[i])
-		if opts.Kernels[i].empty {
-			return dst
-		}
-	}
-	hi = min(hi, readers[0].col.Len())
-	for b := BlockOf(lo); b*BlockSize < hi; b++ {
-		if !zonePasses(opts.Kernels, b) {
-			for _, r := range readers {
-				r.markSkipped(b)
-			}
-			continue
-		}
-		start := len(dst)
-		dst = readers[0].filterRange(&opts.Kernels[0], max(b*BlockSize, lo), min((b+1)*BlockSize, hi), dst)
-		for i := 1; i < len(readers) && len(dst) > start; i++ {
-			dst = dst[:start+len(readers[i].filterRows(&opts.Kernels[i], dst[start:]))]
-		}
-		if opts.Limit > 0 && len(dst) >= opts.Limit {
-			return dst[:opts.Limit]
-		}
-	}
-	return dst
-}
-
 // Table is an immutable columnar table.
 type Table struct {
 	name   string

@@ -359,14 +359,14 @@ func TestGather(t *testing.T) {
 // with room is not reallocated.
 func TestBlockScanRefinesInPlace(t *testing.T) {
 	tab := buildTestTable(t, 2*BlockSize+100)
-	kernels := Compile(tab, []expr.Pred{
-		{Col: "score", Op: expr.OpGe, Val: types.Int(100)},
-		{Col: "tag", Op: expr.OpEq, Val: types.Str("mid")},
-	})
+	f := Compile(tab, expr.And(
+		expr.Leaf(expr.Pred{Col: "score", Op: expr.OpGe, Val: types.Int(100)}),
+		expr.Leaf(expr.Pred{Col: "tag", Op: expr.OpEq, Val: types.Str("mid")}),
+	), nil)
 	readers := []*Reader{tab.ColByName("score").NewReader(nil), tab.ColByName("tag").NewReader(nil)}
 	dst := make([]int32, 1, tab.NumRows()+1)
 	dst[0] = -1
-	got := BlockScan(readers, ScanOptions{Kernels: kernels}, 0, tab.NumRows(), dst)
+	got := BlockScan(readers, ScanOptions{Filter: f}, 0, tab.NumRows(), dst)
 	want := []int32{-1}
 	for i := 0; i < tab.NumRows(); i++ {
 		if float64(i)/2 >= 100 && i%3 == 2 {

@@ -31,8 +31,8 @@ func runWithPushdown(t *testing.T, sys *System, sql string, pushdown int) *engin
 // TestPushdownParityWorkloads runs every workload query twice — pushdown
 // on, then off — on the same trained system and requires byte-identical
 // result sets. The plan cache stays hot across both runs, so this also
-// exercises the warm-hit re-gating path (a cached template's pushdown
-// decision must bow to the live knob).
+// exercises warm hits executed after a knob flip (routing is read from the
+// live knob when a plan executes).
 func TestPushdownParityWorkloads(t *testing.T) {
 	for _, dataset := range []string{"imdb", "stats", "timeseries"} {
 		sys := fastpathSystem(t, dataset)
