@@ -16,38 +16,12 @@ import (
 	"time"
 )
 
-// Do runs fn(i) for every i in [0, n) across at most workers goroutines,
-// each pulling the next index from a shared atomic cursor, and blocks until
-// all calls return. With workers <= 1 or n <= 1 it degenerates to a plain
-// serial loop (no goroutines). fn must be safe to call concurrently for
-// distinct indices; Do establishes a happens-before edge from every fn call
-// to its return, so callers may read results without further locking.
+// Do runs fn(i) for every i in [0, n) across at most workers goroutines:
+// Chunks without the worker index. fn must be safe to call concurrently
+// for distinct indices; Do returns after every call has, so callers may
+// read results without further locking.
 func Do(n, workers int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
+	Chunks(workers, n, func(_, i int) { fn(i) })
 }
 
 // Chunks runs fn for every chunk index in [0, chunks) across up to
