@@ -1,7 +1,10 @@
 package bench
 
 import (
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -276,5 +279,27 @@ func TestByteCardFewestFallbacksOnHybrid(t *testing.T) {
 	}
 	if float64(newFallbacks) > 0.1*float64(newCalls) {
 		t.Errorf("fallbacks %d of %d calls (>10%%)", newFallbacks, newCalls)
+	}
+}
+
+// TestEnvStoreIsFresh: an Env without a StoreDir trains into a directory
+// of its own, never into a fixed path an older build may have filled.
+func TestEnvStoreIsFresh(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	cfg := tinyConfig()
+	fixed := filepath.Join(tmp, fmt.Sprintf("bytecard-bench-imdb-%d", cfg.Seed))
+	if err := os.Mkdir(fixed, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	env, err := NewEnv("imdb", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dir := env.Cfg.StoreDir; filepath.Dir(dir) != tmp || dir == fixed {
+		t.Errorf("store in %q, want a fresh directory in %s", dir, tmp)
+	}
+	if entries, err := os.ReadDir(fixed); err != nil || len(entries) > 0 {
+		t.Errorf("NewEnv wrote %d entries into the fixed path %s (err %v)", len(entries), fixed, err)
 	}
 }

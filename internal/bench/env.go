@@ -8,6 +8,7 @@ package bench
 
 import (
 	"fmt"
+	"os"
 	"time"
 
 	"bytecard/internal/cardinal"
@@ -33,7 +34,8 @@ type Config struct {
 	SampleRows int
 	// ProbeCount sizes the Q-error probe workloads (default 60).
 	ProbeCount int
-	// StoreDir persists model artifacts; empty uses a temp dir.
+	// StoreDir persists model artifacts; empty makes a fresh temp dir,
+	// recorded in Env.Cfg.StoreDir.
 	StoreDir string
 	// Log receives progress lines when non-nil.
 	Log func(format string, args ...any)
@@ -108,11 +110,15 @@ func NewEnv(dataset string, cfg Config) (*Env, error) {
 	env.Sample = cardinal.NewSampleEstimatorRate(ds.DB, 0.02, 100, cardinal.DefaultSampleRows, cfg.Seed+2)
 
 	cfg.logf("[%s] training ByteCard models", dataset)
-	dir := cfg.StoreDir
-	if dir == "" {
-		dir = fmt.Sprintf("%s/bytecard-bench-%s-%d", tmpDir(), dataset, cfg.Seed)
+	if cfg.StoreDir == "" {
+		// A fresh directory per Env, as bytecard.OpenDataset makes: a
+		// fixed path would serve whatever artifacts an older build left.
+		if cfg.StoreDir, err = os.MkdirTemp("", "bytecard-bench-*"); err != nil {
+			return nil, err
+		}
+		env.Cfg.StoreDir = cfg.StoreDir
 	}
-	store, err := modelstore.Open(dir)
+	store, err := modelstore.Open(cfg.StoreDir)
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"time"
 
@@ -16,8 +15,6 @@ import (
 	"bytecard/internal/sqlparse"
 	"bytecard/internal/workload"
 )
-
-func tmpDir() string { return os.TempDir() }
 
 // estimateCount routes a COUNT probe through the estimator the way the
 // optimizer would: single tables via EstimateFilter, joins via EstimateJoin.
