@@ -3,6 +3,7 @@ package bn
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -503,6 +504,25 @@ func TestColumnModelBinOf(t *testing.T) {
 	cat := ColumnModel{Categorical: true, Values: []float64{1, 3, 5}}
 	if cat.BinOf(3) != 1 || cat.BinOf(4) != -1 {
 		t.Error("categorical BinOf broken")
+	}
+}
+
+// TestClosedPointWeighsAsEquality: on a binned column, x >= 12 AND x <= 12
+// weighs 1/NDV of the containing bin, as x = 12 does, not the zero width
+// of a range.
+func TestClosedPointWeighsAsEquality(t *testing.T) {
+	cm := ColumnModel{Bounds: []float64{0, 10, 20, 30}, BinNDV: []float64{10, 10, 10}}
+	encodeFloat := func(_ string, d types.Datum) (float64, bool) { return d.AsFloat(), true }
+	eq := expr.BuildConstraints([]expr.Pred{{Col: "x", Op: expr.OpEq, Val: types.Int(12)}}, encodeFloat)[0]
+	closed := expr.BuildConstraints([]expr.Pred{
+		{Col: "x", Op: expr.OpGe, Val: types.Int(12)},
+		{Col: "x", Op: expr.OpLe, Val: types.Int(12)},
+	}, encodeFloat)[0]
+	want := []float64{0, 0.1, 0}
+	for _, c := range []expr.Constraint{eq, closed} {
+		if got := cm.Weights(c); !slices.Equal(got, want) {
+			t.Errorf("%+v: weights %v, want %v", c, got, want)
+		}
 	}
 }
 

@@ -358,7 +358,9 @@ type Constraint struct {
 	HiIncl bool
 	// Empty marks a contradiction (e.g. a = 1 AND a = 2).
 	Empty bool
-	// HasEq reports whether an equality pinned the column to Lo (== Hi).
+	// HasEq reports that the column is pinned to the point Lo (== Hi): by
+	// an equality, or by closed bounds that meet (a >= 5 AND a <= 5), so
+	// every spelling of one point estimates alike.
 	HasEq bool
 	// Ne lists excluded points from <> predicates.
 	Ne []float64
@@ -371,6 +373,9 @@ func NewConstraint(col string) Constraint {
 
 // Add tightens the constraint with one predicate (which must be on the same
 // column). exact reports whether the encoded literal was a domain member.
+// A non-member (a string the dictionary lacks, encoded between codes) is a
+// point no cell holds: = on it is a contradiction, and <= and >= on it
+// take the strict bound, so a >= s AND a <= s is the same contradiction.
 func (c *Constraint) Add(op CmpOp, v float64, exact bool) {
 	if c.Empty {
 		return
@@ -383,9 +388,6 @@ func (c *Constraint) Add(op CmpOp, v float64, exact bool) {
 		}
 		c.tightenLo(v, true)
 		c.tightenHi(v, true)
-		if !c.Empty {
-			c.HasEq = true
-		}
 	case OpNe:
 		if exact {
 			c.Ne = append(c.Ne, v)
@@ -393,11 +395,11 @@ func (c *Constraint) Add(op CmpOp, v float64, exact bool) {
 	case OpLt:
 		c.tightenHi(v, false)
 	case OpLe:
-		c.tightenHi(v, true)
+		c.tightenHi(v, exact)
 	case OpGt:
 		c.tightenLo(v, false)
 	case OpGe:
-		c.tightenLo(v, true)
+		c.tightenLo(v, exact)
 	}
 	c.check()
 }
@@ -417,6 +419,9 @@ func (c *Constraint) tightenHi(v float64, incl bool) {
 func (c *Constraint) check() {
 	if c.Lo > c.Hi || (c.Lo == c.Hi && !(c.LoIncl && c.HiIncl)) {
 		c.Empty = true
+	}
+	if c.Lo == c.Hi && !c.Empty {
+		c.HasEq = true
 	}
 	if c.HasEq {
 		for _, ne := range c.Ne {

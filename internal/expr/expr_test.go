@@ -3,6 +3,7 @@ package expr
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -285,6 +286,36 @@ func TestBuildConstraintsNonMemberEquality(t *testing.T) {
 	cs = BuildConstraints([]Pred{pred("a", OpNe, 7)}, enc)
 	if !cs[0].Unconstrained() {
 		t.Error("<> non-member must leave the column unconstrained")
+	}
+}
+
+// TestClosedPointIsEquality: closed bounds that meet compile to the
+// constraint = compiles to, in any order and with duplicates; on a
+// non-member point (between codes) both are contradictions.
+func TestClosedPointIsEquality(t *testing.T) {
+	eq := BuildConstraints([]Pred{pred("a", OpEq, 5)}, identityEnc)[0]
+	for _, preds := range [][]Pred{
+		{pred("a", OpGe, 5), pred("a", OpLe, 5)},
+		{pred("a", OpLe, 5), pred("a", OpGe, 5)},
+		{pred("a", OpLe, 7), pred("a", OpGe, 5), pred("a", OpLe, 5)},
+		{pred("a", OpEq, 5), pred("a", OpEq, 5)},
+		{pred("a", OpGe, 5), pred("a", OpEq, 5), pred("a", OpLe, 5)},
+	} {
+		if c := BuildConstraints(preds, identityEnc)[0]; !reflect.DeepEqual(c, eq) {
+			t.Errorf("%v: %+v, want %+v", preds, c, eq)
+		}
+	}
+	nonMember := func(_ string, d types.Datum) (float64, bool) { return d.AsFloat() - 0.5, false }
+	for _, preds := range [][]Pred{
+		{pred("a", OpEq, 5)},
+		{pred("a", OpGe, 5), pred("a", OpLe, 5)},
+	} {
+		if c := BuildConstraints(preds, nonMember)[0]; !c.Empty {
+			t.Errorf("%v on a non-member: %+v, want a contradiction", preds, c)
+		}
+	}
+	if c := BuildConstraints([]Pred{pred("a", OpGe, 5), pred("a", OpLe, 6)}, nonMember)[0]; c.Empty || c.HasEq {
+		t.Errorf("a range between non-members: %+v", c)
 	}
 }
 

@@ -437,7 +437,9 @@ func TestKernelEmptyFollowsConstraint(t *testing.T) {
 		{expr.And(pred("id", expr.OpEq, types.Int(5)), pred("id", expr.OpNe, types.Int(5))), true, 0},
 		{expr.And(pred("id", expr.OpGt, types.Int(1)), pred("id", expr.OpLt, types.Int(2))), false, 1},
 		{pred("id", expr.OpEq, types.Float(2.5)), false, 1},
-		{expr.And(pred("id", expr.OpGe, types.Int(5)), pred("id", expr.OpLe, types.Int(5)), pred("id", expr.OpNe, types.Int(5))), false, 1},
+		// Closed bounds that meet pin the point as = does.
+		{expr.And(pred("id", expr.OpGe, types.Int(5)), pred("id", expr.OpLe, types.Int(5)), pred("id", expr.OpNe, types.Int(5))), true, 0},
+		{expr.And(pred("tag", expr.OpGe, types.Str("beta")), pred("tag", expr.OpLe, types.Str("beta"))), true, 0},
 		{expr.And(pred("tag", expr.OpGt, types.Str("alpha")), pred("tag", expr.OpLt, types.Str("mid"))), false, 3},
 		{expr.Or(pred("tag", expr.OpEq, types.Str("beta")), pred("tag", expr.OpEq, types.Str("gamma"))), true, 0},
 	} {

@@ -22,7 +22,7 @@ import (
 // into the other.
 func TestPlanEstimatesFingerprint(t *testing.T) {
 	want := map[int64][2]uint64{
-		1: {0x30b4b6b5ef9a234f, 0x4e7b828d761d7e76},
+		1: {0xb80fe00120c800b9, 0xe4d628cf77a7d865},
 		2: {0xe1b185eb4b21abc2, 0x296d938185ec6d53},
 	}
 	for seed, hashes := range want {
