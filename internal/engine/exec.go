@@ -204,11 +204,12 @@ func (e *Engine) executeScan(q *Query, sp *ScanPlan, m *Metrics, ex *execCtx, li
 // pushdownScan routes one table scan through the storage.BlockScan
 // contract, whatever the filter's AND / OR shape. Only the constrained
 // columns are handed to storage (projection pushdown: unreferenced columns
-// are never read here), and survivors come back as a selection vector — downstream operators materialize lazily
-// through the shared-charge readers. Zone maps are consulted once per
-// block before dispatch (storage.Survivors): every pruned block is marked
-// skipped on each constrained reader with one IOStats update per reader,
-// and only the surviving blocks are split into morsels of MorselBlocks.
+// are never read here), and survivors come back as a selection vector —
+// downstream operators materialize lazily through the shared-charge
+// readers. Zone maps are consulted once per block before dispatch
+// (storage.Survivors): every pruned block is marked skipped on each
+// constrained reader with one IOStats update per reader, and only the
+// surviving blocks are split into morsels of MorselBlocks.
 // Block decisions are block-local and outputs concatenate in block order,
 // so rows, blocks read and blocks skipped do not depend on the worker
 // count. A LIMIT scan stops at its limit-th match, so it stays one

@@ -41,10 +41,10 @@ type node struct {
 }
 
 // Compile compiles filter over t. When order is non-empty and filter is a
-// pure conjunction, the conjunction's columns run in order (columns order
-// omits run last, in order of first appearance); otherwise every AND node
-// keeps its children's order. Every leaf must name a column of t. A nil
-// filter compiles to nil.
+// pure conjunction, the conjunction's columns run in order (columns that
+// order omits run last, in order of first appearance); otherwise every AND
+// node keeps its children's order. Every leaf must name a column of t. A
+// nil filter compiles to nil.
 func Compile(t *Table, filter *expr.Node, order []string) *Filter {
 	if filter == nil {
 		return nil

@@ -150,7 +150,7 @@ func refTree(e *expr.Node, n *node) refNode {
 // in block b) filtered by r, marking charged[col] for every column a
 // candidate is tested on. With zoned set an OR skips the children whose
 // zone test rules the block out, as BlockScan does.
-func (r *refNode) scan(tab *Table, f *Filter, b int, rows []int, zoned bool, charged map[string]bool) []int {
+func (r *refNode) scan(tab *Table, b int, rows []int, zoned bool, charged map[string]bool) []int {
 	switch r.kind {
 	case expr.KindLeaf:
 		if len(rows) == 0 || r.n.empty {
@@ -170,7 +170,7 @@ func (r *refNode) scan(tab *Table, f *Filter, b int, rows []int, zoned bool, cha
 		return kept
 	case expr.KindAnd:
 		for i := 0; i < len(r.children) && len(rows) > 0; i++ {
-			rows = r.children[i].scan(tab, f, b, rows, zoned, charged)
+			rows = r.children[i].scan(tab, b, rows, zoned, charged)
 		}
 		return rows
 	default:
@@ -183,7 +183,7 @@ func (r *refNode) scan(tab *Table, f *Filter, b int, rows []int, zoned bool, cha
 			if zoned && !r.children[i].n.zone(b) {
 				continue
 			}
-			for _, row := range r.children[i].scan(tab, f, b, rest, zoned, charged) {
+			for _, row := range r.children[i].scan(tab, b, rest, zoned, charged) {
 				in[row] = true
 			}
 			var next []int
@@ -276,7 +276,7 @@ func checkScan(t *testing.T, filter *expr.Node) {
 			rows = append(rows, row)
 		}
 		charged := map[string]bool{}
-		ref.scan(tab, f, b, rows, false, charged)
+		ref.scan(tab, b, rows, false, charged)
 		for col := range charged {
 			rowsCharged[col]++
 		}
@@ -294,7 +294,7 @@ func checkScan(t *testing.T, filter *expr.Node) {
 			t.Fatalf("%v: block %d of constant rows fails the zone rule, and is not pruned", filter, b)
 		}
 		charged = map[string]bool{}
-		kept := ref.scan(tab, f, b, rows, true, charged)
+		kept := ref.scan(tab, b, rows, true, charged)
 		if b < nb-1 && len(kept) > 0 {
 			kept = nil
 			for row := lo; row < (b+1)*BlockSize; row++ {
