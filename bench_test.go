@@ -507,7 +507,7 @@ func BenchmarkAblationRBXCalibration(b *testing.B) {
 
 func BenchmarkMicroBNSelectivity(b *testing.B) {
 	env := benchEnv(b, "imdb")
-	ctxs, ok := env.Infer.BNContexts("title")
+	ctxs, ok := env.Infer.Models().BN("title")
 	if !ok {
 		b.Fatal("no BN for title")
 	}
@@ -541,7 +541,7 @@ func BenchmarkMicroJoinEstimate(b *testing.B) {
 
 func BenchmarkMicroRBXEstimate(b *testing.B) {
 	env := benchEnv(b, "imdb")
-	model := env.Infer.RBX()
+	model := env.Infer.Models().RBX()
 	if model == nil {
 		b.Fatal("no RBX model")
 	}

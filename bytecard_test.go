@@ -29,7 +29,7 @@ func TestBaseNetworkIndependentOfSeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := sys.Infer.RBX()
+		m := sys.Infer.Models().RBX()
 		if m == nil {
 			t.Fatalf("seed %d: no RBX model loaded", seed)
 		}

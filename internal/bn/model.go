@@ -268,6 +268,11 @@ func (m *Model) Validate() error {
 			seen[cur] = true
 		}
 	}
+	for i := range m.Cols {
+		if err := m.Cols[i].validate(); err != nil {
+			return fmt.Errorf("bn: column %d: %w", i, err)
+		}
+	}
 	root := m.Root()
 	if len(m.Prior) != m.Cols[root].Bins() {
 		return fmt.Errorf("bn: prior has %d entries, root has %d bins", len(m.Prior), m.Cols[root].Bins())
@@ -290,6 +295,29 @@ func (m *Model) Validate() error {
 			if err := checkDist(m.CPT[i][a*cb : (a+1)*cb]); err != nil {
 				return fmt.Errorf("bn: node %d row %d: %w", i, a, err)
 			}
+		}
+	}
+	return nil
+}
+
+// validate checks the discretizer is one BinOf and Weights can read:
+// finite, ascending values or bounds and, for a binned column, one finite
+// distinct-value estimate per bin.
+func (c *ColumnModel) validate() error {
+	points := c.Bounds
+	if c.Categorical {
+		points = c.Values
+	} else if len(c.BinNDV) != c.Bins() {
+		return fmt.Errorf("%d distinct-value estimates for %d bins", len(c.BinNDV), c.Bins())
+	}
+	for i, v := range points {
+		if math.IsNaN(v) || math.IsInf(v, 0) || i > 0 && v < points[i-1] {
+			return errors.New("values or bounds not finite and ascending")
+		}
+	}
+	for _, d := range c.BinNDV {
+		if math.IsNaN(d) || math.IsInf(d, 0) {
+			return errors.New("non-finite distinct-value estimate")
 		}
 	}
 	return nil

@@ -37,21 +37,22 @@ type ModelState struct {
 
 // State reports a key's current availability in one call.
 func (a ModelAdmin) State(key string) ModelState {
+	m := a.e.Models()
 	return ModelState{
 		Key:       key,
-		Disabled:  a.e.keyDisabled(key),
+		Disabled:  m.disabled[key],
 		Breaker:   a.e.breakerState(key),
-		Timestamp: a.e.keyTimestamp(key),
+		Timestamp: m.timestamp(key),
 	}
 }
 
 // Disable marks a model key unusable; estimation falls back to the
 // traditional estimator (the Model Monitor's guardrail).
-func (a ModelAdmin) Disable(key string) { a.e.disableKey(key) }
+func (a ModelAdmin) Disable(key string) { a.e.setDisabled(key, true) }
 
 // Enable re-enables a previously disabled key and resets its circuit
 // breaker: a model the Monitor revalidated starts with a clean slate.
-func (a ModelAdmin) Enable(key string) { a.e.enableKey(key) }
+func (a ModelAdmin) Enable(key string) { a.e.setDisabled(key, false) }
 
 // CacheStats snapshots every registered derived cache's counters by name
 // ("joinvec" for the estimator's join-vector/subset cache, "plan" for the

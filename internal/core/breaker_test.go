@@ -139,12 +139,12 @@ func TestEngineBreakerIntegration(t *testing.T) {
 	// both rungs.
 	e.RecordFailure("bn:orders")
 	e.RecordFailure("bn:orders")
-	e.disableKey("bn:orders")
+	e.setDisabled("bn:orders", true)
 	now = now.Add(time.Hour)
 	if e.Allow("bn:orders") {
 		t.Fatal("disabled key must be blocked past any cooldown")
 	}
-	e.enableKey("bn:orders")
+	e.setDisabled("bn:orders", false)
 	if !e.Allow("bn:orders") {
 		t.Fatal("enabled key must be allowed")
 	}
@@ -158,8 +158,8 @@ func TestEngineBreakerIntegration(t *testing.T) {
 
 func TestSnapshotListsDisabled(t *testing.T) {
 	e := NewInferenceEngine(Options{})
-	e.disableKey("rbx")
-	e.disableKey("bn:fact")
+	e.setDisabled("rbx", true)
+	e.setDisabled("bn:fact", true)
 	snap := e.Snapshot()
 	if len(snap.Disabled) != 2 || snap.Disabled[0] != "bn:fact" || snap.Disabled[1] != "rbx" {
 		t.Errorf("disabled = %v", snap.Disabled)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"bytecard/internal/obs"
 )
 
@@ -22,6 +24,12 @@ type DerivedCache interface {
 	Stats() obs.CacheSnapshot
 }
 
+// namedCache is one registered derived cache.
+type namedCache struct {
+	name string
+	c    DerivedCache
+}
+
 // RegisterCache attaches a named derived cache to the registry's
 // invalidation fan-out. Registration order is preserved for deterministic
 // iteration; re-registering a name replaces the previous cache (the name
@@ -29,32 +37,28 @@ type DerivedCache interface {
 func (e *InferenceEngine) RegisterCache(name string, c DerivedCache) {
 	e.cacheMu.Lock()
 	defer e.cacheMu.Unlock()
-	if e.caches == nil {
-		e.caches = map[string]DerivedCache{}
+	for i := range e.caches {
+		if e.caches[i].name == name {
+			e.caches[i].c = c
+			return
+		}
 	}
-	if _, ok := e.caches[name]; !ok {
-		e.cacheNames = append(e.cacheNames, name)
-	}
-	e.caches[name] = c
+	e.caches = append(e.caches, namedCache{name, c})
 }
 
 // derivedCaches snapshots the registered caches in registration order.
-func (e *InferenceEngine) derivedCaches() []DerivedCache {
+func (e *InferenceEngine) derivedCaches() []namedCache {
 	e.cacheMu.Lock()
 	defer e.cacheMu.Unlock()
-	out := make([]DerivedCache, 0, len(e.cacheNames))
-	for _, name := range e.cacheNames {
-		out = append(out, e.caches[name])
-	}
-	return out
+	return slices.Clone(e.caches)
 }
 
 // invalidateCacheTables fans a table-scoped invalidation across every
 // registered cache. Called outside e.mu: caches take their own locks, and
 // a cache callback must never be able to deadlock against the registry.
 func (e *InferenceEngine) invalidateCacheTables(tables ...string) {
-	for _, c := range e.derivedCaches() {
-		c.InvalidateTables(tables...)
+	for _, nc := range e.derivedCaches() {
+		nc.c.InvalidateTables(tables...)
 	}
 }
 
@@ -63,19 +67,17 @@ func (e *InferenceEngine) invalidateCacheTables(tables ...string) {
 // returning the total number of entries dropped.
 func (e *InferenceEngine) FlushCaches() int {
 	n := 0
-	for _, c := range e.derivedCaches() {
-		n += c.Flush()
+	for _, nc := range e.derivedCaches() {
+		n += nc.c.Flush()
 	}
 	return n
 }
 
 // CacheStats snapshots every registered cache's counters by name.
 func (e *InferenceEngine) CacheStats() map[string]obs.CacheSnapshot {
-	e.cacheMu.Lock()
-	defer e.cacheMu.Unlock()
-	out := make(map[string]obs.CacheSnapshot, len(e.cacheNames))
-	for _, name := range e.cacheNames {
-		out[name] = e.caches[name].Stats()
+	out := map[string]obs.CacheSnapshot{}
+	for _, nc := range e.derivedCaches() {
+		out[nc.name] = nc.c.Stats()
 	}
 	return out
 }

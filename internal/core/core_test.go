@@ -3,7 +3,9 @@ package core_test
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -254,10 +256,10 @@ func TestLoadModelSizeChecker(t *testing.T) {
 			t.Fatalf("shard %d: %v", shard, err)
 		}
 	}
-	if ctxs, ok := infer.BNContexts("fact"); !ok || len(ctxs) != 3 {
+	if ctxs, ok := infer.Models().BN("fact"); !ok || len(ctxs) != 3 {
 		t.Errorf("fact serves %d shards (ok=%v), want 3", len(ctxs), ok)
 	}
-	if _, ok := infer.BNContexts("dim"); ok {
+	if _, ok := infer.Models().BN("dim"); ok {
 		t.Error("dim must have been evicted")
 	}
 	if snap := infer.Snapshot(); snap.Tables != 1 || snap.TotalSize != 3*size || snap.Rejects != 0 {
@@ -266,7 +268,7 @@ func TestLoadModelSizeChecker(t *testing.T) {
 	if err := infer.LoadModel(dim); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := infer.BNContexts("fact"); ok {
+	if _, ok := infer.Models().BN("fact"); ok {
 		t.Error("fact must have been evicted whole")
 	}
 	if snap := infer.Snapshot(); snap.Tables != 1 || snap.TotalSize != int64(len(dim.Data)) {
@@ -418,50 +420,71 @@ func TestArtifactValidate(t *testing.T) {
 }
 
 // TestConcurrentEstimationWhileLoading exercises the lock-free inference
-// contract: query threads estimate while the loader swaps in fresh models.
+// contract: four clients plan while a loader alternates two fact BNs that
+// estimate differently. Every plan — fresh or replayed from the plan
+// cache — must carry exactly the estimates of one single-threaded plan
+// against one of the two, never a mix of generations.
 func TestConcurrentEstimationWhileLoading(t *testing.T) {
-	infer, est, exec, ds := pipeline(t)
-	_ = infer
-	q := analyzed(t, exec, "SELECT COUNT(*) FROM fact f, dim d WHERE f.dim_id = d.id AND f.val < 40")
+	infer, _, exec, ds := pipeline(t)
+	withPlanCache(infer, exec)
+	variants := factVariants(t, ds)
+	stamp := func(i int) core.Artifact {
+		a := variants[i%2]
+		a.Timestamp = a.Timestamp.Add(time.Duration(i) * time.Second)
+		return a
+	}
+	var want [2][]uint64
+	for i := range want {
+		if err := infer.LoadModel(stamp(i)); err != nil {
+			t.Fatal(err)
+		}
+		want[i] = freshEstimates(t, exec, churnSQL)
+	}
+	if slices.Equal(want[0], want[1]) {
+		t.Fatal("the two fact BNs must estimate differently")
+	}
 	stop := make(chan struct{})
-	done := make(chan error, 1)
-	go func() {
-		// Loader thread: retrain and reload repeatedly.
-		store, err := modelstore.Open(t.TempDir())
-		if err != nil {
-			done <- err
-			return
+	errs := make(chan error, 4)
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				q, err := exec.Analyze(sqlparse.MustParse(churnSQL))
+				var p *engine.Plan
+				if err == nil {
+					p, err = exec.Plan(q)
+				}
+				if err == nil {
+					if got := estimatesOf(p); !slices.Equal(got, want[0]) && !slices.Equal(got, want[1]) {
+						err = fmt.Errorf("plan (cache hit %v) estimated %v, want %v or %v", p.CacheHit, got, want[0], want[1])
+					}
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	for i := 2; i < 42 && len(errs) == 0; i++ {
+		if err := infer.LoadModel(stamp(i)); err != nil {
+			t.Error(err)
+			break
 		}
-		forge := modelforge.New("toy", ds.DB, ds.Schema, store, modelforge.Config{
-			SampleRows: 500, BucketCount: 40,
-			Seed: 5,
-		})
-		ld := loader.New(store, infer)
-		for i := 0; i < 5; i++ {
-			if _, err := forge.TrainTableAt("fact", time.Now().Add(time.Duration(i+1)*time.Minute)); err != nil {
-				done <- err
-				return
-			}
-			if _, err := ld.RefreshOnce(); err != nil {
-				done <- err
-				return
-			}
-		}
-		close(stop)
-		done <- nil
-	}()
-	for {
-		select {
-		case <-stop:
-			if err := <-done; err != nil {
-				t.Fatal(err)
-			}
-			return
-		default:
-			if v := est.EstimateJoin(q.Tables, q.Joins); v < 0 {
-				t.Fatal("negative estimate")
-			}
-		}
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 
@@ -563,5 +586,8 @@ func TestCorruptFactorJoinAndRBXRejected(t *testing.T) {
 		if err == nil {
 			t.Errorf("corrupt %s must be rejected", kind)
 		}
+	}
+	if got := infer.Snapshot().Rejects; got != 2 {
+		t.Errorf("rejects = %d, want both corrupt artifacts counted", got)
 	}
 }

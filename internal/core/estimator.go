@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"bytecard/internal/bn"
 	"bytecard/internal/engine"
 	"bytecard/internal/estimate"
 	"bytecard/internal/expr"
@@ -24,11 +25,12 @@ import (
 // traditional estimator — the reliability contract the paper's deployment
 // depends on.
 //
-// Every model call is observable: Metrics accumulates counters and latency
-// /q-error histograms across all views of the estimator, and WithTrace
-// derives a view that additionally records a per-query obs.Trace — which
-// model answered, guard outcomes, breaker verdicts, cache hits, and
-// nanosecond timings.
+// Every estimate reads one generation of models: View pins the registry's
+// current Models for one query, an estimate asked of the estimator itself
+// for one call. Every model call is observable: Metrics accumulates
+// counters and latency /q-error histograms across all views, and a view
+// given a trace records a per-query obs.Trace — which model answered, guard
+// outcomes, breaker verdicts, cache hits, and nanosecond timings.
 type Estimator struct {
 	Infer *InferenceEngine
 	// Fallback is the traditional estimator (typically sketch-based).
@@ -56,7 +58,11 @@ type Estimator struct {
 	// vec memoizes sanitized join-size estimates by canonical subset
 	// identity, across queries (see vecCache).
 	vec vecCache
-	// trace, when non-nil, collects per-call spans (see WithTrace).
+	// models is the generation a view reads (nil on the estimator itself),
+	// and vecEpoch the subset memo's epoch, read before models was pinned.
+	models   *Models
+	vecEpoch uint64
+	// trace, when non-nil, collects per-call spans (see View).
 	trace *obs.Trace
 }
 
@@ -77,20 +83,31 @@ func NewEstimator(infer *InferenceEngine, fallback engine.CardEstimator) *Estima
 	return est
 }
 
-// WithTrace returns a view of the estimator that records every model call,
-// fallback, and cache hit into tr. The view shares the registry, guard,
-// metrics, and subset memo with the original, so traced traffic feeds the
-// same breakers and counters as untraced traffic; the original estimator
-// stays trace-free and safe for concurrent queries.
-func (e *Estimator) WithTrace(tr *obs.Trace) engine.CardEstimator {
-	return e.traced(tr)
-}
+// View implements engine.Viewer: a view for one query that reads every
+// model from the registry's current Models and, when tr is non-nil,
+// records every model call, fallback, and cache hit into tr. It shares the
+// registry, guard, metrics, and subset memo with e, so its traffic feeds
+// the same breakers and counters. An untraced view of a view is itself.
+func (e *Estimator) View(tr *obs.Trace) engine.CardEstimator { return e.view(tr) }
 
-func (e *Estimator) traced(tr *obs.Trace) *Estimator {
+// view is View as an *Estimator: e itself when it is a view and tr is nil,
+// else a new view pinned to the current Models.
+func (e *Estimator) view(tr *obs.Trace) *Estimator {
+	if tr == nil && e.models != nil {
+		return e
+	}
 	view := *e
 	view.trace = tr
+	// The epoch first: a memo entry computed from these models must not
+	// be published after the invalidation that replaces them (see lru).
+	view.vecEpoch = e.vec.Epoch()
+	view.models = e.Infer.Models()
 	return &view
 }
+
+// Generation is the model generation the view reads (for e itself, the
+// current one).
+func (e *Estimator) Generation() uint64 { return e.view(nil).models.generation }
 
 // traceTables is the Tables list of a single-table span — nil on untraced
 // views, which then build neither the slice nor the span.
@@ -106,11 +123,7 @@ func (e *Estimator) traceBindings(tables []*engine.QueryTable) []string {
 	if e.trace == nil {
 		return nil
 	}
-	out := make([]string, len(tables))
-	for i, t := range tables {
-		out[i] = t.Binding
-	}
-	return out
+	return engine.Bindings(tables)
 }
 
 // fallbackSpan records a fallback step and counts its source.
@@ -165,14 +178,9 @@ func sourceOfKey(key string) string {
 func (e *Estimator) guarded(op string, tables []string, key string, lo, hi float64, fn func() (float64, error)) (estimate.Value, error) {
 	start := time.Now()
 	e.Metrics.ModelCalls.Add(1)
-	if !e.Infer.Allow(key) {
-		outcome := obs.OutcomeBreakerOpen
-		if e.Infer.keyDisabled(key) {
-			outcome = obs.OutcomeDisabled
-		}
-		err := &ModelError{Key: key, Outcome: outcome, Msg: fmt.Sprintf("core: %s unavailable (breaker open or disabled)", key)}
+	if err := e.Infer.admit(e.models, key); err != nil {
 		e.Metrics.ModelFailures.Add(1)
-		e.modelSpan(op, tables, key, outcome, 0, err, time.Since(start))
+		e.modelSpan(op, tables, key, err.Outcome, 0, err, time.Since(start))
 		return estimate.Value{}, err
 	}
 	raw, err := e.Guard.Do(key, fn)
@@ -198,10 +206,10 @@ func (e *Estimator) guarded(op string, tables []string, key string, lo, hi float
 	return v, nil
 }
 
-// The planner sizes a whole join-order DP through ByteCard in one batch
-// (and through its traced views — WithTrace returns the same concrete
-// type).
+// The planner sizes a whole join-order DP through ByteCard in one batch,
+// through a per-query view of the same concrete type.
 var _ engine.BatchCardEstimator = (*Estimator)(nil)
+var _ engine.Viewer = (*Estimator)(nil)
 
 // Name implements engine.CardEstimator.
 func (e *Estimator) Name() string { return "bytecard" }
@@ -229,30 +237,46 @@ func encoderFor(t *engine.QueryTable) expr.Encoder {
 // contexts, weighting shards by their population. The BN inference runs
 // under the guard; the result is a sanitized selectivity in [0, 1].
 func (e *Estimator) filterSelectivity(t *engine.QueryTable) (estimate.Value, error) {
-	ctxs, ok := e.Infer.BNContexts(t.Name)
-	if !ok {
-		return estimate.Value{}, &ModelError{Key: "bn:" + t.Name, Outcome: obs.OutcomeMissing, Msg: fmt.Sprintf("core: no BN for table %s", t.Name)}
+	ctxs, err := e.bnFor(t.Name)
+	if err != nil {
+		return estimate.Value{}, err
 	}
 	return e.guarded(obs.OpFilter, e.traceTables(t.Binding), "bn:"+t.Name, 0, 1, func() (float64, error) {
 		enc := encoderFor(t)
-		var rows, matched float64
-		for _, ctx := range ctxs {
-			sel, err := ctx.SelectivityNode(t.Filter, enc)
-			if err != nil {
-				return 0, err
-			}
-			rows += ctx.Model().Rows
-			matched += ctx.Model().Rows * sel
-		}
-		if rows == 0 {
-			return 0, fmt.Errorf("core: BN for %s has zero population", t.Name)
-		}
-		return matched / rows, nil
+		return shardSelectivity(t.Name, ctxs, func(ctx *bn.Context) (float64, error) { return ctx.SelectivityNode(t.Filter, enc) })
 	})
+}
+
+// bnFor returns the view's shard contexts of a table, or the error that
+// names the model missing.
+func (e *Estimator) bnFor(table string) ([]*bn.Context, error) {
+	if ctxs, ok := e.models.BN(table); ok {
+		return ctxs, nil
+	}
+	return nil, &ModelError{Key: "bn:" + table, Outcome: obs.OutcomeMissing, Msg: "core: no BN for table " + table}
+}
+
+// shardSelectivity weights each shard context's selectivity by the
+// shard's population.
+func shardSelectivity(table string, ctxs []*bn.Context, sel func(*bn.Context) (float64, error)) (float64, error) {
+	var rows, matched float64
+	for _, ctx := range ctxs {
+		s, err := sel(ctx)
+		if err != nil {
+			return 0, err
+		}
+		rows += ctx.Model().Rows
+		matched += ctx.Model().Rows * s
+	}
+	if rows == 0 {
+		return 0, fmt.Errorf("core: BN for %s has zero population", table)
+	}
+	return matched / rows, nil
 }
 
 // EstimateFilter implements engine.CardEstimator.
 func (e *Estimator) EstimateFilter(t *engine.QueryTable) float64 {
+	e = e.view(nil)
 	e.Metrics.Calls.Add(1)
 	start := time.Now()
 	sel, err := e.filterSelectivity(t)
@@ -272,31 +296,17 @@ func (e *Estimator) EstimateFilter(t *engine.QueryTable) float64 {
 
 // EstimateConj implements engine.CardEstimator (the column-order input).
 func (e *Estimator) EstimateConj(t *engine.QueryTable, preds []expr.Pred) float64 {
+	e = e.view(nil)
 	e.Metrics.Calls.Add(1)
 	start := time.Now()
-	ctxs, ok := e.Infer.BNContexts(t.Name)
-	if !ok {
-		e.Metrics.Fallbacks.Add(1)
-		v := e.Fallback.EstimateConj(t, preds)
-		e.fallbackSpan(obs.OpConj, e.traceTables(t.Binding), &ModelError{Key: "bn:" + t.Name, Outcome: obs.OutcomeMissing, Msg: "core: no BN for table " + t.Name}, v, start)
-		return v
+	ctxs, err := e.bnFor(t.Name)
+	var sel estimate.Value
+	if err == nil {
+		sel, err = e.guarded(obs.OpConj, e.traceTables(t.Binding), "bn:"+t.Name, 0, 1, func() (float64, error) {
+			constraints := expr.BuildConstraints(preds, encoderFor(t))
+			return shardSelectivity(t.Name, ctxs, func(ctx *bn.Context) (float64, error) { return ctx.SelectivityConj(constraints) })
+		})
 	}
-	sel, err := e.guarded(obs.OpConj, e.traceTables(t.Binding), "bn:"+t.Name, 0, 1, func() (float64, error) {
-		constraints := expr.BuildConstraints(preds, encoderFor(t))
-		var rows, matched float64
-		for _, ctx := range ctxs {
-			s, err := ctx.SelectivityConj(constraints)
-			if err != nil {
-				return 0, err
-			}
-			rows += ctx.Model().Rows
-			matched += ctx.Model().Rows * s
-		}
-		if rows == 0 {
-			return 0, fmt.Errorf("core: BN for %s has zero population", t.Name)
-		}
-		return matched / rows, nil
-	})
 	if err != nil {
 		e.Metrics.Fallbacks.Add(1)
 		v := e.Fallback.EstimateConj(t, preds)
@@ -334,6 +344,7 @@ func groupColumnKey(table string, cols []string) string {
 // sample profile of each table's group keys, multiplied across tables and
 // capped by the estimated result size.
 func (e *Estimator) EstimateGroupNDV(q *engine.Query) float64 {
+	e = e.view(nil)
 	e.Metrics.Calls.Add(1)
 	start := time.Now()
 	// groupTables lists the grouped bindings for a span (traced views only).
@@ -341,15 +352,7 @@ func (e *Estimator) EstimateGroupNDV(q *engine.Query) float64 {
 		if e.trace == nil {
 			return nil
 		}
-		seen := map[string]bool{}
-		var out []string
-		for _, g := range q.GroupBy {
-			if !seen[g.Tab] {
-				seen[g.Tab] = true
-				out = append(out, g.Tab)
-			}
-		}
-		return out
+		return q.GroupedBindings()
 	}
 	fallback := func(cause error) float64 {
 		e.Metrics.Fallbacks.Add(1)
@@ -357,7 +360,7 @@ func (e *Estimator) EstimateGroupNDV(q *engine.Query) float64 {
 		e.fallbackSpan(obs.OpGroupNDV, groupTables(), cause, v, start)
 		return v
 	}
-	model := e.Infer.RBX()
+	model := e.models.RBX()
 	if model == nil {
 		return fallback(&ModelError{Key: "rbx", Outcome: obs.OutcomeMissing, Msg: "core: no RBX model loaded"})
 	}
@@ -378,7 +381,7 @@ func (e *Estimator) EstimateGroupNDV(q *engine.Query) float64 {
 			return fallback(fmt.Errorf("core: no sample frame for table %s", t.Name))
 		}
 		key := groupColumnKey(t.Name, cols)
-		if !e.Infer.RBXUsable(key) {
+		if e.models.disabled["rbx:"+key] {
 			return fallback(&ModelError{Key: "rbx:" + key, Outcome: obs.OutcomeDisabled, Msg: fmt.Sprintf("core: rbx disabled for %s", key)})
 		}
 		// Profiling runs before the guard: its pooled scratch must not

@@ -9,7 +9,8 @@ import (
 // (tables, conds) is sized on, with its count source passed through wrap.
 func (e *Estimator) CompileJoin(tables []*engine.QueryTable, conds []engine.JoinCond, wrap func(factorjoin.CountSource) factorjoin.CountSource) (*factorjoin.Graph, error) {
 	u := &joinUniverse{tables: tables, conds: conds}
-	u.compile(e.Infer.FactorJoin(), wrap(e.keySource(u)), e.JoinMode)
+	v := e.view(nil)
+	u.compile(v.models.FactorJoin(), wrap(v.keySource(u)), e.JoinMode)
 	return u.graph, u.err
 }
 

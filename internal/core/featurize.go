@@ -59,14 +59,14 @@ func (f *Featurizer) FeaturizeAST(stmt *sqlparse.SelectStmt) (*FeatureVector, er
 func (e *Estimator) Estimate(fv *FeatureVector) (float64, error) {
 	q := fv.query
 	if len(q.Tables) == 1 {
-		v, err := e.countSingle(q.Tables[0])
+		v, err := e.view(nil).countSingle(q.Tables[0])
 		return v.Float(), err
 	}
-	fj := e.Infer.FactorJoin()
-	if fj == nil {
+	strict := e.strict()
+	if strict.models.FactorJoin() == nil {
 		return 0, fmt.Errorf("core: no FactorJoin model loaded")
 	}
-	est := e.strict().EstimateJoin(q.Tables, q.Joins)
+	est := strict.EstimateJoin(q.Tables, q.Joins)
 	if est < 0 {
 		return 0, fmt.Errorf("core: join estimation failed")
 	}
@@ -80,7 +80,7 @@ func (e *Estimator) Estimate(fv *FeatureVector) (float64, error) {
 // production traffic; the request counters are private so probes don't
 // inflate the production call/fallback totals.
 func (e *Estimator) strict() *Estimator {
-	view := *e
+	view := *e.view(nil)
 	view.Fallback = errorFallback{}
 	view.Metrics = obs.NewEstimatorMetrics()
 	return &view
@@ -94,10 +94,11 @@ func (e *Estimator) EstimateNDV(fv *FeatureVector) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if e.Infer.RBX() == nil {
+	strict := e.strict()
+	if strict.models.RBX() == nil {
 		return 0, fmt.Errorf("core: no RBX model loaded")
 	}
-	est := e.strict().EstimateGroupNDV(target)
+	est := strict.EstimateGroupNDV(target)
 	if est < 0 {
 		return 0, fmt.Errorf("core: NDV estimation fell back (missing sample or model)")
 	}
@@ -111,7 +112,7 @@ func (e *Estimator) EstimateNDV(fv *FeatureVector) (float64, error) {
 // into tr. The returned value is always usable; tr tells the caller who
 // produced it and what went wrong on the way.
 func (e *Estimator) CountWithTrace(fv *FeatureVector, tr *obs.Trace) float64 {
-	view := e.traced(tr)
+	view := e.view(tr)
 	q := fv.query
 	if len(q.Tables) == 1 {
 		return view.EstimateFilter(q.Tables[0])
@@ -128,7 +129,7 @@ func (e *Estimator) NDVWithTrace(fv *FeatureVector, tr *obs.Trace) (float64, err
 	if err != nil {
 		return 0, err
 	}
-	return e.traced(tr).EstimateGroupNDV(target), nil
+	return e.view(tr).EstimateGroupNDV(target), nil
 }
 
 // ndvTarget rewrites COUNT(DISTINCT cols) into an equivalent group-NDV

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -174,13 +175,13 @@ func seedable(it *engine.JoinBatchItem) error {
 	return nil
 }
 
-// key is the canonical identity of a subset of u: its tables' tokens, then
-// its conditions, both in u's order. Two items anywhere — across batches,
-// across queries — get the same key only if their tables, filters and
-// join conditions are textually identical and listed in the same order,
-// so the memoized estimate of one is exactly what the model would return
-// for the other.
-func (u *joinUniverse) key(tables, conds uint64) string {
+// key is the canonical identity of a subset of u under model generation
+// gen: gen, its tables' tokens, then its conditions, both in u's order. Two
+// items anywhere — across batches, across queries — get the same key only
+// under one generation, with textually identical tables, filters and join
+// conditions listed in the same order, so the memoized estimate of one is
+// exactly what the model would return for the other.
+func (u *joinUniverse) key(gen, tables, conds uint64) string {
 	for len(u.tokens) < len(u.tables) {
 		t := u.tables[len(u.tokens)]
 		filter := ""
@@ -189,7 +190,7 @@ func (u *joinUniverse) key(tables, conds uint64) string {
 		}
 		u.tokens = append(u.tokens, t.Binding+"\x1f"+t.Name+"\x1f"+filter+"\x1e")
 	}
-	size := 1
+	size := 9
 	for m := tables; m != 0; m &= m - 1 {
 		size += len(u.tokens[bits.TrailingZeros64(m)])
 	}
@@ -199,6 +200,8 @@ func (u *joinUniverse) key(tables, conds uint64) string {
 	}
 	var b strings.Builder
 	b.Grow(size)
+	var g [8]byte
+	b.Write(binary.LittleEndian.AppendUint64(g[:0], gen))
 	for m := tables; m != 0; m &= m - 1 {
 		b.WriteString(u.tokens[bits.TrailingZeros64(m)])
 	}
@@ -215,12 +218,6 @@ func (u *joinUniverse) key(tables, conds uint64) string {
 		b.WriteByte('\x1e')
 	}
 	return b.String()
-}
-
-// compileGraph builds u's factor graph against fj, fed by the tables'
-// Bayesian networks.
-func (e *Estimator) compileGraph(u *joinUniverse, fj *factorjoin.Model) {
-	u.compile(fj, e.keySource(u), e.JoinMode)
 }
 
 // compile builds u's factor graph against fj over src.
@@ -293,15 +290,14 @@ func (e *Estimator) bnKeyPass(t *engine.QueryTable, cols []keyVector) {
 			}
 		}
 	}
-	ctxs, ok := e.Infer.BNContexts(t.Name)
-	if !ok {
-		fail(&ModelError{Key: "bn:" + t.Name, Outcome: obs.OutcomeMissing, Msg: fmt.Sprintf("core: no BN for table %s", t.Name)})
+	ctxs, err := e.bnFor(t.Name)
+	if err != nil {
+		fail(err)
 		return
 	}
 	terms := wholeTable
 	var enc expr.Encoder
 	if t.Filter != nil {
-		var err error
 		if terms, err = t.Filter.InclusionExclusion(); err != nil {
 			fail(err)
 			return
@@ -440,7 +436,7 @@ func (e *Estimator) fanOutWorkers(n, requested int) int {
 // subset memo.
 func (e *Estimator) EstimateJoin(tables []*engine.QueryTable, joins []engine.JoinCond) float64 {
 	var out [1]float64
-	e.joinBatch(obs.OpJoin, []engine.JoinBatchItem{{Tables: tables, Conds: joins}}, 1, out[:])
+	e.view(nil).joinBatch(obs.OpJoin, []engine.JoinBatchItem{{Tables: tables, Conds: joins}}, 1, out[:])
 	return out[0]
 }
 
@@ -461,7 +457,7 @@ func (e *Estimator) EstimateJoin(tables []*engine.QueryTable, joins []engine.Joi
 func (e *Estimator) EstimateJoinBatch(items []engine.JoinBatchItem, parallelism int) []float64 {
 	out := make([]float64, len(items))
 	if len(items) > 0 {
-		e.joinBatch(obs.OpJoinBatch, items, parallelism, out)
+		e.view(nil).joinBatch(obs.OpJoinBatch, items, parallelism, out)
 	}
 	return out
 }
@@ -527,19 +523,15 @@ func (e *Estimator) joinBatch(op string, items []engine.JoinBatchItem, paralleli
 		}
 		summary(cause.Outcome, cause.Msg)
 	}
-	fj := e.Infer.FactorJoin()
+	fj := e.models.FactorJoin()
 	if fj == nil {
 		fallbackAll(&ModelError{Key: "factorjoin", Outcome: obs.OutcomeMissing, Msg: "core: no FactorJoin model loaded"})
 		return
 	}
-	if !e.Infer.Allow("factorjoin") {
-		outcome := obs.OutcomeBreakerOpen
-		if e.Infer.keyDisabled("factorjoin") {
-			outcome = obs.OutcomeDisabled
-		}
+	if err := e.Infer.admit(e.models, "factorjoin"); err != nil {
 		e.Metrics.ModelCalls.Add(int64(len(items)))
 		e.Metrics.ModelFailures.Add(int64(len(items)))
-		fallbackAll(&ModelError{Key: "factorjoin", Outcome: outcome, Msg: "core: factorjoin unavailable (breaker open or disabled)"})
+		fallbackAll(err)
 		return
 	}
 	// Place every item in a universe and resolve it from the subset memo:
@@ -557,7 +549,7 @@ func (e *Estimator) joinBatch(op string, items []engine.JoinBatchItem, paralleli
 			need = append(need, k)
 			continue
 		}
-		r.key = r.u.key(r.tables, r.conds)
+		r.key = r.u.key(e.models.generation, r.tables, r.conds)
 		if v, ok := e.vec.Get(r.key); ok {
 			out[k] = v
 			hits++
@@ -578,7 +570,7 @@ func (e *Estimator) joinBatch(op string, items []engine.JoinBatchItem, paralleli
 			continue
 		}
 		if r.u.graph == nil && r.u.err == nil {
-			e.compileGraph(r.u, fj)
+			r.u.compile(fj, e.keySource(r.u), e.JoinMode)
 		}
 		r.err = r.u.err
 	}
@@ -625,7 +617,7 @@ func (e *Estimator) joinBatch(op string, items []engine.JoinBatchItem, paralleli
 		if r.clamped {
 			itemOutcome, outcome = obs.OutcomeClamped, obs.OutcomeClamped
 		}
-		e.vec.put(r.key, out[k])
+		e.vec.put(r.key, out[k], e.vecEpoch)
 		modelAnswered(k, itemOutcome, false, r.dur)
 	}
 	e.Metrics.ModelFailures.Add(failures)

@@ -68,7 +68,7 @@ func TestPlanSharesOneGraph(t *testing.T) {
 		}
 		infer.FlushCaches()
 		tr := obs.NewTrace()
-		p, err := exec.PlanWith(q, est.WithTrace(tr))
+		p, err := exec.PlanWith(q, est.View(tr))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestModelChurnDropsMemoizedSubsets(t *testing.T) {
 		{"disable", func() { infer.Admin().Disable("rbx") }},
 		{"enable", func() { infer.Admin().Enable("rbx") }},
 		{"load", func() {
-			data, err := infer.FactorJoin().Encode()
+			data, err := infer.Models().FactorJoin().Encode()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -235,9 +235,10 @@ func TestBatchMatchesSequentialCalls(t *testing.T) {
 // TestWarmPlanAllocs gates the planner/estimator miss path: a 6-table
 // GROUP BY plan with pools and model-resident conditionals warm but the
 // subset memo cold (every subset runs inference), hubs listed first and
-// hubs listed last. Each measures 295 allocations (301 before one BN pass
-// served all of a table's join columns); the per-subset string-keyed
-// graphs this replaced spent 2,139 on the hub-first plan.
+// hubs listed last. Each measures 286 allocations (295 while each BN
+// lookup copied the table's contexts, 301 before one BN pass served all of
+// a table's join columns); the per-subset string-keyed graphs this
+// replaced spent 2,139 on the hub-first plan.
 func TestWarmPlanAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector; allocation counts are only meaningful without -race")

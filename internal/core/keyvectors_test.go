@@ -28,7 +28,7 @@ func shardedStatsPipeline(t *testing.T) (*core.InferenceEngine, *core.Estimator,
 	ds.Schema.Table("comments").ShardKey = "id"
 	infer, est, exec, _ := pipelineFor(t, "stats", ds)
 	for _, name := range []string{"posts", "comments"} {
-		if ctxs, _ := infer.BNContexts(name); len(ctxs) < 2 {
+		if ctxs, _ := infer.Models().BN(name); len(ctxs) < 2 {
 			t.Fatalf("%s has %d BN shards, want several", name, len(ctxs))
 		}
 	}
@@ -65,7 +65,7 @@ func ieTerms(t *testing.T, qt *engine.QueryTable) []expr.IETerm {
 // floored.
 func refKeyVector(t *testing.T, infer *core.InferenceEngine, est *core.Estimator, qt *engine.QueryTable, col string) []float64 {
 	t.Helper()
-	ctxs, ok := infer.BNContexts(qt.Name)
+	ctxs, ok := infer.Models().BN(qt.Name)
 	if !ok {
 		t.Fatalf("no BN for %s", qt.Name)
 	}
@@ -249,7 +249,7 @@ func TestKeyVectorsOncePerBinding(t *testing.T) {
 	batchItems := items(connectedSubsets(q))
 	got := batch(batchItems, "")
 	for _, qt := range q.Tables {
-		ctxs, _ := infer.BNContexts(qt.Name)
+		ctxs, _ := infer.Models().BN(qt.Name)
 		if want := len(ieTerms(t, qt)) * len(ctxs); passes[qt.Name] != want {
 			t.Errorf("%s: %d BN passes, want one per (term, shard) = %d", qt.Name, passes[qt.Name], want)
 		}

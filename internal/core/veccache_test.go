@@ -12,12 +12,12 @@ import (
 // live in internal/lru's suite.)
 func TestVecCacheHoldsSubsetEstimates(t *testing.T) {
 	c := newVecCache(2)
-	c.put("a", 42)
-	c.put("b", 7)
+	c.put("a", 42, c.Epoch())
+	c.put("b", 7, c.Epoch())
 	if v, ok := c.Get("a"); !ok || v != 42 {
 		t.Errorf("Get(a) = (%v, %v), want 42", v, ok)
 	}
-	c.put("c", 1) // evicts b: a was touched after it
+	c.put("c", 1, c.Epoch()) // evicts b: a was touched after it
 	if _, ok := c.Get("b"); ok {
 		t.Error("coldest entry survived an insert past the bound")
 	}
@@ -36,11 +36,11 @@ func TestEstimatorSnapshotReadsJoinVecCounters(t *testing.T) {
 	c := newVecCache(1)
 	m := obs.NewEstimatorMetrics()
 	m.JoinVec = c.Metrics()
-	c.put("x", 1)
-	c.put("y", 2) // evicts x
-	c.Get("x")    // miss
-	c.Get("y")    // hit
-	c.Get("y")    // hit
+	c.put("x", 1, c.Epoch())
+	c.put("y", 2, c.Epoch()) // evicts x
+	c.Get("x")               // miss
+	c.Get("y")               // hit
+	c.Get("y")               // hit
 	s := m.Snapshot()
 	if s.CacheHits != 2 || s.CacheMisses != 1 || s.CacheEvictions != 1 {
 		t.Errorf("estimator digest hits/misses/evictions = %d/%d/%d, want 2/1/1",

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -137,7 +138,7 @@ func (e *Engine) RunStmtTraced(stmt *sqlparse.SelectStmt, tr *obs.Trace) (*Resul
 		return nil, err
 	}
 	planStart := time.Now()
-	p, err := e.planForRun(q, tr)
+	p, err := e.plan(q, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -162,67 +163,16 @@ func (e *Engine) RunStmtTraced(stmt *sqlparse.SelectStmt, tr *obs.Trace) (*Resul
 	return res, nil
 }
 
-// planForRun plans one statement for execution, consulting the shared plan
-// cache on the traced and untraced paths alike. Traced planning substitutes
-// a tracing estimator view but keeps the cache: the view returns values
-// identical to the engine's own estimator (tracing is pure observation), so
-// publishing its decisions is safe — and a template hit, which skips every
-// estimator call, records one plan_cache span carrying the cache-hit flag
-// in place of the estimator spans the skipped planning would have produced.
-// (EXPLAIN's PlanWith stays cache-free by design: its point is showing the
-// estimator's calls.)
-func (e *Engine) planForRun(q *Query, tr *obs.Trace) (*Plan, error) {
-	if !tr.Active() {
-		return e.Plan(q)
-	}
-	start := time.Now()
-	view := *e
-	view.Est = TraceEstimator(e.Est, tr)
-	p, err := view.Plan(q)
-	if err == nil && p.CacheHit {
-		tr.Add(obs.Span{
-			Op: obs.OpPlanCache, Tables: queryBindings(q), Source: "plan_cache",
-			Outcome: obs.OutcomeOK, CacheHit: true, Value: p.EstFinalRows,
-			Duration: time.Since(start),
-		})
-	}
-	return p, err
-}
-
-// queryBindings lists the query's table bindings in FROM order.
-func queryBindings(q *Query) []string {
-	out := make([]string, len(q.Tables))
-	for i, t := range q.Tables {
-		out[i] = t.Binding
-	}
-	return out
-}
-
 // physicalTables lists the query's deduped physical table names, sorted.
 func physicalTables(q *Query) []string {
-	seen := map[string]bool{}
 	var out []string
 	for _, t := range q.Tables {
-		if !seen[t.Name] {
-			seen[t.Name] = true
+		if !slices.Contains(out, t.Name) {
 			out = append(out, t.Name)
 		}
 	}
 	sort.Strings(out)
 	return out
-}
-
-// PlanWith optimizes q with est driving every decision instead of the
-// engine's configured estimator — the hook EXPLAIN uses to plan under a
-// tracing view without perturbing concurrent queries.
-func (e *Engine) PlanWith(q *Query, est CardEstimator) (*Plan, error) {
-	view := *e
-	view.Est = est
-	// The substituted estimator must actually run (EXPLAIN's whole point
-	// is showing its calls) and its decisions must not leak into the
-	// shared cache, so the view plans cache-free.
-	view.PlanCache = nil
-	return view.Plan(q)
 }
 
 func joinPattern(lt, lc, rt, rc string) catalog.JoinPattern {

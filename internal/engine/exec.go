@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -129,11 +130,9 @@ func (e *Engine) ExecuteTraced(p *Plan, tr *obs.Trace) (*Result, error) {
 // filter: join keys, group keys, and aggregate inputs.
 func neededColumns(q *Query, idx int) []string {
 	t := q.Tables[idx]
-	seen := map[string]bool{}
 	var out []string
 	add := func(col string) {
-		if !seen[col] {
-			seen[col] = true
+		if !slices.Contains(out, col) {
 			out = append(out, col)
 		}
 	}
@@ -256,19 +255,12 @@ func (e *Engine) singleStageScan(q *Query, st *scanState, sp *ScanPlan, n int, e
 	filter := st.t.Filter
 	// Touch predicate columns plus downstream columns: the one-pass reader
 	// constructs complete tuples immediately.
-	seen := map[string]bool{}
 	var cols []string
 	if filter != nil {
-		for _, p := range filter.Leaves() {
-			if !seen[p.Col] {
-				seen[p.Col] = true
-				cols = append(cols, p.Col)
-			}
-		}
+		cols = distinctCols(filter.Leaves())
 	}
 	for _, c := range neededColumns(q, sp.TableIdx) {
-		if !seen[c] {
-			seen[c] = true
+		if !slices.Contains(cols, c) {
 			cols = append(cols, c)
 		}
 	}

@@ -12,20 +12,24 @@ import (
 	"bytecard/internal/storage"
 )
 
-// TraceableEstimator is satisfied by estimators that can derive a
-// trace-recording view of themselves (the ByteCard estimator). Estimators
-// without native tracing are wrapped generically by TraceEstimator.
-type TraceableEstimator interface {
+// Viewer is satisfied by estimators that derive the view the planner asks
+// for every estimate of one query: ByteCard's reads one model generation
+// however many loads land meanwhile, and records model keys, guard
+// outcomes and cache hits into tr when it is non-nil.
+type Viewer interface {
 	CardEstimator
-	WithTrace(tr *obs.Trace) CardEstimator
+	View(tr *obs.Trace) CardEstimator
 }
 
-// TraceEstimator returns a view of est that records every estimate into
-// tr: natively for TraceableEstimators (model keys, guard outcomes, cache
-// hits), generically otherwise (operation, tables, value, timing).
-func TraceEstimator(est CardEstimator, tr *obs.Trace) CardEstimator {
-	if te, ok := est.(TraceableEstimator); ok {
-		return te.WithTrace(tr)
+// viewOf returns the estimator one query plans with: est's own view for a
+// Viewer, else est itself, wrapped with generic span recording (operation,
+// tables, value, timing) when tr is non-nil.
+func viewOf(est CardEstimator, tr *obs.Trace) CardEstimator {
+	if v, ok := est.(Viewer); ok {
+		return v.View(tr)
+	}
+	if tr == nil {
+		return est
 	}
 	return &spanningEstimator{inner: est, tr: tr}
 }
@@ -58,24 +62,12 @@ func (s *spanningEstimator) EstimateConj(t *QueryTable, preds []expr.Pred) float
 
 func (s *spanningEstimator) EstimateJoin(tables []*QueryTable, joins []JoinCond) float64 {
 	start := time.Now()
-	names := make([]string, len(tables))
-	for i, t := range tables {
-		names[i] = t.Binding
-	}
-	return s.record(obs.OpJoin, names, start, s.inner.EstimateJoin(tables, joins))
+	return s.record(obs.OpJoin, Bindings(tables), start, s.inner.EstimateJoin(tables, joins))
 }
 
 func (s *spanningEstimator) EstimateGroupNDV(q *Query) float64 {
 	start := time.Now()
-	seen := map[string]bool{}
-	var names []string
-	for _, g := range q.GroupBy {
-		if !seen[g.Tab] {
-			seen[g.Tab] = true
-			names = append(names, g.Tab)
-		}
-	}
-	return s.record(obs.OpGroupNDV, names, start, s.inner.EstimateGroupNDV(q))
+	return s.record(obs.OpGroupNDV, q.GroupedBindings(), start, s.inner.EstimateGroupNDV(q))
 }
 
 // ExplainNode is one annotated node of an explained plan.
@@ -121,6 +113,9 @@ type ExplainResult struct {
 	SQL string `json:"sql"`
 	// Estimator is the engine's configured estimator name.
 	Estimator string `json:"estimator"`
+	// Generation is the model generation the planning view read, for
+	// estimators whose views pin one (zero otherwise).
+	Generation uint64 `json:"generation,omitempty"`
 	// Nodes lists plan nodes bottom-up: scans in join order, then join
 	// steps, then the aggregate (if any).
 	Nodes []ExplainNode `json:"nodes"`
@@ -163,7 +158,8 @@ func (e *Engine) ExplainStmt(sql string, stmt *sqlparse.SelectStmt) (*ExplainRes
 	}
 	tr := obs.NewTrace()
 	start := time.Now()
-	p, err := e.PlanWith(q, TraceEstimator(e.Est, tr))
+	est := viewOf(e.Est, tr)
+	p, err := e.optimize(q, est)
 	if err != nil {
 		return nil, err
 	}
@@ -174,6 +170,9 @@ func (e *Engine) ExplainStmt(sql string, stmt *sqlparse.SelectStmt) (*ExplainRes
 		AggCapacity:  p.AggCapacity,
 		PlanDuration: time.Since(start),
 		Trace:        tr.Spans(),
+	}
+	if g, ok := est.(interface{ Generation() uint64 }); ok {
+		res.Generation = g.Generation()
 	}
 
 	// Attribute each node to the span that produced its estimate: the last
@@ -228,14 +227,7 @@ func (e *Engine) ExplainStmt(sql string, stmt *sqlparse.SelectStmt) (*ExplainRes
 		res.Nodes = append(res.Nodes, node)
 	}
 	if len(q.GroupBy) > 0 {
-		seen := map[string]bool{}
-		var grouped []string
-		for _, g := range q.GroupBy {
-			if !seen[g.Tab] {
-				seen[g.Tab] = true
-				grouped = append(grouped, g.Tab)
-			}
-		}
+		grouped := q.GroupedBindings()
 		node := ExplainNode{
 			Kind:    "aggregate",
 			Tables:  grouped,
@@ -294,7 +286,11 @@ func (r *ExplainResult) AnnotateExecution(m *Metrics) {
 // String renders the explained plan as an indented tree for CLI output.
 func (r *ExplainResult) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Plan estimator=%s est_final_rows=%.1f plan_time=%s\n", r.Estimator, r.EstFinalRows, r.PlanDuration)
+	fmt.Fprintf(&b, "Plan estimator=%s", r.Estimator)
+	if r.Generation > 0 {
+		fmt.Fprintf(&b, " generation=%d", r.Generation)
+	}
+	fmt.Fprintf(&b, " est_final_rows=%.1f plan_time=%s\n", r.EstFinalRows, r.PlanDuration)
 	for _, n := range r.Nodes {
 		fmt.Fprintf(&b, "  %-9s [%s]", n.Kind, strings.Join(n.Tables, " ⋈ "))
 		if n.Strategy != "" {

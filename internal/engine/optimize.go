@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
+	"time"
 
 	"bytecard/internal/expr"
+	"bytecard/internal/obs"
 	"bytecard/internal/sqlparse"
 )
 
@@ -43,44 +46,75 @@ type Plan struct {
 
 // Plan optimizes the analyzed query: per-scan materialization strategy and
 // column order, join order via dynamic programming over connected subsets,
-// and aggregation hash-table presizing — each decision driven by the
-// engine's estimator, which is exactly where ByteCard plugs in.
+// and aggregation presizing — each decision driven by one per-query view
+// of the engine's estimator (see Viewer), which is where ByteCard plugs in.
 //
 // With a PlanCache wired, the query's normalized template is consulted
-// first: a hit replays the template's cached decisions onto q without a
-// single estimator call, and a miss publishes the freshly planned
-// decisions for the template's next sibling. Queries without an attached
-// statement (no template identity) always plan fresh.
-func (e *Engine) Plan(q *Query) (*Plan, error) {
+// first: a hit replays its cached decisions onto q without a single
+// estimator call, and a miss publishes its decisions for the template's
+// next sibling, unless a model load invalidated the cache meanwhile.
+// Queries without an attached statement always plan fresh.
+func (e *Engine) Plan(q *Query) (*Plan, error) { return e.plan(q, nil) }
+
+// plan is Plan recording into tr (nil records nothing): a miss's view
+// records its estimates (tracing is pure observation: it publishes like any
+// miss), a hit one plan_cache span in their place.
+func (e *Engine) plan(q *Query, tr *obs.Trace) (*Plan, error) {
+	start := time.Now()
 	var key string
+	var epoch uint64
 	if e.PlanCache != nil && q.Stmt != nil {
 		key = sqlparse.Normalize(q.Stmt)
 		if d, ok := e.PlanCache.Get(key); ok && len(d.scans) == len(q.Tables) {
 			p := d.apply(q)
 			p.CacheHit = true
+			if tr != nil {
+				tr.Add(obs.Span{
+					Op: obs.OpPlanCache, Tables: Bindings(q.Tables), Source: "plan_cache",
+					Outcome: obs.OutcomeOK, CacheHit: true, Value: p.EstFinalRows, Duration: time.Since(start),
+				})
+			}
 			return p, nil
 		}
+		// Read before the view pins its models (see package lru).
+		epoch = e.PlanCache.Epoch()
 	}
-	p := &Plan{Query: q}
-	for i := range q.Tables {
-		p.Scans = append(p.Scans, e.planScan(q, i))
-	}
-	if err := e.planJoinOrder(p); err != nil {
+	p, err := e.optimize(q, viewOf(e.Est, tr))
+	if err != nil {
 		return nil, err
 	}
-	e.planAggregation(p)
 	if key != "" {
-		e.PlanCache.Put(key, decisionsOf(p))
+		e.PlanCache.Put(key, decisionsOf(p), epoch)
 	}
 	return p, nil
 }
 
+// PlanWith optimizes q under a view of est instead of the engine's
+// estimator, bypassing the plan cache both ways: est must actually run, and
+// its decisions must not leak into the shared cache.
+func (e *Engine) PlanWith(q *Query, est CardEstimator) (*Plan, error) {
+	return e.optimize(q, viewOf(est, nil))
+}
+
+// optimize plans q fresh, every decision from est.
+func (e *Engine) optimize(q *Query, est CardEstimator) (*Plan, error) {
+	p := &Plan{Query: q}
+	for i := range q.Tables {
+		p.Scans = append(p.Scans, e.planScan(est, q, i))
+	}
+	if err := e.planJoinOrder(est, p); err != nil {
+		return nil, err
+	}
+	e.planAggregation(est, p)
+	return p, nil
+}
+
 // planScan chooses the reader strategy and predicate column order.
-func (e *Engine) planScan(q *Query, idx int) *ScanPlan {
+func (e *Engine) planScan(est CardEstimator, q *Query, idx int) *ScanPlan {
 	t := q.Tables[idx]
 	sp := &ScanPlan{TableIdx: idx, Strategy: "single-stage"}
 	n := float64(t.Table.NumRows())
-	sp.EstRows = e.Est.EstimateFilter(t)
+	sp.EstRows = est.EstimateFilter(t)
 	if sp.EstRows < 0 {
 		sp.EstRows = 0
 	}
@@ -105,7 +139,7 @@ func (e *Engine) planScan(q *Query, idx int) *ScanPlan {
 			// even when forced.
 			sp.Strategy = "single-stage"
 		case len(predCols) >= 2:
-			sp.ColOrder = e.orderPredColumns(t, preds, predCols)
+			sp.ColOrder = orderPredColumns(est, t, preds, predCols)
 		default:
 			sp.ColOrder = predCols
 		}
@@ -114,11 +148,9 @@ func (e *Engine) planScan(q *Query, idx int) *ScanPlan {
 }
 
 func distinctCols(preds []expr.Pred) []string {
-	seen := map[string]bool{}
 	var out []string
 	for _, p := range preds {
-		if !seen[p.Col] {
-			seen[p.Col] = true
+		if !slices.Contains(out, p.Col) {
 			out = append(out, p.Col)
 		}
 	}
@@ -131,7 +163,7 @@ func distinctCols(preds []expr.Pred) []string {
 // modelling (the BN joint distribution) pay off. Enumeration early-stops
 // once the running selectivity exceeds a threshold; remaining columns are
 // appended by single-column selectivity.
-func (e *Engine) orderPredColumns(t *QueryTable, preds []expr.Pred, cols []string) []string {
+func orderPredColumns(est CardEstimator, t *QueryTable, preds []expr.Pred, cols []string) []string {
 	predsOf := func(col string) []expr.Pred {
 		var out []expr.Pred
 		for _, p := range preds {
@@ -149,14 +181,14 @@ func (e *Engine) orderPredColumns(t *QueryTable, preds []expr.Pred, cols []strin
 		if runningSel > DefaultColOrderEarlyStop && len(order) > 0 {
 			// Early stop: order the tail by single-column selectivity.
 			sort.SliceStable(remaining, func(i, j int) bool {
-				return e.Est.EstimateConj(t, predsOf(remaining[i])) < e.Est.EstimateConj(t, predsOf(remaining[j]))
+				return est.EstimateConj(t, predsOf(remaining[i])) < est.EstimateConj(t, predsOf(remaining[j]))
 			})
 			order = append(order, remaining...)
 			break
 		}
 		best, bestSel := -1, math.Inf(1)
 		for i, col := range remaining {
-			sel := e.Est.EstimateConj(t, append(append([]expr.Pred(nil), chosen...), predsOf(col)...))
+			sel := est.EstimateConj(t, append(append([]expr.Pred(nil), chosen...), predsOf(col)...))
 			if sel < bestSel {
 				best, bestSel = i, sel
 			}
@@ -187,7 +219,7 @@ func (e *Engine) orderPredColumns(t *QueryTable, preds []expr.Pred, cols []strin
 // before the first comparison — and comparisons always process base masks
 // in ascending numeric order — the batched and sequential paths produce
 // byte-identical plans.
-func (e *Engine) planJoinOrder(p *Plan) error {
+func (e *Engine) planJoinOrder(est CardEstimator, p *Plan) error {
 	q := p.Query
 	n := len(q.Tables)
 	if n == 1 {
@@ -273,7 +305,7 @@ func (e *Engine) planJoinOrder(p *Plan) error {
 		return tabs, conds
 	}
 	joined := subsets[n:]
-	if batchEst, ok := e.Est.(BatchCardEstimator); ok && len(joined) > 0 {
+	if batchEst, ok := est.(BatchCardEstimator); ok && len(joined) > 0 {
 		// One backing array each for every item's tables and conditions.
 		var ntabs, nconds int
 		for _, mask := range joined {
@@ -302,7 +334,7 @@ func (e *Engine) planJoinOrder(p *Plan) error {
 		conds := make([]JoinCond, 0, len(q.Joins))
 		for _, mask := range joined {
 			tabs, conds = fillSubset(mask, tabs[:0], conds[:0])
-			card[mask] = sanitize(e.Est.EstimateJoin(tabs, conds))
+			card[mask] = sanitize(est.EstimateJoin(tabs, conds))
 		}
 	}
 
@@ -347,7 +379,7 @@ func (e *Engine) planJoinOrder(p *Plan) error {
 // planAggregation presizes the aggregation hash table from the estimator's
 // group-NDV estimate (the Figure 6b mechanism). Without grouping no hash
 // table is needed.
-func (e *Engine) planAggregation(p *Plan) {
+func (e *Engine) planAggregation(est CardEstimator, p *Plan) {
 	q := p.Query
 	if len(q.GroupBy) == 0 {
 		p.AggCapacity = 0
@@ -357,7 +389,7 @@ func (e *Engine) planAggregation(p *Plan) {
 		p.AggCapacity = e.defaultAggCapacity()
 		return
 	}
-	ndv := e.Est.EstimateGroupNDV(q)
+	ndv := est.EstimateGroupNDV(q)
 	if ndv < 1 || math.IsNaN(ndv) || math.IsInf(ndv, 0) {
 		ndv = float64(e.defaultAggCapacity())
 	}

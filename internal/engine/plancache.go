@@ -1,8 +1,9 @@
 package engine
 
 import (
+	"slices"
+
 	"bytecard/internal/lru"
-	"bytecard/internal/obs"
 )
 
 // DefaultPlanCacheBytes bounds the plan cache when no explicit budget is
@@ -63,10 +64,8 @@ func decisionsOf(p *Plan) *planDecisions {
 			size += int64(len(c)) + 16
 		}
 	}
-	seen := map[string]bool{}
 	for _, t := range p.Query.Tables {
-		if !seen[t.Name] {
-			seen[t.Name] = true
+		if !slices.Contains(d.tables, t.Name) {
 			d.tables = append(d.tables, t.Name)
 			size += int64(len(t.Name)) + 16
 		}
@@ -107,11 +106,14 @@ func (d *planDecisions) apply(q *Query) *Plan {
 //
 // The cache implements core's DerivedCache contract: the inference
 // registry invalidates it on model load (table-scoped via the per-entry
-// physical-table list) and flushes it on enable/disable, so no plan ever
+// physical-table list) and flushes it on enable/disable, and a plan
+// estimated across an invalidation is not published, so no plan ever
 // replays decisions estimated by a replaced model. Safe for concurrent
 // use.
 type PlanCache struct {
-	c *lru.Cache[string, *planDecisions]
+	// The lru.Cache's Get, Epoch, Len, InvalidateTables, Flush and Stats
+	// serve as is; Put takes decisions.
+	*lru.Cache[string, *planDecisions]
 }
 
 // NewPlanCache creates a plan cache bounded to limit resident bytes
@@ -120,29 +122,13 @@ func NewPlanCache(limit int64) *PlanCache {
 	if limit <= 0 {
 		limit = DefaultPlanCacheBytes
 	}
-	return &PlanCache{c: lru.NewBytes[string, *planDecisions](limit)}
+	return &PlanCache{lru.NewBytes[string, *planDecisions](limit)}
 }
-
-// Get returns the cached decisions for a template key and marks the entry
-// recently used.
-func (c *PlanCache) Get(key string) (*planDecisions, bool) { return c.c.Get(key) }
 
 // Put publishes one template's decisions under their invalidation table
-// list. A template larger than the whole budget is refused.
-func (c *PlanCache) Put(key string, d *planDecisions) {
-	c.c.Put(key, d, d.size+int64(len(key)), d.tables)
+// list, unless the cache was invalidated since epoch, read before the
+// decisions' estimates were. A template larger than the whole budget is
+// refused.
+func (c *PlanCache) Put(key string, d *planDecisions, epoch uint64) {
+	c.Cache.Put(key, d, d.size+int64(len(key)), d.tables, epoch)
 }
-
-// Len returns the resident template count.
-func (c *PlanCache) Len() int { return c.c.Len() }
-
-// InvalidateTables drops every template whose decisions were estimated
-// against any of the named physical tables, returning how many were
-// dropped.
-func (c *PlanCache) InvalidateTables(tables ...string) int { return c.c.InvalidateTables(tables...) }
-
-// Flush drops every template, returning how many were resident.
-func (c *PlanCache) Flush() int { return c.c.Flush() }
-
-// Stats returns the cache's uniform counter snapshot.
-func (c *PlanCache) Stats() obs.CacheSnapshot { return c.c.Stats() }

@@ -9,6 +9,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"bytecard/internal/expr"
@@ -107,6 +108,27 @@ func (q *Query) TableByBinding(name string) *QueryTable {
 		}
 	}
 	return nil
+}
+
+// Bindings lists tables' bindings in order.
+func Bindings(tables []*QueryTable) []string {
+	out := make([]string, len(tables))
+	for i, t := range tables {
+		out[i] = t.Binding
+	}
+	return out
+}
+
+// GroupedBindings lists the bindings q groups by, each once, in GROUP BY
+// order.
+func (q *Query) GroupedBindings() []string {
+	var out []string
+	for _, g := range q.GroupBy {
+		if !slices.Contains(out, g.Tab) {
+			out = append(out, g.Tab)
+		}
+	}
+	return out
 }
 
 // ScanBlockStats is one scanned binding's block accounting: blocks charged

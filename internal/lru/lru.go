@@ -1,20 +1,28 @@
-// Package lru is the one bounded cache in the tree: behind the Inference
-// Engine's registry of loaded BN models and every tier of state derived
-// from them — the estimator's join-vector/subset memo, the engine's
-// template plan cache, and the residual corrector's bucket table. It owns
-// the decisions those tiers share — a single cost bound, cold-end eviction,
-// refusal of an entry that alone exceeds the bound, per-entry physical-table
-// lists for scoped invalidation, and the uniform obs.CacheMetrics
-// bookkeeping — so a Cache satisfies core.DerivedCache as is.
+// Package lru is the one bounded cache in the tree: behind every tier of
+// state derived from the Inference Engine's loaded models — the
+// estimator's subset memo, the engine's template plan cache, and the
+// residual corrector's bucket table. It owns the decisions those tiers
+// share — a single cost bound, cold-end eviction, refusal of an entry that
+// alone exceeds the bound, per-entry physical-table lists for scoped
+// invalidation, the epoch that keeps an entry computed across an
+// invalidation from being published after it, and the uniform
+// obs.CacheMetrics bookkeeping — so a Cache satisfies core.DerivedCache as
+// is.
 //
 // The map and recency list are unexported and Put, the only publication
-// path, takes the entry's table list: no user can hold a resident entry
-// that InvalidateTables cannot reach.
+// path, takes the entry's table list and the epoch its computation began
+// in: no user can hold a resident entry that InvalidateTables cannot reach,
+// nor one derived from state an invalidation replaced. A writer reads Epoch
+// before the state it derives from, whose owner replaces it before
+// invalidating: a Put lands before the invalidation, which removes it, or
+// after, and is dropped.
 package lru
 
 import (
 	"container/list"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"bytecard/internal/obs"
 )
@@ -28,7 +36,9 @@ type Cache[K comparable, V any] struct {
 	entries map[K]*list.Element
 	order   *list.List // of *entry[K, V]; front = most recent
 	bytes   int64
-	cm      obs.CacheMetrics
+	// epoch counts InvalidateTables and Flush calls; written under mu.
+	epoch atomic.Uint64
+	cm    obs.CacheMetrics
 }
 
 type entry[K comparable, V any] struct {
@@ -77,17 +87,23 @@ func (c *Cache[K, V]) Peek(key K) (V, bool) {
 	return zero, false
 }
 
+// Epoch returns the cache's invalidation epoch, which every
+// InvalidateTables and Flush call advances.
+func (c *Cache[K, V]) Epoch() uint64 { return c.epoch.Load() }
+
 // Put publishes val under key (replacing any previous value) as the most
 // recent entry, then evicts from the cold end until the bound holds. size is
 // the entry's approximate resident bytes; tables lists the physical tables
 // the value was derived from — an entry published with none is dropped by
 // any InvalidateTables call, since nothing proves it unaffected. The slice
-// is retained, not copied. An entry that alone exceeds the bound is refused:
-// one oversized value must not wipe the cache.
-func (c *Cache[K, V]) Put(key K, val V, size int64, tables []string) {
+// is retained, not copied. epoch is what Epoch returned before the value's
+// inputs were read; an entry whose epoch has moved since is dropped. An
+// entry that alone exceeds the bound is refused: one oversized value must
+// not wipe the cache.
+func (c *Cache[K, V]) Put(key K, val V, size int64, tables []string, epoch uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.cost(size) > c.limit {
+	if c.cost(size) > c.limit || epoch != c.epoch.Load() {
 		return
 	}
 	if elem, ok := c.entries[key]; ok {
@@ -160,11 +176,12 @@ func (c *Cache[K, V]) Range(f func(key K, val V)) {
 func (c *Cache[K, V]) InvalidateTables(tables ...string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.epoch.Add(1)
 	n := 0
 	var next *list.Element
 	for elem := c.order.Front(); elem != nil; elem = next {
 		next = elem.Next()
-		if e := elem.Value.(*entry[K, V]); len(e.tables) == 0 || intersects(e.tables, tables) {
+		if e := elem.Value.(*entry[K, V]); len(e.tables) == 0 || slices.ContainsFunc(e.tables, func(t string) bool { return slices.Contains(tables, t) }) {
 			c.removeLocked(elem)
 			n++
 		}
@@ -173,22 +190,11 @@ func (c *Cache[K, V]) InvalidateTables(tables ...string) int {
 	return n
 }
 
-// intersects reports whether the two (short) table lists share a name.
-func intersects(a, b []string) bool {
-	for _, x := range a {
-		for _, y := range b {
-			if x == y {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // Flush drops every entry, returning how many were resident.
 func (c *Cache[K, V]) Flush() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.epoch.Add(1)
 	n := len(c.entries)
 	clear(c.entries)
 	c.order.Init()

@@ -15,7 +15,17 @@ import (
 type step func(t *testing.T, c *Cache[string, int64])
 
 func put(key string, size int64, tables ...string) step {
-	return func(_ *testing.T, c *Cache[string, int64]) { c.Put(key, size, size, tables) }
+	return func(_ *testing.T, c *Cache[string, int64]) { c.Put(key, size, size, tables, c.Epoch()) }
+}
+
+// putAcross reads the epoch, runs between, then publishes under that epoch:
+// an entry computed across an invalidation.
+func putAcross(key string, size int64, between step) step {
+	return func(t *testing.T, c *Cache[string, int64]) {
+		epoch := c.Epoch()
+		between(t, c)
+		c.Put(key, size, size, nil, epoch)
+	}
 }
 
 func get(key string, want int64, wantOK bool) step {
@@ -181,6 +191,20 @@ func TestCache(t *testing.T) {
 			order: nil,
 			stats: obs.CacheSnapshot{Invalidations: 1},
 		},
+		{
+			name: "a Put computed across an invalidation or flush is dropped",
+			new:  entries(8),
+			steps: []step{
+				put("kept", 10, "dim"),
+				putAcross("stale", 10, invalidate(0, "fact")),
+				putAcross("stale", 10, invalidate(0)),
+				putAcross("stale", 10, flush(1)),
+				get("stale", 0, false),
+				put("fresh", 10),
+			},
+			order: []string{"fresh"},
+			stats: obs.CacheSnapshot{Misses: 1, Invalidations: 1, Bytes: 10, Entries: 1},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -219,9 +243,9 @@ func TestCacheConcurrent(t *testing.T) {
 					key := fmt.Sprintf("k%d", (g*7+i)%40)
 					switch i % 9 {
 					case 0, 1, 2:
-						c.Put(key, int64(10+i%30), int64(10+i%30), []string{fmt.Sprintf("t%d", i%5)})
+						c.Put(key, int64(10+i%30), int64(10+i%30), []string{fmt.Sprintf("t%d", i%5)}, c.Epoch())
 					case 3:
-						c.Put(key, 25, 25, nil)
+						c.Put(key, 25, 25, nil, c.Epoch())
 					case 4, 5:
 						c.Get(key)
 					case 6:

@@ -111,7 +111,7 @@ func TestShardSpecializedTraining(t *testing.T) {
 			if err := infer.LoadModel(art); err != nil {
 				t.Fatal(err)
 			}
-			ctxs, _ := infer.BNContexts("fact")
+			ctxs, _ := infer.Models().BN("fact")
 			totalRows += ctxs[0].Model().Rows
 		}
 	}

@@ -323,7 +323,7 @@ func (m *Model) estimateWith(net *nn.Network, p sample.Profile) float64 {
 	}
 	y := net.Forward(Features(p))[0]
 	est := math.Exp(y)*(p.SampleNDV+1) - 1
-	if est < p.SampleNDV {
+	if !(est >= p.SampleNDV) { // NaN too: an overflowing network
 		est = p.SampleNDV
 	}
 	if p.PopRows > 0 && est > p.PopRows {
@@ -424,16 +424,27 @@ func (m *Model) Validate() error {
 	if m.Net == nil {
 		return errors.New("rbx: missing base network")
 	}
-	if err := m.Net.Validate(); err != nil {
+	if err := checkNet(m.Net); err != nil {
 		return fmt.Errorf("rbx: base network: %w", err)
 	}
-	if m.Net.InputDim() != FeatureDim {
-		return fmt.Errorf("rbx: network input %d, want %d", m.Net.InputDim(), FeatureDim)
-	}
 	for col, net := range m.Calibrated {
-		if err := net.Validate(); err != nil {
+		if err := checkNet(net); err != nil {
 			return fmt.Errorf("rbx: calibration for %s: %w", col, err)
 		}
+	}
+	return nil
+}
+
+// checkNet checks one network is healthy and reads FeatureDim inputs.
+func checkNet(net *nn.Network) error {
+	if net == nil {
+		return errors.New("missing network")
+	}
+	if err := net.Validate(); err != nil {
+		return err
+	}
+	if net.InputDim() != FeatureDim {
+		return fmt.Errorf("network input %d, want %d", net.InputDim(), FeatureDim)
 	}
 	return nil
 }

@@ -254,9 +254,11 @@ func (c *Corrector) Observe(key string, tables []string, est float64, truth floa
 }
 
 // publishLocked makes b the most recent bucket, inserting it (and evicting
-// the coldest bucket past the entry bound) when it is new (c.mu held).
+// the coldest bucket past the entry bound) when it is new (c.mu held, which
+// every invalidation takes too, so the current epoch is the one b was
+// observed in).
 func (c *Corrector) publishLocked(b *bucket) {
-	c.buckets.Put(b.key, b, bucketSize(b.key, b.tables), b.tables)
+	c.buckets.Put(b.key, b, bucketSize(b.key, b.tables), b.tables, c.buckets.Epoch())
 }
 
 // trackDriftLocked folds one post-correction absolute log q-error into the

@@ -2,6 +2,7 @@ package bytecard
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -141,6 +142,30 @@ func TestExplainAnnotatesPlanNodes(t *testing.T) {
 	}
 	if _, err := json.Marshal(res); err != nil {
 		t.Errorf("explain result not serializable: %v", err)
+	}
+}
+
+// TestExplainNamesGeneration checks the registry's model generation is
+// reported in Metrics and named in the EXPLAIN header, and that a disable —
+// which publishes the next generation — moves both.
+func TestExplainNamesGeneration(t *testing.T) {
+	sys := openToy(t)
+	for step := 0; step < 2; step++ {
+		gen := sys.Metrics().Registry.Generation
+		if gen == 0 {
+			t.Fatal("registry reports generation 0 after loading models")
+		}
+		res, err := sys.Explain("SELECT COUNT(*) FROM fact WHERE val < 50")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf(" generation=%d ", gen); res.Generation != gen || !strings.Contains(res.String(), want) {
+			t.Errorf("explain generation %d, header %q; want %d", res.Generation, strings.SplitN(res.String(), "\n", 2)[0], gen)
+		}
+		sys.Infer.Admin().Disable("rbx")
+		if got := sys.Metrics().Registry.Generation; got != gen+1 {
+			t.Errorf("generation after a disable = %d, want %d", got, gen+1)
+		}
 	}
 }
 
